@@ -13,29 +13,26 @@ which keeps them comparable and serializable.
 
 from __future__ import annotations
 
-from .lincomb import LinComb
+from .lincomb import LinComb, bilinear_extend
 from .biwords import Biword
 from .words import Letter, Word, deconcat, word_prec, word_shuffle, word_succ
 
 
 def phi_apply(b: Biword, w: Word) -> LinComb:
     """Apply one biword to one word: a single permuted word, or zero."""
-    if b.size != len(w):
+    letters = w.letters
+    if len(b.perm) != len(letters):
         return LinComb.zero()
-    permuted = tuple(w.letters[v - 1] for v in b.perm)
+    permuted = tuple(letters[v - 1] for v in b.perm)
     for letter, d in zip(permuted, b.deg):
         if letter.weight != d:
             return LinComb.zero()
-    return LinComb.single(Word(permuted))
+    return LinComb.single(Word.trusted(permuted, w.weight))
 
 
 def endo_apply(f: LinComb, x: LinComb) -> LinComb:
     """Bilinear extension of the action to combinations on both sides."""
-    out = LinComb.zero()
-    for bw, cb in f.terms().items():
-        for w, cw in x.terms().items():
-            out = out + phi_apply(bw, w) * (cb * cw)
-    return out
+    return bilinear_extend(phi_apply, f, x)
 
 
 def compose_via_action(a: Biword, b: Biword) -> LinComb:
@@ -80,11 +77,12 @@ def convolution_via_action(f: LinComb, g: LinComb, probe: Word, op: str = "star"
     combinations acting through phi.
     """
     combine = _WORD_OPS[op]
-    out = LinComb.zero()
-    for (left, right), ccut in deconcat(probe).terms().items():
-        fx = endo_apply(f, LinComb.single(left))
-        gy = endo_apply(g, LinComb.single(right))
-        for wl, cl in fx.terms().items():
-            for wr, cr in gy.terms().items():
-                out = out + combine(wl, wr) * (ccut * cl * cr)
-    return out
+    return LinComb.sum(
+        (
+            bilinear_extend(
+                combine, endo_apply(f, LinComb.single(left)), endo_apply(g, LinComb.single(right))
+            ),
+            ccut,
+        )
+        for (left, right), ccut in deconcat(probe).terms().items()
+    )

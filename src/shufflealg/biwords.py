@@ -21,19 +21,24 @@ action equals "apply b, then a".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .lincomb import LinComb, bilinear_extend, linear_extend
 from .words import compositions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Biword:
-    """A permutation of [k] with a positive degree attached to each column."""
+    """A permutation of [k] with a positive degree attached to each column.
+
+    ``weight`` (the sum of the degrees) is computed once, at construction;
+    it takes no part in equality, hashing or ``repr``.
+    """
 
     perm: tuple[int, ...] = ()
     deg: tuple[int, ...] = ()
+    weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.perm) != len(self.deg):
@@ -44,14 +49,21 @@ class Biword:
         for d in self.deg:
             if d < 1:
                 raise ValueError(f"degrees must be positive: {self.deg}")
+        object.__setattr__(self, "weight", sum(self.deg))
+
+    @classmethod
+    def trusted(cls, perm: tuple[int, ...], deg: tuple[int, ...], weight: int) -> "Biword":
+        """Construction without validation, for rows that are valid by
+        construction; ``weight`` must be ``sum(deg)``."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "perm", perm)
+        object.__setattr__(b, "deg", deg)
+        object.__setattr__(b, "weight", weight)
+        return b
 
     @property
     def size(self) -> int:
         return len(self.perm)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.deg)
 
     def is_unit(self) -> bool:
         return not self.perm
@@ -86,7 +98,7 @@ def standardize(values) -> tuple[int, ...]:
 def tensor_biword(a: Biword, b: Biword) -> Biword:
     """Block-diagonal concatenation: b's top row shifted by a's size."""
     k = a.size
-    return Biword(a.perm + tuple(v + k for v in b.perm), a.deg + b.deg)
+    return Biword.trusted(a.perm + tuple(v + k for v in b.perm), a.deg + b.deg, a.weight + b.weight)
 
 
 def _interleavings(a: Biword, b: Biword, first_from_left: bool):
@@ -95,6 +107,7 @@ def _interleavings(a: Biword, b: Biword, first_from_left: bool):
     cols_a = list(zip(a.perm, a.deg))
     cols_b = [(v + k, d) for v, d in zip(b.perm, b.deg)]
     n = k + l
+    weight = a.weight + b.weight
     # choose the slots occupied by b's columns, preserving orders
     if first_from_left:
         slot_iter = itertools.combinations(range(1, n), l)
@@ -111,7 +124,8 @@ def _interleavings(a: Biword, b: Biword, first_from_left: bool):
             else:
                 cols.append(cols_a[ia])
                 ia += 1
-        yield Biword(tuple(c[0] for c in cols), tuple(c[1] for c in cols))
+        perm, deg = zip(*cols)
+        yield Biword.trusted(perm, deg, weight)
 
 
 def biword_prec(a: Biword, b: Biword) -> LinComb:
@@ -120,7 +134,7 @@ def biword_prec(a: Biword, b: Biword) -> LinComb:
         return LinComb.zero()
     if b.is_unit():
         return LinComb.single(a)
-    return LinComb((t, 1) for t in _interleavings(a, b, first_from_left=True))
+    return LinComb._raw(dict.fromkeys(_interleavings(a, b, first_from_left=True), 1))
 
 
 def biword_succ(a: Biword, b: Biword) -> LinComb:
@@ -129,7 +143,7 @@ def biword_succ(a: Biword, b: Biword) -> LinComb:
         return LinComb.zero()
     if a.is_unit():
         return LinComb.single(b)
-    return LinComb((t, 1) for t in _interleavings(a, b, first_from_left=False))
+    return LinComb._raw(dict.fromkeys(_interleavings(a, b, first_from_left=False), 1))
 
 
 def biword_star(a: Biword, b: Biword) -> LinComb:
@@ -158,7 +172,7 @@ def _halves_by_descents(a: Biword, b: Biword, first: int) -> LinComb:
     n = k + l
     top = a.perm + tuple(v + k for v in b.perm)
     bottom = a.deg + b.deg
-    out = LinComb.zero()
+    out = []
     for alpha in itertools.permutations(range(1, n + 1)):
         descents = {i + 1 for i in range(n - 1) if alpha[i] > alpha[i + 1]}
         if not descents <= {k}:
@@ -170,8 +184,8 @@ def _halves_by_descents(a: Biword, b: Biword, first: int) -> LinComb:
             continue
         perm = tuple(top[inv[i] - 1] for i in range(1, n + 1))
         deg = tuple(bottom[inv[i] - 1] for i in range(1, n + 1))
-        out = out + LinComb.single(Biword(perm, deg))
-    return out
+        out.append((Biword(perm, deg), 1))
+    return LinComb(out)
 
 
 def biword_prec_by_descents(a: Biword, b: Biword) -> LinComb:
@@ -196,26 +210,26 @@ def coproduct_prec(a: Biword) -> LinComb:
     """Cuts at and after the column with top entry 1 (that column stays left)."""
     if a.is_unit():
         raise ValueError("half-coproducts are defined on nonempty biwords")
-    n = a.size
-    pos1 = a.inverse_position(1)
-    return LinComb(
-        (_cut(a, k), 1) for k in range(pos1, n)
-    )
+    return _cut_sum(a, range(a.inverse_position(1), a.size))
 
 
 def coproduct_succ(a: Biword) -> LinComb:
     """Cuts strictly before the column with top entry 1 (it lands right)."""
     if a.is_unit():
         raise ValueError("half-coproducts are defined on nonempty biwords")
-    pos1 = a.inverse_position(1)
-    return LinComb(
-        (_cut(a, k), 1) for k in range(1, pos1)
-    )
+    return _cut_sum(a, range(1, a.inverse_position(1)))
+
+
+def _cut_sum(a: Biword, positions) -> LinComb:
+    """Sum of the cuts of ``a`` after each of the given column counts."""
+    return LinComb._raw(dict.fromkeys((_cut(a, k) for k in positions), 1))
 
 
 def _cut(a: Biword, k: int) -> tuple[Biword, Biword]:
-    left = Biword(standardize(a.perm[:k]), a.deg[:k])
-    right = Biword(standardize(a.perm[k:]), a.deg[k:])
+    left_deg = a.deg[:k]
+    left_weight = sum(left_deg)
+    left = Biword.trusted(standardize(a.perm[:k]), left_deg, left_weight)
+    right = Biword.trusted(standardize(a.perm[k:]), a.deg[k:], a.weight - left_weight)
     return (left, right)
 
 
@@ -227,21 +241,10 @@ def coproduct_succ_lc(x: LinComb) -> LinComb:
     return linear_extend(coproduct_succ, x)
 
 
-def reduced_coproduct_lc(x: LinComb) -> LinComb:
-    return coproduct_prec_lc(x) + coproduct_succ_lc(x)
-
-
 def hopf_coproduct(x: LinComb) -> LinComb:
-    """Counital coproduct: x (x) 1 + 1 (x) x + both half-coproducts."""
-    out = LinComb.zero()
-    for key, coeff in x.terms().items():
-        if key.is_unit():
-            out = out + LinComb.single((UNIT_BIWORD, UNIT_BIWORD), coeff)
-            continue
-        out = out + LinComb.single((key, UNIT_BIWORD), coeff)
-        out = out + LinComb.single((UNIT_BIWORD, key), coeff)
-        out = out + (coproduct_prec(key) + coproduct_succ(key)) * coeff
-    return out
+    """Counital coproduct: x (x) 1 + 1 (x) x + both half-coproducts, i.e.
+    every cut of each biword, the two trivial ones included."""
+    return linear_extend(lambda a: _cut_sum(a, range(a.size + 1)), x)
 
 
 # -- internal composition -----------------------------------------------------
@@ -261,7 +264,7 @@ def internal_compose(a: Biword, b: Biword) -> LinComb:
         if a.deg[i] != b.deg[a.perm[i] - 1]:
             return LinComb.zero()
     perm = tuple(b.perm[a.perm[i] - 1] for i in range(k))
-    return LinComb.single(Biword(perm, a.deg))
+    return LinComb.single(Biword.trusted(perm, a.deg, a.weight))
 
 
 def internal_compose_lc(x: LinComb, y: LinComb) -> LinComb:
@@ -284,7 +287,7 @@ def enumerate_biwords(weight: int, degrees: tuple[int, ...] | None = None) -> tu
     for comp in compositions(weight, parts):
         k = len(comp)
         for perm in itertools.permutations(range(1, k + 1)):
-            out.append(Biword(perm, comp))
+            out.append(Biword.trusted(perm, comp, weight))
     out.sort(key=Biword.sort_key)
     return tuple(out)
 

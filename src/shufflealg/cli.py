@@ -29,10 +29,10 @@ from . import rigidity as R
 from . import verify as V
 
 DEFAULTS = {
-    "verify_weight": 5,
-    "rank_cutoff": 6,
-    "prim_cutoff": 5,
-    "series_cutoff": 12,
+    "verify_weight": V.DEFAULT_SUITE_WEIGHT,
+    "rank_cutoff": D.DEFAULT_RANK_CUTOFF,
+    "prim_cutoff": D.DEFAULT_PRIM_CUTOFF,
+    "series_cutoff": D.DEFAULT_SERIES_CUTOFF,
 }
 
 
@@ -61,32 +61,6 @@ def lincomb_to_json(lc: LinComb) -> list:
     ]
 
 
-def _key_to_text(key) -> str:
-    if isinstance(key, tuple) and len(key) == 2:
-        return f"{_key_to_text(key[0])} (x) {_key_to_text(key[1])}"
-    return str(key)
-
-
-def lincomb_to_text(lc: LinComb) -> str:
-    if lc.is_zero():
-        return "0"
-    chunks = []
-    for key, coeff in lc.items():
-        text = _key_to_text(key)
-        if coeff == -1:
-            text = "-" + text
-        elif coeff != 1:
-            text = f"{coeff}*{text}"
-        if chunks:
-            if text.startswith("-"):
-                chunks.append(" - " + text[1:])
-            else:
-                chunks.append(" + " + text)
-        else:
-            chunks.append(text)
-    return "".join(chunks)
-
-
 def emit(args, payload_json, payload_text: str) -> None:
     if args.json:
         print(json.dumps(payload_json, indent=None))
@@ -101,7 +75,6 @@ def parse_biword_combination(text: str) -> LinComb:
     stripped = text.replace(" ", "")
     if not stripped:
         raise B.BiwordParseError("empty combination", 0)
-    out = LinComb.zero()
     pos = 0
     sign = 1
     if stripped[0] in "+-":
@@ -118,18 +91,19 @@ def parse_biword_combination(text: str) -> LinComb:
             term += ch
         pos += 1
     terms.append((sign, term, pos))
+    pairs = []
     for sgn, chunk, at in terms:
         if not chunk:
             raise B.BiwordParseError("empty term in combination", at)
-        coeff = Fraction(1)
+        coeff = 1
         if "*" in chunk:
             coeff_text, chunk = chunk.split("*", 1)
             try:
                 coeff = Fraction(coeff_text)
             except (ValueError, ZeroDivisionError):
                 raise B.BiwordParseError(f"bad coefficient {coeff_text!r}", at) from None
-        out = out + LinComb.single(B.parse_biword(chunk), coeff * sgn)
-    return out
+        pairs.append((B.parse_biword(chunk), coeff * sgn))
+    return LinComb(pairs)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -155,7 +129,7 @@ def cmd_product(args) -> int:
             "internal": B.internal_compose,
         }[kind]
         result = fn(lhs, rhs)
-    emit(args, lincomb_to_json(result), lincomb_to_text(result))
+    emit(args, lincomb_to_json(result), str(result))
     return 0
 
 
@@ -172,7 +146,7 @@ def cmd_coproduct(args) -> int:
             if bw.is_unit():
                 raise UsageError("half-coproducts need a nonempty biword")
             result = B.coproduct_prec(bw) if kind == "prec" else B.coproduct_succ(bw)
-    emit(args, lincomb_to_json(result), lincomb_to_text(result))
+    emit(args, lincomb_to_json(result), str(result))
     return 0
 
 
@@ -188,7 +162,7 @@ def cmd_pi(args) -> int:
         result = D.pi_n(numbers[0], args.route)
     else:
         result = D.pi_composite(tuple(numbers))
-    emit(args, lincomb_to_json(result), lincomb_to_text(result))
+    emit(args, lincomb_to_json(result), str(result))
     return 0
 
 
@@ -197,16 +171,17 @@ def cmd_dims(args) -> int:
     include = [c for c in ("biwords", "descd", "prim", "series") if getattr(args, c)]
     if not include:
         include = ["biwords", "descd", "prim", "series"]
-    series_cutoff = args.series_cutoff or config["series_cutoff"]
+    # an explicit option wins, even when it is 0
+    rank_cutoff, prim_cutoff, series_cutoff = (
+        config[name] if getattr(args, name) is None else getattr(args, name)
+        for name in ("rank_cutoff", "prim_cutoff", "series_cutoff")
+    )
     if args.max_n > series_cutoff:
         raise UsageError(
             f"max weight {args.max_n} exceeds the series cutoff {series_cutoff}"
         )
     report = D.dimension_report(
-        args.max_n,
-        include=include,
-        rank_cutoff=args.rank_cutoff or config["rank_cutoff"],
-        prim_cutoff=args.prim_cutoff or config["prim_cutoff"],
+        args.max_n, include=include, rank_cutoff=rank_cutoff, prim_cutoff=prim_cutoff
     )
     if args.json:
         payload = {
@@ -264,12 +239,18 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"unknown suite {args.suite!r}; available: {', '.join(sorted(V.SUITES))}"
         )
+    if not failures and not failures.checked:
+        raise UsageError(
+            f"nothing to check at this weight: {args.suite} up to weight {max_weight} "
+            "has no identity instances"
+        )
     if args.json:
         print(
             json.dumps(
                 {
                     "suite": args.suite,
                     "max_weight": max_weight,
+                    "checked": failures.checked,
                     "failures": [
                         {
                             "identity": f.identity,

@@ -78,29 +78,25 @@ def pi_n(n: int, route: str = "closed") -> LinComb:
 
 def _pi_alternating(n: int) -> LinComb:
     # sum over compositions (a1..ak) of (-1)^(k-1) p_a1 < (p_a2 * ... * p_ak)
-    total = LinComb.zero()
-    for comp_ in compositions(n):
-        k = len(comp_)
-        if k == 1:
-            term = p_n(n)
-        else:
-            star_part = p_n(comp_[1])
-            for a in comp_[2:]:
-                star_part = biword_star_lc(star_part, p_n(a))
-            term = biword_prec_lc(p_n(comp_[0]), star_part)
-        total = total + term * ((-1) ** (k - 1))
-    return total
+    def term(comp_):
+        if len(comp_) == 1:
+            return p_n(n)
+        star_part = p_n(comp_[1])
+        for a in comp_[2:]:
+            star_part = biword_star_lc(star_part, p_n(a))
+        return biword_prec_lc(p_n(comp_[0]), star_part)
+
+    return LinComb.sum((term(c), (-1) ** (len(c) - 1)) for c in compositions(n))
 
 
 @lru_cache(maxsize=None)
 def _pi_recursive(n: int) -> LinComb:
     # peel all strictly finer nested idempotents off p_n
-    acc = p_n(n)
-    for comp_ in compositions(n):
-        if len(comp_) == 1:
-            continue
-        acc = acc - _nested_prec([_pi_recursive(i) for i in comp_])
-    return acc
+    return p_n(n) - LinComb.sum(
+        (_nested_prec([_pi_recursive(i) for i in comp_]), 1)
+        for comp_ in compositions(n)
+        if len(comp_) > 1
+    )
 
 
 def _nested_prec(factors: list[LinComb]) -> LinComb:
@@ -447,7 +443,7 @@ def dimension_report(
     max_n: int,
     include: Iterable[str] = _ALL_COLUMNS,
     rank_cutoff: int = DEFAULT_RANK_CUTOFF,
-    prim_cutoff: int = 5,
+    prim_cutoff: int = DEFAULT_PRIM_CUTOFF,
     count_cutoff: int = 7,
 ) -> DimensionReport:
     """Tabulate the dimension data up to max_n and flag any disagreement.

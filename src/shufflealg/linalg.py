@@ -16,7 +16,6 @@ running the big rational elimination.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd
 
 from .lincomb import LinComb, canonical_key
@@ -125,7 +124,7 @@ class RowEchelon:
         out = []
         for lead in sorted(self._pivots):
             row = self._pivots[lead]
-            out.append(LinComb((self._keyof[k], Fraction(v)) for k, v in row.items()))
+            out.append(LinComb._raw({self._keyof[k]: v for k, v in row.items()}))
         return out
 
 
@@ -134,13 +133,6 @@ def rank_of(vectors) -> int:
     for v in vectors:
         ech.add(v)
     return ech.rank
-
-
-def echelon_of(vectors) -> RowEchelon:
-    ech = RowEchelon()
-    for v in vectors:
-        ech.add(v)
-    return ech
 
 
 _CERT_PRIME = 2_147_483_647  # largest signed-32-bit prime; products fit in int64

@@ -26,7 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lincomb import LinComb, canonical_key, linear_extend
+from .lincomb import (
+    LinComb,
+    bilinear_extend,
+    canonical_key,
+    coassociativity_sides,
+    exact_div,
+    linear_extend,
+    tensor_extend,
+)
 from .words import Word, deconcat, enumerate_words, word_prec
 
 UNIT_LABEL = "1"
@@ -120,11 +128,7 @@ class Presentation:
         return entry
 
     def prec_lc(self, x: LinComb, y: LinComb) -> LinComb:
-        out = LinComb.zero()
-        for ka, ca in x.terms().items():
-            for kb, cb in y.terms().items():
-                out = out + self.prec(ka, kb) * (ca * cb)
-        return out
+        return bilinear_extend(self.prec, x, y)
 
     def shuffle(self, a: str, b: str) -> LinComb:
         if a == UNIT_LABEL:
@@ -134,11 +138,7 @@ class Presentation:
         return self.prec(a, b) + self.prec(b, a)
 
     def shuffle_lc(self, x: LinComb, y: LinComb) -> LinComb:
-        out = LinComb.zero()
-        for ka, ca in x.terms().items():
-            for kb, cb in y.terms().items():
-                out = out + self.shuffle(ka, kb) * (ca * cb)
-        return out
+        return bilinear_extend(self.shuffle, x, y)
 
     def coproduct(self, label: str) -> LinComb:
         if label == UNIT_LABEL:
@@ -228,14 +228,7 @@ def _validate_counit(A: Presentation) -> list[Violation]:
 def _validate_coassociativity(A: Presentation) -> list[Violation]:
     out = []
     for label in A.labels():
-        cop = A.coproduct(label)
-        lhs = LinComb.zero()
-        rhs = LinComb.zero()
-        for (left, right), c in cop.terms().items():
-            for (l1, l2), c2 in A.coproduct(left).terms().items():
-                lhs = lhs + LinComb.single((l1, l2, right), c * c2)
-            for (r1, r2), c2 in A.coproduct(right).terms().items():
-                rhs = rhs + LinComb.single((left, r1, r2), c * c2)
+        lhs, rhs = coassociativity_sides(A.coproduct(label), A.coproduct)
         if lhs != rhs:
             out.append(Violation("coassociativity", (label,), lhs, rhs))
     return out
@@ -274,30 +267,11 @@ def _validate_left_compatibility(A: Presentation) -> list[Violation]:
                 continue
             xy = A.prec(x, y)
             lhs = A.coproduct_lc(xy)
-            rhs = LinComb.zero()
-            for (x1, x2), cx in A.coproduct(x).terms().items():
-                for (y1, y2), cy in A.coproduct(y).terms().items():
-                    left = _prec_maybe_unit(A, x1, y1)
-                    if left.is_zero():
-                        continue
-                    right = A.shuffle(x2, y2)
-                    for kl, cl in left.terms().items():
-                        for kr, cr in right.terms().items():
-                            rhs = rhs + LinComb.single((kl, kr), cx * cy * cl * cr)
-            for key, c in xy.terms().items():
-                rhs = rhs + LinComb.single((UNIT_LABEL, key), c)
+            rhs = tensor_extend(A.prec, A.shuffle, A.coproduct(x), A.coproduct(y))
+            rhs = rhs + xy.map_keys(lambda key: (UNIT_LABEL, key))
             if lhs != rhs:
                 out.append(Violation("left-compatibility", (x, y), lhs, rhs))
     return out
-
-
-def _prec_maybe_unit(A: Presentation, a: str, b: str) -> LinComb:
-    # 1 < 1 = 0 and 1 < v = 0; u < 1 = u
-    if a == UNIT_LABEL:
-        return LinComb.zero()
-    if b == UNIT_LABEL:
-        return LinComb.single(a)
-    return A.prec(a, b)
 
 
 # -- antipode and the primitive projector ----------------------------------------
@@ -315,11 +289,11 @@ def _antipode_label(A: Presentation, label: str) -> LinComb:
     cached = A._antipode_cache.get(label)
     if cached is not None:
         return cached
-    acc = LinComb.single(label, -1)
-    for (left, right), c in A.coproduct(label).terms().items():
-        if left == UNIT_LABEL or right == UNIT_LABEL:
-            continue
-        acc = acc - A.shuffle_lc(_antipode_label(A, left), LinComb.single(right)) * c
+    acc = LinComb.single(label, -1) - LinComb.sum(
+        (A.shuffle_lc(_antipode_label(A, left), LinComb.single(right)), c)
+        for (left, right), c in A.coproduct(label).terms().items()
+        if left != UNIT_LABEL and right != UNIT_LABEL
+    )
     A._antipode_cache[label] = acc
     return acc
 
@@ -338,11 +312,11 @@ def _tau_label(A: Presentation, label: str) -> LinComb:
     cached = A._tau_cache.get(label)
     if cached is not None:
         return cached
-    acc = LinComb.zero()
-    for (left, right), c in A.coproduct(label).terms().items():
-        if left == UNIT_LABEL:
-            continue
-        acc = acc + A.prec_lc(LinComb.single(left), _antipode_label(A, right)) * c
+    acc = LinComb.sum(
+        (A.prec_lc(LinComb.single(left), _antipode_label(A, right)), c)
+        for (left, right), c in A.coproduct(label).terms().items()
+        if left != UNIT_LABEL
+    )
     A._tau_cache[label] = acc
     return acc
 
@@ -377,13 +351,13 @@ def primitive_basis(A: Presentation) -> dict[int, list[LinComb]]:
     return out
 
 
-def _expand_in_rows(rows: list[LinComb], v: LinComb) -> list[Fraction]:
-    """Coordinates of v in echelon rows (distinct leading keys)."""
+def _expand_in_rows(rows: list[LinComb], v: LinComb) -> list:
+    """Exact coordinates of v in echelon rows (distinct leading keys)."""
     by_lead = {}
     for idx, row in enumerate(rows):
         lead = min(row.terms(), key=canonical_key)
         by_lead[lead] = idx
-    result = [Fraction(0)] * len(rows)
+    result = [0] * len(rows)
     remainder = v
     while not remainder.is_zero():
         lead = min(remainder.terms(), key=canonical_key)
@@ -391,7 +365,7 @@ def _expand_in_rows(rows: list[LinComb], v: LinComb) -> list[Fraction]:
         if idx is None:
             raise RigidityError(f"vector {v} does not lie in the primitive span")
         row = rows[idx]
-        c = remainder[lead] / row[lead]
+        c = exact_div(remainder[lead], row[lead])
         result[idx] += c
         remainder = remainder - row * c
     return result
@@ -421,16 +395,18 @@ def _decompose_label(A: Presentation, basis, label: str) -> LinComb:
     cached = A._decomp_cache.get(label)
     if cached is not None:
         return cached
-    head = _expand_primitive(A, basis, tau(A, label))
-    acc = head
-    for (left, right), c in A.coproduct(label).terms().items():
-        if left == UNIT_LABEL or right == UNIT_LABEL:
-            continue
-        head_left = _expand_primitive(A, basis, tau(A, left))
-        tail = _decompose_label(A, basis, right)
-        for pid_word, cl in head_left.terms().items():
-            for tail_word, ct in tail.terms().items():
-                acc = acc + LinComb.single(pid_word + tail_word, c * cl * ct)
+    acc = _expand_primitive(A, basis, tau(A, label)) + LinComb.sum(
+        (
+            bilinear_extend(
+                lambda head, tail: LinComb.single(head + tail),
+                _expand_primitive(A, basis, tau(A, left)),
+                _decompose_label(A, basis, right),
+            ),
+            c,
+        )
+        for (left, right), c in A.coproduct(label).terms().items()
+        if left != UNIT_LABEL and right != UNIT_LABEL
+    )
     A._decomp_cache[label] = acc
     return acc
 
@@ -466,14 +442,14 @@ class PrimitiveDecomposition:
         return primitive_basis(self.presentation)[w][i]
 
     def evaluate(self) -> LinComb:
-        A = self.presentation
-        out = LinComb.zero()
-        for pid_word, c in self.terms.terms().items():
-            value = self.primitive_vector(pid_word[-1])
-            for pid in reversed(pid_word[:-1]):
-                value = A.prec_lc(self.primitive_vector(pid), value)
-            out = out + value * c
-        return out
+        return linear_extend(self.evaluate_word, self.terms)
+
+    def evaluate_word(self, pid_word) -> LinComb:
+        """p1 < (p2 < (... < pk)) for the primitive ids (p1, ..., pk)."""
+        value = self.primitive_vector(pid_word[-1])
+        for pid in reversed(pid_word[:-1]):
+            value = self.presentation.prec_lc(self.primitive_vector(pid), value)
+        return value
 
     def primitive_name(self, pid) -> str:
         vec = self.primitive_vector(pid)
@@ -527,18 +503,16 @@ def biword_act(A: Presentation, b, label: str) -> LinComb:
     evaluated back through the product table.
     """
     decomp = primitive_decomposition(A, label)
-    out = LinComb.zero()
-    for pid_word, c in decomp.terms.terms().items():
+
+    def act(pid_word) -> LinComb:
         if b.size != len(pid_word):
-            continue
+            return LinComb.zero()
         permuted = tuple(pid_word[v - 1] for v in b.perm)
         if any(pid[1] != d for pid, d in zip(permuted, b.deg)):
-            continue
-        value = decomp.primitive_vector(permuted[-1])
-        for pid in reversed(permuted[:-1]):
-            value = A.prec_lc(decomp.primitive_vector(pid), value)
-        out = out + value * c
-    return out
+            return LinComb.zero()
+        return decomp.evaluate_word(permuted)
+
+    return linear_extend(act, decomp.terms)
 
 
 # -- the shuffle algebra of words as a presentation ----------------------------------
@@ -565,12 +539,9 @@ def shuffle_presentation(alphabet: dict[int, int], max_weight: int) -> Presentat
                     prec[(label_of[u], label_of[v])] = relabel(word_prec(u, v))
     for w, words_ in words_by_weight.items():
         for word_ in words_:
-            cop = LinComb.zero()
-            for (left, right), c in deconcat(word_).terms().items():
-                lkey = UNIT_LABEL if left.is_empty() else label_of[left]
-                rkey = UNIT_LABEL if right.is_empty() else label_of[right]
-                cop = cop + LinComb.single((lkey, rkey), c)
-            coproduct[str(word_)] = cop
+            coproduct[str(word_)] = deconcat(word_).map_keys(
+                lambda cut: tuple(UNIT_LABEL if w.is_empty() else label_of[w] for w in cut)
+            )
     return Presentation(basis, prec, coproduct)
 
 
@@ -586,19 +557,15 @@ def perturbed_presentation(
 
 # -- JSON body -----------------------------------------------------------------------
 
-def _coeff_to_str(c: Fraction) -> str:
-    return str(c)
-
-
 def presentation_to_json(A: Presentation) -> dict:
     return {
         "basis": {str(w): list(labels) for w, labels in A.basis.items()},
         "prec": [
-            [a, b, [[key, _coeff_to_str(c)] for key, c in entry.items()]]
+            [a, b, [[key, str(c)] for key, c in entry.items()]]
             for (a, b), entry in sorted(A.prec_table.items())
         ],
         "coproduct": [
-            [label, [[left, right, _coeff_to_str(c)] for (left, right), c in entry.items()]]
+            [label, [[left, right, str(c)] for (left, right), c in entry.items()]]
             for label, entry in sorted(A.coproduct_table.items())
         ],
     }

@@ -3,6 +3,8 @@
 A :class:`PowerSeries` wraps a coefficient oracle ``n -> Fraction`` together
 with a memo, so recursive constructions (products, composition, square
 roots, multiplicative inverses) cost polynomial instead of exponential work.
+Asking for coefficient n fills the memo for every index up to n, lowest
+first, so deep indices need no deep recursion.
 Coefficients are only ever computed up to a caller-supplied index; nothing
 closed-form is attempted.
 
@@ -32,11 +34,13 @@ class PowerSeries:
     def __getitem__(self, n: int) -> Fraction:
         if n < 0:
             raise IndexError("coefficient index must be non-negative")
-        c = self._memo.get(n)
-        if c is None:
-            c = Fraction(self._fn(n))
-            self._memo[n] = c
-        return c
+        memo = self._memo
+        # Fill bottom-up from the lowest missing index: a recursive oracle
+        # (sqrt, inverse) then finds its lower coefficients memoized, so the
+        # call depth stays bounded instead of growing with n.
+        for i in range(len(memo), n + 1):
+            memo[i] = Fraction(self._fn(i))
+        return memo[n]
 
     def coefficients(self, count: int) -> list[Fraction]:
         """The first ``count`` coefficients, indices ``0 .. count-1``."""

@@ -19,11 +19,11 @@ independent oracle for cross-checking.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
-from .lincomb import LinComb
+from .lincomb import LinComb, bilinear_extend
 
 
 class Letter(NamedTuple):
@@ -40,23 +40,36 @@ def symbol_name(symbol: int) -> str:
     return f"s{symbol}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
-    """Finite sequence of graded letters; the empty word is the unit."""
+    """Finite sequence of graded letters; the empty word is the unit.
+
+    ``weight`` (the sum of the letter weights) is computed once, at
+    construction; it takes no part in equality, hashing or ``repr``.
+    """
 
     letters: tuple[Letter, ...] = ()
+    weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        weight = 0
         for let in self.letters:
             if let.weight < 1:
                 raise ValueError(f"letter weight must be positive: {let}")
+            weight += let.weight
+        object.__setattr__(self, "weight", weight)
+
+    @classmethod
+    def trusted(cls, letters: tuple[Letter, ...], weight: int) -> "Word":
+        """Construction without validation, for letters taken from valid
+        words; ``weight`` must be their total weight."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "weight", weight)
+        return w
 
     def __len__(self):
         return len(self.letters)
-
-    @property
-    def weight(self) -> int:
-        return sum(let.weight for let in self.letters)
 
     def profile(self) -> tuple[int, ...]:
         """Letter weights in order."""
@@ -69,13 +82,15 @@ class Word:
         return self.letters[0]
 
     def tail(self) -> "Word":
-        return Word(self.letters[1:])
+        if not self.letters:
+            return self
+        return Word.trusted(self.letters[1:], self.weight - self.letters[0].weight)
 
     def concat(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word.trusted(self.letters + other.letters, self.weight + other.weight)
 
     def reversed(self) -> "Word":
-        return Word(self.letters[::-1])
+        return Word.trusted(self.letters[::-1], self.weight)
 
     def sort_key(self):
         return (self.weight, len(self.letters), self.letters)
@@ -95,7 +110,11 @@ def word(*letters: tuple[int, int]) -> Word:
 
 
 def _prepend(letter: Letter, combo: LinComb) -> LinComb:
-    return LinComb((Word((letter,) + w.letters), c) for w, c in combo.terms().items())
+    # distinct words stay distinct, so the map is rebuilt without merging
+    head, weight = (letter,), letter.weight
+    return LinComb._raw(
+        {Word.trusted(head + w.letters, weight + w.weight): c for w, c in combo.terms().items()}
+    )
 
 
 @lru_cache(maxsize=None)
@@ -124,26 +143,26 @@ def word_succ(w: Word, z: Word) -> LinComb:
 
 
 def word_prec_lc(x: LinComb, y: LinComb) -> LinComb:
-    out = LinComb.zero()
-    for kw, cw in x.terms().items():
-        for kz, cz in y.terms().items():
-            out = out + word_prec(kw, kz) * (cw * cz)
-    return out
+    return bilinear_extend(word_prec, x, y)
 
 
 def word_shuffle_lc(x: LinComb, y: LinComb) -> LinComb:
-    out = LinComb.zero()
-    for kw, cw in x.terms().items():
-        for kz, cz in y.terms().items():
-            out = out + word_shuffle(kw, kz) * (cw * cz)
-    return out
+    return bilinear_extend(word_shuffle, x, y)
+
+
+def _cuts(w: Word):
+    """The cuts (w[:k], w[k:]) for k = 0 .. len(w)."""
+    letters = w.letters
+    left = 0
+    for k in range(len(letters) + 1):
+        yield Word.trusted(letters[:k], left), Word.trusted(letters[k:], w.weight - left)
+        if k < len(letters):
+            left += letters[k].weight
 
 
 def deconcat(w: Word) -> LinComb:
     """Deconcatenation coproduct: all cuts, including the trivial ones."""
-    return LinComb(
-        ((Word(w.letters[:k]), Word(w.letters[k:])), 1) for k in range(len(w.letters) + 1)
-    )
+    return LinComb._raw(dict.fromkeys(_cuts(w), 1))
 
 
 @lru_cache(maxsize=None)
@@ -151,14 +170,10 @@ def word_antipode(w: Word) -> LinComb:
     """Antipode by the graded-connected recursion S(w) = -w - sum S(w') sh w''."""
     if w.is_empty():
         return LinComb.single(EMPTY_WORD)
-    acc = LinComb.single(w, -1)
-    for k in range(1, len(w.letters)):
-        left = Word(w.letters[:k])
-        right = Word(w.letters[k:])
-        sleft = word_antipode(left)
-        for key, coeff in sleft.terms().items():
-            acc = acc - word_shuffle(key, right) * coeff
-    return acc
+    proper = list(_cuts(w))[1:-1]
+    return LinComb.single(w, -1) - LinComb.sum(
+        (word_shuffle_lc(word_antipode(left), LinComb.single(right)), 1) for left, right in proper
+    )
 
 
 def signed_reversal(w: Word) -> LinComb:
@@ -286,7 +301,7 @@ def _descent_class_halves(w: Word, z: Word, first: int) -> LinComb:
     letters = w.letters + z.letters
     n = len(letters)
     k = len(w.letters)
-    out = LinComb.zero()
+    out = []
     for alpha in itertools.permutations(range(1, n + 1)):
         descents = {i + 1 for i in range(n - 1) if alpha[i] > alpha[i + 1]}
         if not descents <= {k}:
@@ -296,8 +311,8 @@ def _descent_class_halves(w: Word, z: Word, first: int) -> LinComb:
             inv[val] = pos
         if inv[1] != first:
             continue
-        out = out + LinComb.single(Word(tuple(letters[inv[i] - 1] for i in range(1, n + 1))))
-    return out
+        out.append((Word(tuple(letters[inv[i] - 1] for i in range(1, n + 1))), 1))
+    return LinComb(out)
 
 
 def word_prec_by_descents(w: Word, z: Word) -> LinComb:

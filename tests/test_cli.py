@@ -1,9 +1,12 @@
+import inspect
 import json
+from fractions import Fraction
 
 import pytest
 
 from conftest import load_golden
-from shufflealg.cli import main, parse_biword_combination
+from shufflealg import descent as D
+from shufflealg.cli import DEFAULTS, main, parse_biword_combination
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import biword
 from shufflealg.rigidity import (
@@ -141,8 +144,10 @@ def test_verify_pass_and_unknown_suite(capsys):
     code, out, _ = run(capsys, "verify", "pn-coproduct", "4")
     assert code == 0
     assert out == "PASS: pn-coproduct up to weight 4"
-    code, out, _ = run(capsys, "verify", "shuffle-axioms", "0")
-    assert code == 0
+    code, out, err = run(capsys, "verify", "shuffle-axioms", "0")
+    assert code == 2
+    assert "PASS" not in out
+    assert "nothing to check at this weight" in err
     code, _, err = run(capsys, "verify", "nonsense", "2")
     assert code == 2
     assert "unknown suite" in err
@@ -152,7 +157,40 @@ def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--json", "pi-primitive", "3")
     assert code == 0
     payload = json.loads(out)
-    assert payload == {"suite": "pi-primitive", "max_weight": 3, "failures": []}
+    assert payload == {"suite": "pi-primitive", "max_weight": 3, "checked": 12, "failures": []}
+
+
+@pytest.mark.parametrize("suite, weight", [("dendriform", "1"), ("bidendriform", "0")])
+def test_verify_with_nothing_to_check_exits_2(capsys, suite, weight):
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "verify", suite, weight, *extra)
+        assert code == 2
+        assert out == ""
+        assert "nothing to check at this weight" in err
+
+
+def test_cutoff_defaults_come_from_descent():
+    assert DEFAULTS["rank_cutoff"] == D.DEFAULT_RANK_CUTOFF
+    assert DEFAULTS["prim_cutoff"] == D.DEFAULT_PRIM_CUTOFF == 6
+    assert DEFAULTS["series_cutoff"] == D.DEFAULT_SERIES_CUTOFF
+    defaults = inspect.signature(D.dimension_report).parameters
+    assert defaults["rank_cutoff"].default == D.DEFAULT_RANK_CUTOFF
+    assert defaults["prim_cutoff"].default == D.DEFAULT_PRIM_CUTOFF
+    assert D.prim_dend_dimension(6) == 550
+
+
+def test_dims_explicit_zero_cutoff_is_kept(capsys):
+    code, out, _ = run(capsys, "dims", "3", "--prim", "--prim-cutoff", "0", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["n"] for row in rows] == [1, 2, 3]
+    assert all("prim_kernel" not in row for row in rows)
+    code, out, _ = run(capsys, "dims", "3", "--descd", "--rank-cutoff", "0", "--json")
+    assert code == 0
+    assert all("descd_rank" not in row for row in json.loads(out)["rows"])
+    code, _, err = run(capsys, "dims", "3", "--series-cutoff", "0")
+    assert code == 2
+    assert "cutoff" in err
 
 
 def test_membership_command(capsys):
@@ -171,7 +209,7 @@ def test_membership_command(capsys):
 def test_parse_biword_combination():
     combo = parse_biword_combination("2*12|11 - 1/2*21|11 + 1|2")
     assert combo == LinComb(
-        {biword((1, 2), (1, 1)): 2, biword((2, 1), (1, 1)): -0.5, biword((1,), (2,)): 1}
+        {biword((1, 2), (1, 1)): 2, biword((2, 1), (1, 1)): Fraction(-1, 2), biword((1,), (2,)): 1}
     )
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from shufflealg.lincomb import LinComb
@@ -215,3 +217,31 @@ def test_json_roundtrip(tmp_path, shx3):
     assert loaded.coproduct_table == shx3.coproduct_table
     again = presentation_from_json(presentation_to_json(shx3))
     assert again.prec_table == shx3.prec_table
+
+
+def test_decomposition_with_non_integer_coordinates_is_exact():
+    # weight 2 has a decomposable label s with u < u = s - 2p - q and the
+    # primitive labels p, q; tau(s) = 2p + q is the first echelon row, so p
+    # has the coordinates (1/2, -1/2) in the rows (2p + q, q)
+    two_sided = lambda label: {(label, UNIT_LABEL): 1, (UNIT_LABEL, label): 1}
+    A = Presentation(
+        basis={1: ["u"], 2: ["s", "p", "q"]},
+        prec={("u", "u"): LinComb({"s": 1, "p": -2, "q": -1})},
+        coproduct={
+            "u": LinComb(two_sided("u")),
+            "s": LinComb({**two_sided("s"), ("u", "u"): 1}),
+            "p": LinComb(two_sided("p")),
+            "q": LinComb(two_sided("q")),
+        },
+    )
+    assert validate_presentation(A) == []
+    assert primitive_basis(A)[2] == [LinComb({"p": 2, "q": 1}), LinComb({"q": 1})]
+    decomp = primitive_decomposition(A, "p")
+    coords = dict(decomp.terms.items())
+    assert coords == {(("P", 2, 0),): Fraction(1, 2), (("P", 2, 1),): Fraction(-1, 2)}
+    assert all(type(c) is Fraction for c in coords.values())
+    assert decomp.evaluate() == LinComb.single("p")
+    assert dict(primitive_decomposition(A, "s").terms.items()) == {
+        (("P", 2, 0),): 1,
+        (("P", 1, 0), ("P", 1, 0)): 1,
+    }

@@ -150,3 +150,28 @@ def test_memo_is_stable():
     s = PowerSeries(fn)
     assert s[3] == 3 and s[3] == 3
     assert calls.count(3) == 1
+
+
+def test_memo_fills_bottom_up():
+    calls = []
+
+    def fn(n):
+        calls.append(n)
+        return Fraction(n)
+
+    s = PowerSeries(fn)
+    assert s[3] == 3
+    assert calls == [0, 1, 2, 3]
+    assert s[1] == 1 and s[5] == 5
+    assert calls == [0, 1, 2, 3, 4, 5]
+
+
+def test_closed_route_at_1000_matches_recurrence():
+    # A002212: (n+1) a(n) = (6n-3) a(n-1) - 5(n-2) a(n-2); a deep index used
+    # to overflow the stack through the recursive sqrt oracle
+    a = [1, 1]
+    for n in range(2, 1001):
+        a.append(((6 * n - 3) * a[n - 1] - 5 * (n - 2) * a[n - 2]) // (n + 1))
+    closed = descent_dim_series_closed()
+    assert closed[1000] == a[1000]
+    assert ints(closed, 990, 1000) == a[990:]
