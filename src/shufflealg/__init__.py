@@ -17,8 +17,20 @@ from .words import Letter, Word, word
 from .biwords import Biword, biword, parse_biword
 from .descent import GradedSeries, p_n, pi_composite, pi_n
 from .rigidity import Presentation, RigidityError
+from . import biwords as _biwords, descent as _descent, words as _words
 
 __version__ = "0.1.0"
+
+# every memo cache in the package; all are unbounded
+_CACHES = (_words.word_shuffle, _words.word_prec, _words.word_antipode, _biwords.enumerate_biwords,
+           _descent.p_n, _descent._pi_recursive, _descent._evaluate_tree, _descent.descd_echelon)
+
+
+def clear_caches() -> None:
+    """Empty every memo cache; later calls recompute on demand."""
+    for cached in _CACHES:
+        cached.cache_clear()
+
 
 __all__ = [
     "Biword",
@@ -30,6 +42,7 @@ __all__ = [
     "RigidityError",
     "Word",
     "biword",
+    "clear_caches",
     "p_n",
     "parse_biword",
     "pi_composite",

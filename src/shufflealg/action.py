@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .lincomb import LinComb, bilinear_extend
 from .biwords import Biword
-from .words import Letter, Word, deconcat, word_prec, word_shuffle, word_succ
+from .words import Word, deconcat, generic_word, word_prec, word_shuffle, word_succ
 
 
 def phi_apply(b: Biword, w: Word) -> LinComb:
@@ -38,19 +38,16 @@ def endo_apply(f: LinComb, x: LinComb) -> LinComb:
 def compose_via_action(a: Biword, b: Biword) -> LinComb:
     """The biword of "apply b, then a", read off from a generic probe word.
 
-    The probe carries b's degree profile with pairwise distinct letters
-    (symbol = position), so the permuted output identifies the composite
-    uniquely; when the degree conditions collide the composite is zero.
+    The probe is the generic word (pairwise distinct letters, symbol =
+    position) whose profile b accepts, so the permuted output identifies the
+    composite uniquely; when the degree conditions collide it is zero.
     """
     if a.size != b.size:
         return LinComb.zero()
     if a.size == 0:
         return LinComb.single(Biword())
-    k = b.size
-    inv = [0] * (k + 1)
-    for pos, val in enumerate(b.perm, start=1):
-        inv[val] = pos
-    probe = Word(tuple(Letter(b.deg[inv[j] - 1], j) for j in range(1, k + 1)))
+    # the degree of the column with top entry j goes to position j
+    probe = generic_word(d for _, d in sorted(zip(b.perm, b.deg)))
     mid = phi_apply(b, probe)
     assert len(mid) == 1, "probe was built to survive b"
     (mid_word,) = mid.keys()

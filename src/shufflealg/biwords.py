@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .lincomb import LinComb, bilinear_extend, linear_extend
-from .words import compositions
+from .words import compositions, descent_class_rearrangements
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,24 +168,9 @@ def biword_star_lc(x: LinComb, y: LinComb) -> LinComb:
 # -- descent-class oracle for the half-products ------------------------------
 
 def _halves_by_descents(a: Biword, b: Biword, first: int) -> LinComb:
-    k, l = a.size, b.size
-    n = k + l
-    top = a.perm + tuple(v + k for v in b.perm)
-    bottom = a.deg + b.deg
-    out = []
-    for alpha in itertools.permutations(range(1, n + 1)):
-        descents = {i + 1 for i in range(n - 1) if alpha[i] > alpha[i + 1]}
-        if not descents <= {k}:
-            continue
-        inv = [0] * (n + 1)
-        for pos, val in enumerate(alpha, start=1):
-            inv[val] = pos
-        if inv[1] != first:
-            continue
-        perm = tuple(top[inv[i] - 1] for i in range(1, n + 1))
-        deg = tuple(bottom[inv[i] - 1] for i in range(1, n + 1))
-        out.append((Biword(perm, deg), 1))
-    return LinComb(out)
+    left = tuple(zip(a.perm, a.deg))
+    right = tuple((v + a.size, d) for v, d in zip(b.perm, b.deg))
+    return LinComb((Biword(*zip(*cols)), 1) for cols in descent_class_rearrangements(left, right, first))
 
 
 def biword_prec_by_descents(a: Biword, b: Biword) -> LinComb:

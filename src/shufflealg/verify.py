@@ -1,4 +1,4 @@
-"""Exhaustive verification suites for the algebraic identities.
+"""Verification suites for the algebraic identities.
 
 Each suite enumerates a bounded family (words over a two-symbols-per-weight
 alphabet, biwords with degrees in {1, 2}, or both) and returns a
@@ -7,6 +7,14 @@ instances it checked.  An empty list is a pass only when that number is
 positive.  Violations carry the inputs and both sides so a failure prints a
 minimal counterexample.  Enumeration order is fixed, so suites are
 deterministic.
+
+The action suites (``idempotents``, ``action-compat``) instead probe with one
+generic word (pairwise distinct letters) per composition.  Both sides of each
+action identity commute with weight-preserving letter substitutions, and
+every word is such an image of the generic word of its profile, so these
+probes decide the identity on all words.  Unlike words over two symbols per
+weight, on which the antisymmetrizer of three weight-1 letters acts as zero,
+they also tell every two biword combinations apart.
 """
 
 from __future__ import annotations
@@ -266,13 +274,24 @@ def check_pi_primitive(max_weight: int) -> Report:
     return out
 
 
+def _generic_probes(weight: int) -> list[W.Word]:
+    """The generic word of each composition of ``weight``."""
+    return [W.generic_word(c) for c in W.compositions(weight)]
+
+
 def check_idempotents(max_weight: int) -> Report:
     """pi over compositions: orthogonal idempotents, complete to p_n, and the
     advertised projection action on words."""
+    return _check_idempotents(max_weight, _generic_probes)
+
+
+def _check_idempotents(max_weight: int, probes) -> Report:
+    """The idempotents suite, projecting the words ``probes(n)`` of each weight n."""
     out = Report()
+    values = {}
     for n in range(1, max_weight + 1):
         comps = list(W.compositions(n))
-        values = {c: D.pi_composite(c) for c in comps}
+        values.update((c, D.pi_composite(c)) for c in comps)
         for c in comps:
             for c2 in comps:
                 expected = values[c] if c == c2 else LinComb.zero()
@@ -280,47 +299,45 @@ def check_idempotents(max_weight: int) -> Report:
                 out.expect("pi-orthogonality", (c, c2), prod, expected)
         total = LinComb.sum((values[c], 1) for c in comps)
         out.expect("pi-completeness", (n,), total, D.p_n(n))
-    words = _words_up_to(max_weight)
-    for n in range(1, max_weight + 1):
-        for c in W.compositions(n):
-            value = D.pi_composite(c)
-            for w in words:
-                got = act.endo_apply(value, LinComb.single(w))
-                expected = LinComb.single(w) if w.profile() == c else LinComb.zero()
-                out.expect("pi-projection-action", (c, w), got, expected)
+    words = [w for n in range(1, max_weight + 1) for w in probes(n)]
+    for c, value in values.items():
+        for w in words:
+            got = act.endo_apply(value, LinComb.single(w))
+            expected = LinComb.single(w) if w.profile() == c else LinComb.zero()
+            out.expect("pi-projection-action", (c, w), got, expected)
     return out
 
 
 def check_action_compatibility(max_weight: int, max_size: int = 3) -> Report:
     """Biword half-products realize the convolution half-products, and the
     internal product matches composition of actions."""
+    return _check_action_compatibility(max_weight, max_size, _generic_probes)
+
+
+def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Report:
+    """The action suite, probing pairs of total weight n with the words ``probes(n)``."""
     out = Report()
-    biwords = [B.UNIT_BIWORD]
-    for w in range(1, max_weight):
-        biwords.extend(B.enumerate_biwords(w))
-    alphabet = W.standard_alphabet(max_weight, 2)
+    biwords = [B.UNIT_BIWORD] + _biwords_up_to(max_weight - 1, degrees=None)
+    probes_of = {n: probes(n) for n in range(1, max_weight + 1)}
     for a in biwords:
         for b in biwords:
             total = a.weight + b.weight
             if total > max_weight or total == 0:
                 continue
-            probes = W.enumerate_words(total, alphabet)
             products = {
                 "prec": B.biword_prec(a, b),
                 "succ": B.biword_succ(a, b),
                 "star": B.biword_star(a, b),
             }
             fa, fb = LinComb.single(a), LinComb.single(b)
-            for probe in probes:
+            for probe in probes_of[total]:
                 lprobe = LinComb.single(probe)
                 for op, prod in products.items():
                     out.expect(
                         f"action-{op}", (a, b, probe),
                         act.endo_apply(prod, lprobe), act.convolution_via_action(fa, fb, probe, op),
                     )
-    sized = []
-    for k in range(0, max_size + 1):
-        sized.extend(B.enumerate_biwords_by_size(k, TEST_DEGREES))
+    sized = [b for k in range(max_size + 1) for b in B.enumerate_biwords_by_size(k, TEST_DEGREES)]
     for a in sized:
         for b in sized:
             out.expect(

@@ -210,6 +210,13 @@ def nested_prec_form(w: Word) -> NestedPrec:
     return node
 
 
+def generic_word(profile: Iterable[int]) -> Word:
+    """The word of a letter-weight profile whose letters are pairwise distinct
+    (symbol = position, from 1); every word of that profile is its image
+    under a weight-preserving letter substitution."""
+    return Word(tuple(Letter(weight, j) for j, weight in enumerate(profile, start=1)))
+
+
 def compositions(total: int, parts: Iterable[int] | None = None):
     """All ordered compositions of ``total`` into the allowed parts (default: any)."""
     allowed = sorted(set(parts)) if parts is not None else range(1, total + 1)
@@ -294,14 +301,16 @@ def word_from_json(items: list) -> Word:
 #
 # w < z is the sum over permutations alpha of [k+l] with descent set inside
 # {k} and alpha^{-1}(1) = 1 of the rearranged concatenation; w > z pins
-# alpha^{-1}(1) = k + 1 instead.  Exponential-time; used only to cross-check
-# the recursive implementation.
+# alpha^{-1}(1) = k + 1 instead.  The same rule rearranges biword columns
+# (see :mod:`shufflealg.biwords`).  Exponential-time; used only to
+# cross-check the recursive implementations.
 
-def _descent_class_halves(w: Word, z: Word, first: int) -> LinComb:
-    letters = w.letters + z.letters
-    n = len(letters)
-    k = len(w.letters)
-    out = []
+def descent_class_rearrangements(left: tuple, right: tuple, first: int):
+    """The columns ``left + right`` rearranged by each permutation alpha of
+    [k+l] (k = len(left)) with descent set inside {k} and alpha^{-1}(1) = first."""
+    columns = left + right
+    n = len(columns)
+    k = len(left)
     for alpha in itertools.permutations(range(1, n + 1)):
         descents = {i + 1 for i in range(n - 1) if alpha[i] > alpha[i + 1]}
         if not descents <= {k}:
@@ -309,10 +318,8 @@ def _descent_class_halves(w: Word, z: Word, first: int) -> LinComb:
         inv = [0] * (n + 1)
         for pos, val in enumerate(alpha, start=1):
             inv[val] = pos
-        if inv[1] != first:
-            continue
-        out.append((Word(tuple(letters[inv[i] - 1] for i in range(1, n + 1))), 1))
-    return LinComb(out)
+        if inv[1] == first:
+            yield tuple(columns[inv[i] - 1] for i in range(1, n + 1))
 
 
 def word_prec_by_descents(w: Word, z: Word) -> LinComb:
@@ -320,7 +327,7 @@ def word_prec_by_descents(w: Word, z: Word) -> LinComb:
         return LinComb.zero()
     if z.is_empty():
         return LinComb.single(w)
-    return _descent_class_halves(w, z, 1)
+    return LinComb((Word(cols), 1) for cols in descent_class_rearrangements(w.letters, z.letters, 1))
 
 
 def word_succ_by_descents(w: Word, z: Word) -> LinComb:
@@ -328,4 +335,5 @@ def word_succ_by_descents(w: Word, z: Word) -> LinComb:
         return LinComb.zero()
     if w.is_empty():
         return LinComb.single(z)
-    return _descent_class_halves(w, z, len(w.letters) + 1)
+    first = len(w.letters) + 1
+    return LinComb((Word(cols), 1) for cols in descent_class_rearrangements(w.letters, z.letters, first))

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from conftest import biword_combination, load_golden
+from shufflealg import clear_caches
 from shufflealg.lincomb import LinComb
 from shufflealg import action as act
 from shufflealg import biwords as B
@@ -39,7 +40,7 @@ def check(num: int, desc: str, ok: bool) -> None:
 
 
 def test_criterion_1_biword_counts():
-    B.enumerate_biwords.cache_clear()
+    clear_caches()
     start = time.perf_counter()
     counts = [len(B.enumerate_biwords(n)) for n in range(1, 7)]
     elapsed = time.perf_counter() - start
@@ -50,8 +51,7 @@ def test_criterion_1_biword_counts():
 
 
 def test_criterion_2_spanning_ranks():
-    D.descd_echelon.cache_clear()
-    D._evaluate_tree.cache_clear()
+    clear_caches()
     start = time.perf_counter()
     ranks = [D.descd_dimension(n) for n in range(1, 7)]
     elapsed = time.perf_counter() - start

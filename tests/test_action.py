@@ -1,9 +1,29 @@
+from itertools import permutations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from shufflealg.lincomb import LinComb
+from shufflealg import biwords as B
+from shufflealg import verify as V
 from shufflealg.action import compose_via_action, convolution_via_action, endo_apply, phi_apply
-from shufflealg.biwords import UNIT_BIWORD, Biword, biword, enumerate_biwords_by_size
+from shufflealg.biwords import (
+    UNIT_BIWORD,
+    Biword,
+    biword,
+    enumerate_biwords,
+    enumerate_biwords_by_size,
+)
 from shufflealg.descent import convolution_inverse, identity_series, p_n, pi_n
-from shufflealg.verify import check_action_compatibility
-from shufflealg.words import EMPTY_WORD, Letter, Word, enumerate_words, standard_alphabet
+from shufflealg.verify import check_action_compatibility, check_idempotents
+from shufflealg.words import (
+    EMPTY_WORD,
+    Letter,
+    Word,
+    enumerate_words,
+    generic_word,
+    standard_alphabet,
+)
 
 a1 = Letter(1, 0)
 b2 = Letter(2, 1)
@@ -143,3 +163,107 @@ def test_composite_acts_as_composition_on_words():
                 lhs = endo_apply(composite, LinComb.single(w))
                 rhs = endo_apply(LinComb.single(x), phi_apply(y, w))
                 assert lhs == rhs, (x, y, w)
+
+
+def test_generic_word():
+    assert generic_word((2, 1, 2)) == Word((Letter(2, 1), Letter(1, 2), Letter(2, 3)))
+    assert generic_word(()) == EMPTY_WORD
+
+
+# -- generic probes against the exhaustive oracle ------------------------------
+#
+# The action suites probe each identity with one generic word per composition.
+# The oracle is the probe set they used before: every word over two symbols
+# per weight.  The suites' private helpers take the probe set, so both routes
+# run the same identity comparisons.
+
+def _exhaustive_probes(weight: int) -> list[Word]:
+    return enumerate_words(weight, standard_alphabet(weight, 2))
+
+
+def _flagged(report) -> set:
+    return {(f.identity, f.inputs[0], f.inputs[1]) for f in report}
+
+
+def test_probe_routes_pass_on_the_real_products():
+    assert check_action_compatibility(4).checked == 4609
+    assert check_idempotents(5).checked == 1307
+    for probes in (V._generic_probes, _exhaustive_probes):
+        action = V._check_action_compatibility(4, 3, probes)
+        idempotents = V._check_idempotents(4, probes)
+        assert action == [] and idempotents == []
+    assert V._check_action_compatibility(4, 3, _exhaustive_probes).checked == 10153
+    assert V._check_idempotents(5, _exhaustive_probes).checked == 7848
+
+
+def test_probe_routes_flag_the_same_dropped_term(monkeypatch):
+    real_star = B.biword_star
+
+    def star_missing_a_term(a, b):
+        # drops one of the interleavings that put b's first column in front
+        succ = B.biword_succ(a, b)
+        if succ.is_zero():
+            return real_star(a, b)
+        return real_star(a, b) - LinComb.single(succ.keys()[0])
+
+    monkeypatch.setattr(B, "biword_star", star_missing_a_term)
+    generic = _flagged(V._check_action_compatibility(3, 1, V._generic_probes))
+    exhaustive = _flagged(V._check_action_compatibility(3, 1, _exhaustive_probes))
+    assert generic == exhaustive
+    assert len(generic) == 11
+    assert {identity for identity, _, _ in generic} == {"action-star"}
+
+
+def _sign(perm) -> int:
+    inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+    return (-1) ** inversions
+
+
+def test_only_generic_probes_catch_the_antisymmetrizer(monkeypatch):
+    # sum sign(s) s|111 kills every 3-letter weight-1 word that repeats a
+    # symbol, so over two symbols per weight it acts as zero
+    real_star = B.biword_star
+    target = (biword((1,), (1,)), biword((1, 2), (1, 1)))
+    antisymmetrizer = LinComb((Biword(p, (1, 1, 1)), _sign(p)) for p in permutations((1, 2, 3)))
+
+    def star_plus_antisymmetrizer(a, b):
+        out = real_star(a, b)
+        return out + antisymmetrizer if (a, b) == target else out
+
+    monkeypatch.setattr(B, "biword_star", star_plus_antisymmetrizer)
+    generic = _flagged(V._check_action_compatibility(3, 1, V._generic_probes))
+    exhaustive = _flagged(V._check_action_compatibility(3, 1, _exhaustive_probes))
+    assert generic == {("action-star",) + target}
+    assert exhaustive == set()
+
+
+# -- naturality: the property the generic probes rest on -------------------------
+
+words_of_small_weight = st.lists(
+    st.builds(Letter, st.integers(1, 3), st.integers(0, 2)), max_size=4
+).filter(lambda letters: sum(let.weight for let in letters) <= 5).map(lambda ls: Word(tuple(ls)))
+coefficients = st.integers(-3, 3)
+
+
+def _combination(draw, weight: int) -> LinComb:
+    pool = st.sampled_from(enumerate_biwords(weight))
+    return LinComb(draw(st.lists(st.tuples(pool, coefficients), max_size=4)))
+
+
+def _substitution(w: Word):
+    """The letter substitution sending the generic word of w's profile to w."""
+    sub = dict(zip(generic_word(w.profile()).letters, w.letters))
+    return lambda lc: lc.map_keys(lambda u: Word(tuple(sub[let] for let in u.letters)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(words_of_small_weight, st.data())
+def test_action_commutes_with_letter_substitution(w, data):
+    generic = generic_word(w.profile())
+    sigma = _substitution(w)
+    f = _combination(data.draw, w.weight)
+    assert endo_apply(f, LinComb.single(w)) == sigma(endo_apply(f, LinComb.single(generic)))
+    k = data.draw(st.integers(0, w.weight))
+    f, g = _combination(data.draw, k), _combination(data.draw, w.weight - k)
+    for op in ("prec", "succ", "star"):
+        assert convolution_via_action(f, g, w, op) == sigma(convolution_via_action(f, g, generic, op))

@@ -160,6 +160,16 @@ def test_verify_json(capsys):
     assert payload == {"suite": "pi-primitive", "max_weight": 3, "checked": 12, "failures": []}
 
 
+def test_verify_action_compat_at_default_weight(capsys):
+    # no weight given: the configured verify_weight (5)
+    code, out, _ = run(capsys, "verify", "action-compat", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["max_weight"] == 5
+    assert payload["failures"] == []
+    assert payload["checked"] == 14833
+
+
 @pytest.mark.parametrize("suite, weight", [("dendriform", "1"), ("bidendriform", "0")])
 def test_verify_with_nothing_to_check_exits_2(capsys, suite, weight):
     for extra in ((), ("--json",)):

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from math import comb
@@ -14,6 +16,7 @@ from shufflealg.biwords import (
     enumerate_biwords,
     internal_compose_lc,
 )
+from shufflealg import clear_caches
 from shufflealg import descent as D
 from shufflealg.descent import (
     DendMonomial,
@@ -36,6 +39,7 @@ from shufflealg.descent import (
 )
 from shufflealg.series import descent_dim_series_closed
 from shufflealg.verify import check_idempotents, check_pi_primitive, check_pn_coproducts
+from shufflealg import words as W
 from shufflealg.words import compositions
 
 
@@ -190,8 +194,31 @@ def test_spanning_set_rank_weight_7():
         trees = sum(catalan(k) * comb(6, k - 1) for k in range(1, 8))
         assert descd_dimension(7) == 2219 == int(descent_dim_series_closed()[7]) == trees
     finally:
-        D.descd_echelon.cache_clear()
-        D._evaluate_tree.cache_clear()
+        clear_caches()
+
+
+def test_clear_caches_empties_every_cache():
+    # every cache in the package, found by its cache_info attribute, so a
+    # cache that clear_caches does not know about fails here
+    import shufflealg
+
+    caches = {}
+    for info in pkgutil.iter_modules(shufflealg.__path__):
+        mod = importlib.import_module(f"shufflealg.{info.name}")
+        owners = [mod] + [v for v in vars(mod).values() if isinstance(v, type)]
+        for owner in owners:
+            for name, value in vars(owner).items():
+                value = getattr(value, "__func__", value)
+                if callable(getattr(value, "cache_info", None)):
+                    caches[f"{owner.__name__}.{name}"] = value
+    assert len(caches) >= 8
+    descd_dimension(3)
+    pi_n(3, "recursive")
+    W.word_antipode(W.word((1, 0), (2, 1)))
+    enumerate_biwords(2)
+    assert [name for name, fn in caches.items() if not fn.cache_info().currsize] == []
+    clear_caches()
+    assert {name: fn.cache_info().currsize for name, fn in caches.items()} == dict.fromkeys(caches, 0)
 
 
 def test_monomial_rendering():
