@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import shufflealg
 from conftest import biword_combination, load_golden
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import (
@@ -200,8 +201,6 @@ def test_spanning_set_rank_weight_7():
 def test_clear_caches_empties_every_cache():
     # every cache in the package, found by its cache_info attribute, so a
     # cache that clear_caches does not know about fails here
-    import shufflealg
-
     caches = {}
     for info in pkgutil.iter_modules(shufflealg.__path__):
         mod = importlib.import_module(f"shufflealg.{info.name}")
@@ -216,6 +215,7 @@ def test_clear_caches_empties_every_cache():
     pi_n(3, "recursive")
     W.word_antipode(W.word((1, 0), (2, 1)))
     enumerate_biwords(2)
+    # each cache holds entries, so the emptiness below is clear_caches' doing
     assert [name for name, fn in caches.items() if not fn.cache_info().currsize] == []
     clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in caches.items()} == dict.fromkeys(caches, 0)
