@@ -173,9 +173,9 @@ def test_generic_word():
 # -- generic probes against the exhaustive oracle ------------------------------
 #
 # The action suites probe each identity with one generic word per composition.
-# The oracle is the probe set they used before: every word over two symbols
-# per weight.  The suites' private helpers take the probe set, so both routes
-# run the same identity comparisons.
+# The oracle probes with every word over two symbols per weight, an
+# independent probe set.  The suites' private helpers take the probe set, so
+# both routes run the same identity comparisons.
 
 def _exhaustive_probes(weight: int) -> list[Word]:
     return enumerate_words(weight, standard_alphabet(weight, 2))
