@@ -23,7 +23,8 @@ __version__ = "0.1.0"
 
 # every memo cache in the package; all are unbounded
 _CACHES = (_words.word_shuffle, _words.word_prec, _words.word_antipode, _biwords.enumerate_biwords,
-           _descent.p_n, _descent._pi_recursive, _descent._evaluate_tree, _descent.descd_echelon)
+           _descent.p_n, _descent._pi_recursive, _descent._evaluate_tree, _descent.descd_echelon,
+           _descent.descd_classes)
 
 
 def clear_caches() -> None:

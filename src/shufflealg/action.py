@@ -73,13 +73,22 @@ def convolution_via_action(f: LinComb, g: LinComb, probe: Word, op: str = "star"
     ``op`` is one of ``prec``, ``succ``, ``star``; f and g are biword
     combinations acting through phi.
     """
-    combine = _WORD_OPS[op]
-    return LinComb.sum(
-        (
-            bilinear_extend(
-                combine, endo_apply(f, LinComb.single(left)), endo_apply(g, LinComb.single(right))
-            ),
-            ccut,
-        )
-        for (left, right), ccut in deconcat(probe).terms().items()
-    )
+    return convolutions_via_action(f, g, probe, (op,))[op]
+
+
+def convolutions_via_action(
+    f: LinComb, g: LinComb, probe: Word, ops=tuple(_WORD_OPS)
+) -> dict[str, LinComb]:
+    """``convolution_via_action`` for each op in ``ops``, from one pass: the
+    cuts of the probe and the actions of f and g on them are shared."""
+    combines = {op: _WORD_OPS[op] for op in ops}
+    cuts = []
+    for (left, right), ccut in deconcat(probe).terms().items():
+        fl = endo_apply(f, LinComb.single(left))
+        gr = endo_apply(g, LinComb.single(right))
+        if not (fl.is_zero() or gr.is_zero()):
+            cuts.append((fl, gr, ccut))
+    return {
+        op: LinComb.sum((bilinear_extend(combine, fl, gr), ccut) for fl, gr, ccut in cuts)
+        for op, combine in combines.items()
+    }

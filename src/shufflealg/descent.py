@@ -8,11 +8,14 @@ biword of degree n; it comes out of three routes (the closed form, the
 alternating convolution formula, and the recursive completion against the
 nested idempotents pi_{n1..nk}), which must agree.
 
-Ranks, span membership, and primitive dimensions (the joint kernel of the
-two half-coproducts) run on exact rational elimination; the only shortcut
-is a certified mod-p rank bound for the one large kernel computation, which
-never changes a result (it either certifies the exact answer or falls back
-to the rational elimination).
+Each weight-n basis vector is the sum of the biwords with one decorated
+binary search tree (insert the top row from left to right, each node keeping
+its column's degree: the graded sylvester congruence); it equals the tree
+monomial ``x(t_l) > pi_m < x(t_r)``.  Dimensions, membership and the descd
+row basis of the primitive kernel run on these classes without elimination;
+the spanning set and its exact rank (``descd_echelon``) are the independent
+route the tests compare against.  Primitive dimensions (the joint kernel of
+the two half-coproducts) run on exact rational elimination.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .lincomb import LinComb
@@ -33,7 +37,7 @@ from .biwords import (
     coproduct_succ_lc,
     enumerate_biwords,
 )
-from .linalg import RowEchelon, modp_rank, rank_of
+from .linalg import RowEchelon, rank_of
 from .series import (
     biword_count_series,
     descent_dim_series_catalan,
@@ -359,12 +363,49 @@ def descd_dimension(n: int) -> int:
     return descd_echelon(n).rank
 
 
+# -- decorated binary-search-tree classes ---------------------------------------
+
+def bst_class(b: Biword) -> tuple:
+    """The decorated binary search tree of a biword, as nested ``(left, degree,
+    right)`` triples with ``()`` for the empty tree: the top row is inserted
+    from left to right and each node keeps its column's degree."""
+    return _bst(tuple(zip(b.perm, b.deg)))
+
+
+def _bst(cols: tuple) -> tuple:
+    if not cols:
+        return ()
+    (root, d), rest = cols[0], cols[1:]
+    left = _bst(tuple(c for c in rest if c[0] < root))
+    return (left, d, _bst(tuple(c for c in rest if c[0] > root)))
+
+
+@lru_cache(maxsize=None)
+def descd_classes(n: int) -> Mapping[tuple, tuple[Biword, ...]]:
+    """The biwords of weight n grouped by decorated tree, in canonical order;
+    each class sum is one basis vector of the weight-n descent component."""
+    if n < 1:
+        raise ValueError("descent classes exist for positive weight only")
+    out: dict[tuple, list[Biword]] = {}
+    for b in enumerate_biwords(n):
+        out.setdefault(bst_class(b), []).append(b)
+    return MappingProxyType({t: tuple(members) for t, members in out.items()})
+
+
+def descd_class_dimension(n: int) -> int:
+    return len(descd_classes(n))
+
+
 def descd_membership(x: LinComb, n: int) -> bool:
-    """Whether x lies in the weight-n component of the descent algebra."""
-    for key in x.terms():
+    """Whether x lies in the weight-n component of the descent algebra: every
+    class that x touches is fully present, with one coefficient."""
+    terms = x.terms()
+    for key in terms:
         if key.weight != n:
             raise ValueError(f"expected weight {n}, found a biword of weight {key.weight}")
-    return descd_echelon(n).contains(x)
+    classes = descd_classes(n)
+    touched = {bst_class(key): coeff for key, coeff in terms.items()}
+    return all(terms.get(b) == coeff for t, coeff in touched.items() for b in classes[t])
 
 
 # -- primitive dimensions -------------------------------------------------------
@@ -384,23 +425,10 @@ def prim_dend_dimension(n: int, space: str = "full_S", cutoff: int | None = None
     if space == "full_S":
         rows = [LinComb.single(b) for b in enumerate_biwords(n)]
     elif space == "descd":
-        rows = descd_echelon(n).pivot_rows()
+        rows = [LinComb._raw(dict.fromkeys(cls, 1)) for cls in descd_classes(n).values()]
     else:
         raise ValueError(f"unknown space {space!r}")
-    images = [_coproduct_image(row) for row in rows]
-
-    if space == "descd" and n >= 6:
-        # Large instance: certify instead of running the rational elimination.
-        # pi_n has no cuts, so it is an exact kernel vector; the mod-p rank
-        # bounds the rational kernel from above by rows - rank_p.
-        candidate = pi_n(n)
-        exact_lower = 0
-        if descd_echelon(n).contains(candidate) and _coproduct_image(candidate).is_zero():
-            exact_lower = 1
-        upper = len(rows) - modp_rank(images)
-        if exact_lower == upper:
-            return exact_lower
-    return len(rows) - rank_of(images)
+    return len(rows) - rank_of(_coproduct_image(row) for row in rows)
 
 
 # -- dimension report ------------------------------------------------------------
@@ -448,8 +476,8 @@ def dimension_report(
 ) -> DimensionReport:
     """Tabulate the dimension data up to max_n and flag any disagreement.
 
-    Series columns are exact rational coefficients evaluated on demand; the
-    rank and kernel columns are computed only up to their cutoffs.
+    Series columns are exact coefficients evaluated on demand; the descd
+    class-count and kernel columns are computed only up to their cutoffs.
     """
     include = set(include)
     unknown = include - set(_ALL_COLUMNS)
@@ -468,7 +496,7 @@ def dimension_report(
                 row.biword_series = int(r_series[n])
         if "descd" in include:
             if n <= rank_cutoff:
-                row.descd_rank = descd_dimension(n)
+                row.descd_rank = descd_class_dimension(n)
             if "series" in include:
                 row.descd_closed = int(closed[n])
                 row.descd_catalan = int(catalan[n])

@@ -6,11 +6,6 @@ fraction-free updates (g = gcd(c, pivot_lead); row = (lead/g) row - (c/g)
 pivot) with periodic content stripping, so coefficients stay small without
 leaving exact arithmetic.  Pivoting is first-nonzero in the canonical key
 order, which makes ranks and stored pivot rows deterministic.
-
-A dense mod-p elimination (numpy) is provided separately: the mod-p rank is
-a certified lower bound for the rational rank, which turns an explicit list
-of exactly-verified kernel vectors into an exact kernel dimension without
-running the big rational elimination.
 """
 
 from __future__ import annotations
@@ -134,43 +129,3 @@ def rank_of(vectors) -> int:
         ech.add(v)
     return ech.rank
 
-
-_CERT_PRIME = 2_147_483_647  # largest signed-32-bit prime; products fit in int64
-
-
-def modp_rank(vectors, p: int = _CERT_PRIME) -> int:
-    """Rank of the vectors over GF(p); a lower bound for the rational rank."""
-    import numpy as np
-
-    keyof: dict = {}
-    rows = [_to_int_row(v, keyof) for v in vectors if not v.is_zero()]
-    if not rows:
-        return 0
-    cols = {sk: i for i, sk in enumerate(sorted(keyof))}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for r, row in enumerate(rows):
-        for sk, v in row.items():
-            mat[r, cols[sk]] = v % p
-    rank = 0
-    n_rows, n_cols = mat.shape
-    for col in range(n_cols):
-        piv = None
-        for r in range(rank, n_rows):
-            if mat[r, col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            mat[[rank, piv]] = mat[[piv, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = (mat[rank] * inv) % p
-        below = mat[rank + 1 :, col]
-        nz = below.nonzero()[0]
-        if nz.size:
-            idx = nz + rank + 1
-            mat[idx] = (mat[idx] - np.outer(mat[idx, col], mat[rank])) % p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank

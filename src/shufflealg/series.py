@@ -1,12 +1,13 @@
 """Lazily evaluated exact-rational formal power series.
 
-A :class:`PowerSeries` wraps a coefficient oracle ``n -> Fraction`` together
-with a memo, so recursive constructions (products, composition, square
+A :class:`PowerSeries` wraps a coefficient oracle ``n -> coefficient``
+together with a memo, so recursive constructions (products, composition, square
 roots, multiplicative inverses) cost polynomial instead of exponential work.
 Asking for coefficient n fills the memo for every index up to n, lowest
 first, so deep indices need no deep recursion.
 Coefficients are only ever computed up to a caller-supplied index; nothing
-closed-form is attempted.
+closed-form is attempted.  Coefficients are exact: an ``int`` while
+integral, a ``Fraction`` only after a division that leaves a remainder.
 
 Composition ``f(g)`` requires ``g`` to have zero constant term; square roots
 and inverses require constant term one.  These are checked eagerly so the
@@ -21,17 +22,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .lincomb import exact, exact_div
+
 
 class PowerSeries:
     """Formal power series given by a memoized coefficient oracle."""
 
     __slots__ = ("_fn", "_memo")
 
-    def __init__(self, fn: Callable[[int], Fraction]):
+    def __init__(self, fn: Callable[[int], int | Fraction]):
         self._fn = fn
-        self._memo: dict[int, Fraction] = {}
+        self._memo: dict[int, int | Fraction] = {}
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         if n < 0:
             raise IndexError("coefficient index must be non-negative")
         memo = self._memo
@@ -39,10 +42,10 @@ class PowerSeries:
         # (sqrt, inverse) then finds its lower coefficients memoized, so the
         # call depth stays bounded instead of growing with n.
         for i in range(len(memo), n + 1):
-            memo[i] = Fraction(self._fn(i))
+            memo[i] = exact(self._fn(i))
         return memo[n]
 
-    def coefficients(self, count: int) -> list[Fraction]:
+    def coefficients(self, count: int) -> list[int | Fraction]:
         """The first ``count`` coefficients, indices ``0 .. count-1``."""
         return [self[n] for n in range(count)]
 
@@ -51,12 +54,12 @@ class PowerSeries:
     @classmethod
     def from_coeffs(cls, coeffs: Sequence) -> "PowerSeries":
         """Polynomial: listed coefficients, zero beyond."""
-        frozen = [Fraction(c) for c in coeffs]
-        return cls(lambda n: frozen[n] if n < len(frozen) else Fraction(0))
+        frozen = [exact(c) for c in coeffs]
+        return cls(lambda n: frozen[n] if n < len(frozen) else 0)
 
     @classmethod
     def zero(cls) -> "PowerSeries":
-        return cls(lambda n: Fraction(0))
+        return cls(lambda n: 0)
 
     @classmethod
     def one(cls) -> "PowerSeries":
@@ -69,14 +72,14 @@ class PowerSeries:
     @classmethod
     def geometric(cls) -> "PowerSeries":
         """x/(1-x) = x + x^2 + x^3 + ..."""
-        return cls(lambda n: Fraction(1 if n >= 1 else 0))
+        return cls(lambda n: 1 if n >= 1 else 0)
 
     @classmethod
     def factorials(cls) -> "PowerSeries":
         """sum_k k! x^k"""
         import math
 
-        return cls(lambda n: Fraction(math.factorial(n)))
+        return cls(math.factorial)
 
     # -- ring operations ---------------------------------------------------
 
@@ -92,9 +95,9 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             return PowerSeries(
-                lambda n: sum((self[i] * other[n - i] for i in range(n + 1)), Fraction(0))
+                lambda n: sum(self[i] * other[n - i] for i in range(n + 1))
             )
-        scalar = Fraction(other)
+        scalar = exact(other)
         return PowerSeries(lambda n: self[n] * scalar)
 
     __rmul__ = __mul__
@@ -111,11 +114,11 @@ class PowerSeries:
             raise ValueError("composition needs zero constant term in the inner series")
         powers = [PowerSeries.one()]
 
-        def coeff(n: int) -> Fraction:
+        def coeff(n: int) -> int | Fraction:
             while len(powers) <= n:
                 powers.append(powers[-1] * inner)
             # inner^k has valuation >= k, so only k <= n contributes
-            return sum((self[k] * powers[k][n] for k in range(n + 1)), Fraction(0))
+            return sum(self[k] * powers[k][n] for k in range(n + 1))
 
         return PowerSeries(coeff)
 
@@ -134,19 +137,19 @@ class PowerSeries:
         return inv
 
 
-def _sqrt_coeff(f: PowerSeries, g: PowerSeries, n: int) -> Fraction:
+def _sqrt_coeff(f: PowerSeries, g: PowerSeries, n: int) -> int | Fraction:
     if n == 0:
-        return Fraction(1)
+        return 1
     # g_n = (f_n - sum_{i=1}^{n-1} g_i g_{n-i}) / 2
     acc = f[n]
     for i in range(1, n):
         acc -= g[i] * g[n - i]
-    return acc / 2
+    return exact_div(acc, 2)
 
-def _inverse_coeff(f: PowerSeries, g: PowerSeries, n: int) -> Fraction:
+def _inverse_coeff(f: PowerSeries, g: PowerSeries, n: int) -> int | Fraction:
     if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
+        return 1
+    acc = 0
     for i in range(1, n + 1):
         acc -= f[i] * g[n - i]
     return acc
@@ -156,7 +159,7 @@ def catalan_series() -> PowerSeries:
     """(1 - sqrt(1-4x)) / (2x): 1, 1, 2, 5, 14, ..."""
     root = PowerSeries.from_coeffs([1, -4]).sqrt()
     numer = PowerSeries.one() - root
-    return PowerSeries(lambda n: numer[n + 1] / 2)
+    return PowerSeries(lambda n: exact_div(numer[n + 1], 2))
 
 
 def biword_count_series() -> PowerSeries:
@@ -168,7 +171,7 @@ def descent_dim_series_closed() -> PowerSeries:
     """(1 - x - sqrt((1-x)(1-5x))) / (2x)."""
     root = PowerSeries.from_coeffs([1, -6, 5]).sqrt()
     numer = PowerSeries.from_coeffs([1, -1]) - root
-    return PowerSeries(lambda n: numer[n + 1] / 2)
+    return PowerSeries(lambda n: exact_div(numer[n + 1], 2))
 
 
 def descent_dim_series_catalan() -> PowerSeries:

@@ -332,11 +332,9 @@ def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Repor
             fa, fb = LinComb.single(a), LinComb.single(b)
             for probe in probes_of[total]:
                 lprobe = LinComb.single(probe)
+                convolutions = act.convolutions_via_action(fa, fb, probe)
                 for op, prod in products.items():
-                    out.expect(
-                        f"action-{op}", (a, b, probe),
-                        act.endo_apply(prod, lprobe), act.convolution_via_action(fa, fb, probe, op),
-                    )
+                    out.expect(f"action-{op}", (a, b, probe), act.endo_apply(prod, lprobe), convolutions[op])
     sized = [b for k in range(max_size + 1) for b in B.enumerate_biwords_by_size(k, TEST_DEGREES)]
     for a in sized:
         for b in sized:

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 from shufflealg.lincomb import LinComb
 from shufflealg import biwords as B
 from shufflealg import verify as V
-from shufflealg.action import compose_via_action, convolution_via_action, endo_apply, phi_apply
+from shufflealg.action import (
+    compose_via_action,
+    convolution_via_action,
+    convolutions_via_action,
+    endo_apply,
+    phi_apply,
+)
 from shufflealg.biwords import (
     UNIT_BIWORD,
     Biword,
@@ -21,8 +27,13 @@ from shufflealg.words import (
     Letter,
     Word,
     enumerate_words,
+    compositions,
+    deconcat,
     generic_word,
     standard_alphabet,
+    word_prec,
+    word_shuffle,
+    word_succ,
 )
 
 a1 = Letter(1, 0)
@@ -100,6 +111,30 @@ def test_convolution_unit_is_scalar_projector():
     for w in enumerate_words(2, standard_alphabet(2, 2)):
         got = convolution_via_action(unit, g, w, "star")
         assert got == endo_apply(g, LinComb.single(w))
+
+
+def _convolution_fold(f, g, w, combine):
+    # op . (f (x) g) . Delta, one term at a time
+    total = LinComb.zero()
+    for (left, right), c in deconcat(w).terms().items():
+        for u, cu in endo_apply(f, LinComb.single(left)).terms().items():
+            for v, cv in endo_apply(g, LinComb.single(right)).terms().items():
+                total = total + combine(u, v) * (c * cu * cv)
+    return total
+
+
+def test_convolutions_share_one_pass():
+    ops = {"prec": word_prec, "succ": word_succ, "star": word_shuffle}
+    for n in range(1, 5):
+        for k in range(n + 1):
+            f = p_n(k) + LinComb.single(Biword(tuple(range(k, 0, -1)), (1,) * k), -2)
+            g = p_n(n - k) + LinComb.single(Biword((1,), (n - k,)) if k < n else UNIT_BIWORD, 3)
+            for comp in compositions(n):
+                w = generic_word(comp)
+                got = convolutions_via_action(f, g, w)
+                assert list(got) == list(ops)
+                for op, combine in ops.items():
+                    assert got[op] == _convolution_fold(f, g, w, combine) == convolution_via_action(f, g, w, op)
 
 
 def test_identity_convolved_with_antipode_vanishes():

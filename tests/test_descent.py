@@ -12,6 +12,8 @@ from shufflealg.lincomb import LinComb
 from shufflealg.biwords import (
     UNIT_BIWORD,
     biword,
+    biword_prec_lc,
+    biword_succ_lc,
     coproduct_prec_lc,
     coproduct_succ_lc,
     enumerate_biwords,
@@ -23,7 +25,10 @@ from shufflealg.descent import (
     DendMonomial,
     GradedSeries,
     biword_count,
+    bst_class,
     convolution_inverse,
+    descd_class_dimension,
+    descd_classes,
     descd_dimension,
     descd_membership,
     descd_spanning_set,
@@ -194,6 +199,7 @@ def test_spanning_set_rank_weight_7():
     try:
         trees = sum(catalan(k) * comb(6, k - 1) for k in range(1, 8))
         assert descd_dimension(7) == 2219 == int(descent_dim_series_closed()[7]) == trees
+        assert descd_class_dimension(7) == 2219
     finally:
         clear_caches()
 
@@ -212,6 +218,7 @@ def test_clear_caches_empties_every_cache():
                     caches[f"{owner.__name__}.{name}"] = value
     assert len(caches) >= 8
     descd_dimension(3)
+    descd_class_dimension(3)
     pi_n(3, "recursive")
     W.word_antipode(W.word((1, 0), (2, 1)))
     enumerate_biwords(2)
@@ -219,6 +226,83 @@ def test_clear_caches_empties_every_cache():
     assert [name for name, fn in caches.items() if not fn.cache_info().currsize] == []
     clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in caches.items()} == dict.fromkeys(caches, 0)
+
+
+def test_class_dimension_matches_spanning_rank():
+    for n in range(1, 7):
+        assert descd_class_dimension(n) == descd_dimension(n)
+
+
+def _decorated_trees(n: int):
+    """(tree, x(t)) for every planar binary tree with vertices decorated by a
+    composition of n in order, x(t) = x(t_l) > pi_m < x(t_r); the tree uses
+    bst_class's nested (left, degree, right) form."""
+    if n == 0:
+        yield (), None
+        return
+    for m in range(1, n + 1):
+        for l in range(n - m + 1):
+            for left, xl in _decorated_trees(l):
+                for right, xr in _decorated_trees(n - m - l):
+                    x = pi_n(m)
+                    if xr is not None:
+                        x = biword_prec_lc(x, xr)
+                    if xl is not None:
+                        x = biword_succ_lc(xl, x)
+                    yield (left, m, right), x
+
+
+def test_tree_monomials_are_class_sums():
+    # each decorated-tree monomial is the 0/1 sum of the biwords with that
+    # search tree, and together the supports partition the weight-n biwords
+    for n in range(1, 6):
+        covered = []
+        for tree, x in _decorated_trees(n):
+            assert set(x.terms().values()) == {1}
+            assert {bst_class(b) for b in x.terms()} == {tree}
+            assert tuple(sorted(x.terms(), key=lambda b: b.sort_key())) == descd_classes(n)[tree]
+            covered.extend(x.terms())
+        assert len(covered) == len(set(covered)) == len(enumerate_biwords(n))
+        assert set(covered) == set(enumerate_biwords(n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_class_membership_matches_elimination(n):
+    rng = random.Random(100 + n)
+    classes = list(descd_classes(n).values())
+    echelon = D.descd_echelon(n)
+    verdicts = []
+    for _ in range(40):
+        chosen = rng.sample(classes, rng.randint(1, 4))
+        terms = {}
+        for members in chosen:
+            coeff = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2]))
+            terms.update(dict.fromkeys(members, coeff))
+        member = LinComb(terms)
+        big = max(chosen, key=len)
+        moved = dict(terms)
+        moved[big[-1]] += 1
+        partial = {b: c for b, c in terms.items() if b != big[0]}
+        for x in (member, LinComb(moved), LinComb(partial)):
+            verdict = descd_membership(x, n)
+            assert verdict == echelon.contains(x)
+            verdicts.append(verdict)
+        if len(big) > 1:
+            assert not descd_membership(LinComb(moved), n)
+            assert not descd_membership(LinComb(partial), n)
+    assert True in verdicts and False in verdicts
+
+
+def test_class_route_builds_no_echelon():
+    clear_caches()
+    try:
+        report = dimension_report(6, include=("descd",))
+        assert [row.descd_rank for row in report.rows] == [1, 3, 10, 36, 137, 543]
+        assert descd_membership(p_n(5), 5)
+        assert prim_dend_dimension(5, "descd") == 1
+        assert D.descd_echelon.cache_info().misses == 0
+    finally:
+        clear_caches()
 
 
 def test_monomial_rendering():

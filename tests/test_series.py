@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -175,3 +176,54 @@ def test_closed_route_at_1000_matches_recurrence():
     closed = descent_dim_series_closed()
     assert closed[1000] == a[1000]
     assert ints(closed, 990, 1000) == a[990:]
+
+
+def _fraction_fold(n_max: int) -> dict:
+    # the four dimension series from Fraction-only folds of their formulas
+    def sqrt(f):
+        g = [Fraction(1)]
+        for n in range(1, n_max + 2):
+            g.append((f[n] - sum((g[i] * g[n - i] for i in range(1, n)), Fraction(0))) / 2)
+        return g
+
+    def with_geometric(f):
+        # f(x/(1-x)) has coefficient sum_k f_k C(n-1, k-1) at n >= 1
+        return [f[0]] + [
+            sum((f[k] * comb(n - 1, k - 1) for k in range(1, n + 1)), Fraction(0))
+            for n in range(1, n_max + 1)
+        ]
+
+    def pad(coeffs):
+        return [Fraction(c) for c in coeffs] + [Fraction(0)] * (n_max + 2 - len(coeffs))
+
+    root4 = sqrt(pad([1, -4]))
+    catalan = [(pad([1])[n + 1] - root4[n + 1]) / 2 for n in range(n_max + 1)]
+    root5 = sqrt(pad([1, -6, 5]))
+    closed = [(pad([1, -1])[n + 1] - root5[n + 1]) / 2 for n in range(n_max + 1)]
+    r = with_geometric([Fraction(factorial(k)) for k in range(n_max + 1)])
+    r2 = [sum((r[i] * r[n - i] for i in range(n + 1)), Fraction(0)) for n in range(n_max + 1)]
+    inv = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        inv.append(-sum((r2[i] * inv[n - i] for i in range(1, n + 1)), Fraction(0)))
+    prim = [
+        sum(((r[i] - (i == 0)) * inv[n - i] for i in range(n + 1)), Fraction(0))
+        for n in range(n_max + 1)
+    ]
+    return {
+        catalan_series: catalan,
+        biword_count_series: r,
+        descent_dim_series_closed: closed,
+        descent_dim_series_catalan: with_geometric(catalan),
+        primitive_dim_series: prim,
+    }
+
+
+def test_coefficients_stay_int_while_integral():
+    for make, expected in _fraction_fold(60).items():
+        got = make().coefficients(61)
+        assert got == expected, make.__name__
+        assert {type(c) for c in got} == {int}, make.__name__
+    # a division with a remainder still gives an exact Fraction
+    half = PowerSeries.from_coeffs([1, 1]).sqrt().coefficients(4)
+    assert half == [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
+    assert [type(c) for c in half] == [int, Fraction, Fraction, Fraction]
