@@ -428,7 +428,7 @@ def prim_dend_dimension(n: int, space: str = "full_S", cutoff: int | None = None
         rows = [LinComb._raw(dict.fromkeys(cls, 1)) for cls in descd_classes(n).values()]
     else:
         raise ValueError(f"unknown space {space!r}")
-    return len(rows) - rank_of(_coproduct_image(row) for row in rows)
+    return len(rows) - rank_of([_coproduct_image(row) for row in rows])
 
 
 # -- dimension report ------------------------------------------------------------
