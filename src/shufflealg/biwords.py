@@ -86,6 +86,14 @@ def biword(perm, deg) -> Biword:
     return Biword(tuple(perm), tuple(deg))
 
 
+def generic_biword(perm, first_degree: int = 1) -> Biword:
+    """The biword of a top row whose degrees are pairwise distinct
+    (first_degree, first_degree + 1, ... by column); every biword with that
+    top row is its image under a column-wise degree substitution."""
+    perm = tuple(perm)
+    return Biword(perm, tuple(range(first_degree, first_degree + len(perm))))
+
+
 def standardize(values) -> tuple[int, ...]:
     """Order-isomorphic relabeling of distinct integers to a permutation of [k]."""
     values = tuple(values)

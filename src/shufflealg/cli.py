@@ -176,6 +176,8 @@ def cmd_dims(args) -> int:
         config[name] if getattr(args, name) is None else getattr(args, name)
         for name in ("rank_cutoff", "prim_cutoff", "series_cutoff")
     )
+    if args.max_n < 1:
+        raise UsageError(f"max weight must be positive, got {args.max_n}")
     if args.max_n > series_cutoff:
         raise UsageError(
             f"max weight {args.max_n} exceeds the series cutoff {series_cutoff}"
@@ -410,10 +412,15 @@ def _load_config(path: str | None) -> dict:
     if path:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise UsageError("the config file must hold a JSON object")
         unknown = set(data) - set(DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        values.update({k: int(v) for k, v in data.items()})
+        for key, value in data.items():
+            if type(value) is not int:
+                raise UsageError(f"config key {key!r} must be an integer, got {json.dumps(value)}")
+        values.update(data)
     return values
 
 

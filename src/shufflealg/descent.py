@@ -49,6 +49,8 @@ from .words import compositions
 DEFAULT_RANK_CUTOFF = 6
 DEFAULT_PRIM_CUTOFF = 6
 DEFAULT_SERIES_CUTOFF = 12
+# the last weight at which the dims table fills its biword-count column
+BIWORD_COUNT_CUTOFF = 7
 
 
 # -- graded projectors and idempotents --------------------------------------
@@ -472,7 +474,6 @@ def dimension_report(
     include: Iterable[str] = _ALL_COLUMNS,
     rank_cutoff: int = DEFAULT_RANK_CUTOFF,
     prim_cutoff: int = DEFAULT_PRIM_CUTOFF,
-    count_cutoff: int = 7,
 ) -> DimensionReport:
     """Tabulate the dimension data up to max_n and flag any disagreement.
 
@@ -491,7 +492,7 @@ def dimension_report(
     for n in range(1, max_n + 1):
         row = DimensionRow(n=n)
         if "biwords" in include:
-            row.biword_count = biword_count(n) if n <= count_cutoff else None
+            row.biword_count = biword_count(n) if n <= BIWORD_COUNT_CUTOFF else None
             if "series" in include:
                 row.biword_series = int(r_series[n])
         if "descd" in include:

@@ -49,15 +49,30 @@ class PresentationError(ValueError):
 
 
 @dataclass
-class Violation:
-    axiom: str
+class Failure:
+    """One instance of an identity whose two sides differ."""
+
+    identity: str
     inputs: tuple
     lhs: object
     rhs: object
 
     def __str__(self):
         ins = ", ".join(str(i) for i in self.inputs)
-        return f"{self.axiom} fails at ({ins}): lhs = {self.lhs}, rhs = {self.rhs}"
+        return f"{self.identity} fails at ({ins}):\n  lhs = {self.lhs}\n  rhs = {self.rhs}"
+
+
+class Report(list):
+    """The failures of one check run; ``checked`` counts the identity
+    instances it compared."""
+
+    checked = 0
+
+    def expect(self, identity: str, inputs: tuple, lhs, rhs) -> None:
+        """Count one instance of an identity and record it if the sides differ."""
+        self.checked += 1
+        if lhs != rhs:
+            self.append(Failure(identity, inputs, lhs, rhs))
 
 
 class Presentation:
@@ -163,22 +178,22 @@ class Presentation:
 
 # -- validation ----------------------------------------------------------------
 
-def validate_presentation(A: Presentation) -> list[Violation]:
-    """All axiom violations up to the presentation's weight bound."""
-    out: list[Violation] = []
-    out.extend(_validate_tables(A))
+def validate_presentation(A: Presentation) -> Report:
+    """All axiom violations up to the presentation's weight bound, with the
+    number of axiom instances compared."""
+    out = Report()
+    _validate_tables(A, out)
     if out:
         # grading or completeness problems make the axiom checks unreliable
         return out
-    out.extend(_validate_counit(A))
-    out.extend(_validate_coassociativity(A))
-    out.extend(_validate_shuffle_axiom(A))
-    out.extend(_validate_left_compatibility(A))
+    _validate_counit(A, out)
+    _validate_coassociativity(A, out)
+    _validate_shuffle_axiom(A, out)
+    _validate_left_compatibility(A, out)
     return out
 
 
-def _validate_tables(A: Presentation) -> list[Violation]:
-    out = []
+def _validate_tables(A: Presentation, out: Report) -> None:
     n = A.max_weight
     labels = A.labels()
     for a in labels:
@@ -188,27 +203,25 @@ def _validate_tables(A: Presentation) -> list[Violation]:
                 continue
             entry = A.prec_table.get((a, b))
             if entry is None:
-                out.append(Violation("prec-completeness", (a, b), "missing entry", ""))
+                out.append(Failure("prec-completeness", (a, b), "missing entry", ""))
                 continue
             for key, _ in entry.terms().items():
                 if A.weight_of(key) != wsum:
-                    out.append(Violation("prec-grading", (a, b), entry, f"weight {wsum}"))
+                    out.append(Failure("prec-grading", (a, b), entry, f"weight {wsum}"))
                     break
     for label in labels:
         entry = A.coproduct_table.get(label)
         if entry is None:
-            out.append(Violation("coproduct-completeness", (label,), "missing entry", ""))
+            out.append(Failure("coproduct-completeness", (label,), "missing entry", ""))
             continue
         w = A.weight_of(label)
         for (left, right), _ in entry.terms().items():
             if A.weight_of(left) + A.weight_of(right) != w:
-                out.append(Violation("coproduct-grading", (label,), entry, f"weight {w}"))
+                out.append(Failure("coproduct-grading", (label,), entry, f"weight {w}"))
                 break
-    return out
 
 
-def _validate_counit(A: Presentation) -> list[Violation]:
-    out = []
+def _validate_counit(A: Presentation, out: Report) -> None:
     for label in A.labels():
         cop = A.coproduct(label)
         left_unit = LinComb(
@@ -218,25 +231,17 @@ def _validate_counit(A: Presentation) -> list[Violation]:
             (left, c) for (left, right), c in cop.terms().items() if right == UNIT_LABEL
         )
         expected = LinComb.single(label)
-        if left_unit != expected:
-            out.append(Violation("counit-left", (label,), left_unit, expected))
-        if right_unit != expected:
-            out.append(Violation("counit-right", (label,), right_unit, expected))
-    return out
+        out.expect("counit-left", (label,), left_unit, expected)
+        out.expect("counit-right", (label,), right_unit, expected)
 
 
-def _validate_coassociativity(A: Presentation) -> list[Violation]:
-    out = []
+def _validate_coassociativity(A: Presentation, out: Report) -> None:
     for label in A.labels():
-        lhs, rhs = coassociativity_sides(A.coproduct(label), A.coproduct)
-        if lhs != rhs:
-            out.append(Violation("coassociativity", (label,), lhs, rhs))
-    return out
+        out.expect("coassociativity", (label,), *coassociativity_sides(A.coproduct(label), A.coproduct))
 
 
-def _validate_shuffle_axiom(A: Presentation) -> list[Violation]:
+def _validate_shuffle_axiom(A: Presentation, out: Report) -> None:
     # (a < b) < c = a < (b sh c) on basis triples within the weight bound
-    out = []
     n = A.max_weight
     labels = A.labels()
     for a in labels:
@@ -249,16 +254,14 @@ def _validate_shuffle_axiom(A: Presentation) -> list[Violation]:
             for c in labels:
                 if wab + A.weight_of(c) > n:
                     continue
-                lhs = A.prec_lc(ab, LinComb.single(c))
-                rhs = A.prec_lc(LinComb.single(a), A.shuffle(b, c))
-                if lhs != rhs:
-                    out.append(Violation("shuffle-axiom", (a, b, c), lhs, rhs))
-    return out
+                out.expect(
+                    "shuffle-axiom", (a, b, c),
+                    A.prec_lc(ab, LinComb.single(c)), A.prec_lc(LinComb.single(a), A.shuffle(b, c)),
+                )
 
 
-def _validate_left_compatibility(A: Presentation) -> list[Violation]:
+def _validate_left_compatibility(A: Presentation, out: Report) -> None:
     # Delta(x < y) = x' < y' (x) x'' sh y'' + 1 (x) (x < y), full Sweedler sums
-    out = []
     n = A.max_weight
     labels = A.labels()
     for x in labels:
@@ -266,12 +269,9 @@ def _validate_left_compatibility(A: Presentation) -> list[Violation]:
             if A.weight_of(x) + A.weight_of(y) > n:
                 continue
             xy = A.prec(x, y)
-            lhs = A.coproduct_lc(xy)
             rhs = tensor_extend(A.prec, A.shuffle, A.coproduct(x), A.coproduct(y))
             rhs = rhs + xy.map_keys(lambda key: (UNIT_LABEL, key))
-            if lhs != rhs:
-                out.append(Violation("left-compatibility", (x, y), lhs, rhs))
-    return out
+            out.expect("left-compatibility", (x, y), A.coproduct_lc(xy), rhs)
 
 
 # -- antipode and the primitive projector ----------------------------------------

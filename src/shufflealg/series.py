@@ -102,12 +102,6 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def shift_down(self) -> "PowerSeries":
-        """Divide by x; the constant term must vanish."""
-        if self[0]:
-            raise ValueError("cannot divide by x: nonzero constant term")
-        return PowerSeries(lambda n: self[n + 1])
-
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """f(g) for g with zero constant term."""
         if inner[0]:

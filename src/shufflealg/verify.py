@@ -1,120 +1,128 @@
 """Verification suites for the algebraic identities.
 
-Each suite enumerates a bounded family (words over a two-symbols-per-weight
-alphabet, biwords with degrees in {1, 2}, or both) and returns a
-:class:`Report`: the list of violations, with the number of identity
-instances it checked.  An empty list is a pass only when that number is
-positive.  Violations carry the inputs and both sides so a failure prints a
-minimal counterexample.  Enumeration order is fixed, so suites are
-deterministic.
+Each suite returns a :class:`~shufflealg.rigidity.Report`: the failures it
+found, with the number of identity instances it checked.  An empty list is
+a pass only when that number is positive.  A failure carries the inputs and
+both sides, so it prints a minimal counterexample.  Enumeration order is
+fixed, so suites are deterministic.
 
-The action suites (``idempotents``, ``action-compat``) instead probe with one
-generic word (pairwise distinct letters) per composition.  Both sides of each
-action identity commute with weight-preserving letter substitutions, and
-every word is such an image of the generic word of its profile, so these
-probes decide the identity on all words.  Unlike words over two symbols per
-weight, on which the antisymmetrizer of three weight-1 letters acts as zero,
-they also tell every two biword combinations apart.
+The suites probe with generic inputs, as the naturality argument allows.
+Both sides of a word identity commute with weight-preserving letter
+substitutions, and every tuple of words is such an image of the tuple of
+the same letter-weight profiles whose letters are pairwise distinct across
+the tuple; one such tuple per tuple of compositions decides the identity on
+all words.  Riffles, cuts and standardization carry each biword column's
+degree along without reading it, so one tuple of permutations with pairwise
+distinct degrees across the tuple decides a biword identity on every
+decoration of those permutations.  Biword tuples are bounded by total size,
+which covers every tuple the same bound on weight covers, because size is at
+most weight.  :func:`_probe_tuples` enumerates both kinds.
+
+The action suites (``idempotents``, ``action-compat``) probe with one
+generic word per composition.  Unlike words over two symbols per weight, on
+which the antisymmetrizer of three weight-1 letters acts as zero, these tell
+every two biword combinations apart.  The internal product reads degrees,
+so ``internal-compose-vs-action`` probes with the biwords of degrees in
+{1, 2} instead.
+
+Deconcatenation coassociativity and the coproduct compatibility of the
+half-shuffle are checked by :func:`~shufflealg.rigidity.validate_presentation`
+on the words over two symbols per weight, the presentation that the ``tau``
+and ``rigidity`` suites also use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
-from .lincomb import LinComb, coassociativity_sides, linear_extend, tensor, tensor_extend
+from .lincomb import LinComb, coassociativity_sides, tensor, tensor_extend
 from . import words as W
 from . import biwords as B
 from . import action as act
 from . import descent as D
 from . import rigidity as R
+from .rigidity import Report
 
 TEST_DEGREES = (1, 2)
 
 
-@dataclass
-class Failure:
-    identity: str
-    inputs: tuple
-    lhs: object
-    rhs: object
+# -- generic probes ------------------------------------------------------------
 
-    def __str__(self):
-        ins = ", ".join(str(i) for i in self.inputs)
-        return f"{self.identity} fails at ({ins}):\n  lhs = {self.lhs}\n  rhs = {self.rhs}"
+def _probe_tuples(arity: int, bound: int, shapes, generic, unit: bool = False) -> list[tuple]:
+    """``generic(t)`` for every tuple t of ``arity`` shapes, the i-th drawn
+    from ``shapes(m_i)``, with every m_i >= 1 (>= 0 with ``unit``) and the
+    m_i summing to at most ``bound``."""
+    least = 0 if unit else 1
 
+    def tuples(k, room):
+        if k == 0:
+            yield ()
+            return
+        for m in range(least, room - (k - 1) * least + 1):
+            for shape in shapes(m):
+                for rest in tuples(k - 1, room - m):
+                    yield (shape,) + rest
 
-class Report(list):
-    """The failures of one suite run; ``checked`` counts the identity
-    instances it compared."""
-
-    checked = 0
-
-    def expect(self, identity: str, inputs: tuple, lhs, rhs) -> None:
-        """Count one instance of an identity and record it if the sides differ."""
-        self.checked += 1
-        if lhs != rhs:
-            self.append(Failure(identity, inputs, lhs, rhs))
+    return [generic(t) for t in tuples(arity, bound)]
 
 
-def _words_up_to(max_weight: int, symbols: int = 2) -> list[W.Word]:
-    alphabet = W.standard_alphabet(max(max_weight, 1), symbols)
-    out = []
-    for w in range(1, max_weight + 1):
-        out.extend(W.enumerate_words(w, alphabet))
-    return out
+def _generic_words(profiles) -> tuple[W.Word, ...]:
+    """Words of the given profiles, letters pairwise distinct across the tuple."""
+    letters = W.generic_word(itertools.chain(*profiles)).letters
+    cuts = itertools.accumulate(map(len, profiles), initial=0)
+    return tuple(W.Word(letters[i:j]) for i, j in itertools.pairwise(cuts))
 
 
-def _biwords_up_to(max_weight: int, degrees=TEST_DEGREES) -> list[B.Biword]:
-    out = []
-    for w in range(1, max_weight + 1):
-        out.extend(B.enumerate_biwords(w, degrees))
-    return out
+def _generic_biwords(perms) -> tuple[B.Biword, ...]:
+    """Biwords of the given top rows, degrees pairwise distinct across the tuple."""
+    firsts = itertools.accumulate(map(len, perms), initial=1)
+    return tuple(B.generic_biword(perm, first) for perm, first in zip(perms, firsts))
+
+
+def _permutations(size: int):
+    return itertools.permutations(range(1, size + 1))
+
+
+def _word_probes(arity: int, max_weight: int) -> list[tuple[W.Word, ...]]:
+    """The generic tuples of nonempty words of total weight at most max_weight."""
+    return _probe_tuples(arity, max_weight, W.compositions, _generic_words)
+
+
+def _biword_probes(arity: int, max_size: int, unit: bool = False) -> list[tuple[B.Biword, ...]]:
+    """The generic tuples of biwords (nonempty unless ``unit``) of total size
+    at most max_size."""
+    return _probe_tuples(arity, max_size, _permutations, _generic_biwords, unit)
+
+
+def _dendriform_axioms(out: Report, triples, prec, succ, star) -> None:
+    """The three half-product associativity axioms, for ``star = prec + succ``."""
+    for abc in triples:
+        la, lb, lc = (LinComb.single(x) for x in abc)
+        out.expect("(a<b)<c = a<(b*c)", abc, prec(prec(la, lb), lc), prec(la, star(lb, lc)))
+        out.expect("(a*b)>c = a>(b>c)", abc, succ(star(la, lb), lc), succ(la, succ(lb, lc)))
+        out.expect("(a>b)<c = a>(b<c)", abc, prec(succ(la, lb), lc), succ(la, prec(lb, lc)))
 
 
 # -- word suites -------------------------------------------------------------
 
+def _word_presentation(max_weight: int) -> R.Presentation:
+    """The shuffle algebra of words over two symbols per weight, truncated."""
+    return R.shuffle_presentation(W.standard_alphabet(max_weight, 2), max_weight)
+
+
 def check_word_shuffle_axioms(max_weight: int) -> Report:
     """Zinbiel/dendriform axioms, shuffle commutativity and associativity,
-    coassociativity of deconcatenation, the coproduct compatibility of the
-    half-product, and the antipode convolution identity."""
-    out = Report()
-    words = _words_up_to(max_weight)
-    for a in words:
-        for b in words:
-            if a.weight + b.weight > max_weight:
-                continue
-            out.expect("shuffle-commutativity", (a, b), W.word_shuffle(a, b), W.word_shuffle(b, a))
-            for c in words:
-                if a.weight + b.weight + c.weight > max_weight:
-                    continue
-                _dendriform_triple_word(out, a, b, c)
-    _word_coproduct_checks(out, words, max_weight)
-    return out
-
-
-def _dendriform_triple_word(out: Report, a, b, c) -> None:
-    la, lb, lc = (LinComb.single(x) for x in (a, b, c))
-    prec, succ, star = W.word_prec_lc, _word_succ_lc, W.word_shuffle_lc
-    out.expect(
-        "half-shuffle-axiom (a<b)<c = a<(b sh c)", (a, b, c),
-        prec(prec(la, lb), lc), prec(la, star(lb, lc)),
-    )
-    out.expect("(a sh b)>c = a>(b>c)", (a, b, c), succ(star(la, lb), lc), succ(la, succ(lb, lc)))
-    out.expect("(a>b)<c = a>(b<c)", (a, b, c), prec(succ(la, lb), lc), succ(la, prec(lb, lc)))
-
-
-def _word_succ_lc(x: LinComb, y: LinComb) -> LinComb:
-    return W.word_prec_lc(y, x)
-
-
-def _word_coproduct_checks(out: Report, words, max_weight: int) -> None:
+    and the antipode convolution identity on generic words; the word
+    presentation's axioms, among them coassociativity of deconcatenation and
+    the coproduct compatibility of the half-product."""
+    out = R.validate_presentation(_word_presentation(max_weight))
+    for a, b in _word_probes(2, max_weight):
+        out.expect("shuffle-commutativity", (a, b), W.word_shuffle(a, b), W.word_shuffle(b, a))
+    _dendriform_axioms(out, _word_probes(3, max_weight), W.word_prec_lc, _word_succ_lc, W.word_shuffle_lc)
     zero = LinComb.zero()
-    for w in words:
-        cop = W.deconcat(w)
-        lhs, rhs = coassociativity_sides(cop, W.deconcat)
-        out.expect("deconcat-coassociativity", (w,), lhs, rhs)
+    for (w,) in _word_probes(1, max_weight):
         # antipode convolution both ways: S * Id = Id * S = 0 on nonempty words
-        cuts = cop.terms().items()
+        cuts = W.deconcat(w).terms().items()
         conv = LinComb.sum(
             (W.word_shuffle_lc(W.word_antipode(left), LinComb.single(right)), c)
             for (left, right), c in cuts
@@ -125,15 +133,11 @@ def _word_coproduct_checks(out: Report, words, max_weight: int) -> None:
         )
         out.expect("antipode-convolution-left", (w,), conv, zero)
         out.expect("antipode-convolution-right", (w,), vnoc, zero)
-    for x in words:
-        for y in words:
-            if x.weight + y.weight > max_weight:
-                continue
-            # Delta(x < y) = x' < y' (x) x'' sh y'' + 1 (x) x < y
-            xy = W.word_prec(x, y)
-            rhs = tensor_extend(W.word_prec, W.word_shuffle, W.deconcat(x), W.deconcat(y))
-            rhs = rhs + xy.map_keys(lambda key: (W.EMPTY_WORD, key))
-            out.expect("word-left-compatibility", (x, y), linear_extend(W.deconcat, xy), rhs)
+    return out
+
+
+def _word_succ_lc(x: LinComb, y: LinComb) -> LinComb:
+    return W.word_prec_lc(y, x)
 
 
 # -- biword suites --------------------------------------------------------------
@@ -141,32 +145,9 @@ def _word_coproduct_checks(out: Report, words, max_weight: int) -> None:
 def check_biword_dendriform(max_weight: int) -> Report:
     """The three half-product associativity axioms on biword triples."""
     out = Report()
-    biwords = _biwords_up_to(max_weight)
-    for a in biwords:
-        for b in biwords:
-            if a.weight + b.weight >= max_weight:
-                continue
-            ab_prec = B.biword_prec(a, b)
-            ab_star = B.biword_star(a, b)
-            ab_succ = B.biword_succ(a, b)
-            la = LinComb.single(a)
-            for c in biwords:
-                if a.weight + b.weight + c.weight > max_weight:
-                    continue
-                lc_ = LinComb.single(c)
-                abc = (a, b, c)
-                out.expect(
-                    "(a<b)<c = a<(b*c)", abc,
-                    B.biword_prec_lc(ab_prec, lc_), B.biword_prec_lc(la, B.biword_star(b, c)),
-                )
-                out.expect(
-                    "(a*b)>c = a>(b>c)", abc,
-                    B.biword_succ_lc(ab_star, lc_), B.biword_succ_lc(la, B.biword_succ(b, c)),
-                )
-                out.expect(
-                    "(a>b)<c = a>(b<c)", abc,
-                    B.biword_prec_lc(ab_succ, lc_), B.biword_succ_lc(la, B.biword_prec(b, c)),
-                )
+    _dendriform_axioms(
+        out, _biword_probes(3, max_weight), B.biword_prec_lc, B.biword_succ_lc, B.biword_star_lc
+    )
     return out
 
 
@@ -181,49 +162,45 @@ def check_biword_bidendriform(max_weight: int) -> Report:
     """The four half-coproduct/half-product compatibilities on biword pairs."""
     out = Report()
     single = LinComb.single
-    biwords = _biwords_up_to(max_weight)
-    for x in biwords:
+    for x, y in _biword_probes(2, max_weight):
         dp_x = B.coproduct_prec(x)
         ds_x = B.coproduct_succ(x)
-        for y in biwords:
-            if x.weight + y.weight > max_weight:
-                continue
-            dt_y = B.coproduct_prec(y) + B.coproduct_succ(y)
-            xy = (x, y)
-            prec_y = lambda t: B.biword_prec(t, y)
-            succ_y = lambda t: B.biword_succ(t, y)
-            star_y = lambda t: B.biword_star(t, y)
+        dt_y = B.coproduct_prec(y) + B.coproduct_succ(y)
+        xy = (x, y)
+        prec_y = lambda t: B.biword_prec(t, y)
+        succ_y = lambda t: B.biword_succ(t, y)
+        star_y = lambda t: B.biword_star(t, y)
 
-            rhs = (
-                tensor_extend(B.biword_prec, B.biword_star, dp_x, dt_y)
-                + single(xy)
-                + _tensor_map(lambda t: B.biword_prec(x, t), single, dt_y)
-                + _tensor_map(single, star_y, dp_x)
-                + _tensor_map(prec_y, single, dp_x)
-            )
-            out.expect("prec-coproduct of x<y", xy, B.coproduct_prec_lc(B.biword_prec(x, y)), rhs)
+        rhs = (
+            tensor_extend(B.biword_prec, B.biword_star, dp_x, dt_y)
+            + single(xy)
+            + _tensor_map(lambda t: B.biword_prec(x, t), single, dt_y)
+            + _tensor_map(single, star_y, dp_x)
+            + _tensor_map(prec_y, single, dp_x)
+        )
+        out.expect("prec-coproduct of x<y", xy, B.coproduct_prec_lc(B.biword_prec(x, y)), rhs)
 
-            rhs = (
-                tensor_extend(B.biword_prec, B.biword_star, ds_x, dt_y)
-                + _tensor_map(prec_y, single, ds_x)
-                + _tensor_map(single, star_y, ds_x)
-            )
-            out.expect("succ-coproduct of x<y", xy, B.coproduct_succ_lc(B.biword_prec(x, y)), rhs)
+        rhs = (
+            tensor_extend(B.biword_prec, B.biword_star, ds_x, dt_y)
+            + _tensor_map(prec_y, single, ds_x)
+            + _tensor_map(single, star_y, ds_x)
+        )
+        out.expect("succ-coproduct of x<y", xy, B.coproduct_succ_lc(B.biword_prec(x, y)), rhs)
 
-            rhs = (
-                tensor_extend(B.biword_succ, B.biword_star, dp_x, dt_y)
-                + _tensor_map(succ_y, single, dp_x)
-                + _tensor_map(lambda t: B.biword_succ(x, t), single, dt_y)
-            )
-            out.expect("prec-coproduct of x>y", xy, B.coproduct_prec_lc(B.biword_succ(x, y)), rhs)
+        rhs = (
+            tensor_extend(B.biword_succ, B.biword_star, dp_x, dt_y)
+            + _tensor_map(succ_y, single, dp_x)
+            + _tensor_map(lambda t: B.biword_succ(x, t), single, dt_y)
+        )
+        out.expect("prec-coproduct of x>y", xy, B.coproduct_prec_lc(B.biword_succ(x, y)), rhs)
 
-            rhs = (
-                tensor_extend(B.biword_succ, B.biword_star, ds_x, dt_y)
-                + single((y, x))
-                + _tensor_map(single, lambda t: B.biword_star(x, t), dt_y)
-                + _tensor_map(succ_y, single, ds_x)
-            )
-            out.expect("succ-coproduct of x>y", xy, B.coproduct_succ_lc(B.biword_succ(x, y)), rhs)
+        rhs = (
+            tensor_extend(B.biword_succ, B.biword_star, ds_x, dt_y)
+            + single((y, x))
+            + _tensor_map(single, lambda t: B.biword_star(x, t), dt_y)
+            + _tensor_map(succ_y, single, ds_x)
+        )
+        out.expect("succ-coproduct of x>y", xy, B.coproduct_succ_lc(B.biword_succ(x, y)), rhs)
     return out
 
 
@@ -234,20 +211,15 @@ def _hopf_coproduct_of(b: B.Biword) -> LinComb:
 def check_biword_bialgebra(max_weight: int) -> Report:
     """Coassociativity of the full coproduct and the morphism property for star."""
     out = Report()
-    biwords = [B.UNIT_BIWORD] + _biwords_up_to(max_weight)
-    for x in biwords:
+    for (x,) in _biword_probes(1, max_weight, unit=True):
         lhs, rhs = coassociativity_sides(_hopf_coproduct_of(x), _hopf_coproduct_of)
         out.expect("hopf-coassociativity", (x,), lhs, rhs)
-    for x in biwords:
-        cop_x = _hopf_coproduct_of(x)
-        for y in biwords:
-            if x.weight + y.weight > max_weight:
-                continue
-            out.expect(
-                "coproduct-star-morphism", (x, y),
-                B.hopf_coproduct(B.biword_star(x, y)),
-                tensor_extend(B.biword_star, B.biword_star, cop_x, _hopf_coproduct_of(y)),
-            )
+    for x, y in _biword_probes(2, max_weight, unit=True):
+        out.expect(
+            "coproduct-star-morphism", (x, y),
+            B.hopf_coproduct(B.biword_star(x, y)),
+            tensor_extend(B.biword_star, B.biword_star, _hopf_coproduct_of(x), _hopf_coproduct_of(y)),
+        )
     return out
 
 
@@ -317,7 +289,7 @@ def check_action_compatibility(max_weight: int, max_size: int = 3) -> Report:
 def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Report:
     """The action suite, probing pairs of total weight n with the words ``probes(n)``."""
     out = Report()
-    biwords = [B.UNIT_BIWORD] + _biwords_up_to(max_weight - 1, degrees=None)
+    biwords = [b for w in range(max_weight) for b in B.enumerate_biwords(w)]
     probes_of = {n: probes(n) for n in range(1, max_weight + 1)}
     for a in biwords:
         for b in biwords:
@@ -347,13 +319,11 @@ def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Repor
 
 def check_tau_on_words(max_weight: int) -> Report:
     """On the shuffle algebra of words: tau fixes letters, kills longer words
-    and squares to itself; the antipode is the signed reversal and inverts
-    the identity under convolution."""
+    and squares to itself, and the antipode is the signed reversal."""
     out = Report()
-    words = _words_up_to(max_weight)
-    for w in words:
+    for (w,) in _word_probes(1, max_weight):
         out.expect("antipode-signed-reversal", (w,), W.word_antipode(w), W.signed_reversal(w))
-    A = R.shuffle_presentation(W.standard_alphabet(max_weight, 2), max_weight)
+    A = _word_presentation(max_weight)
     for label in A.labels():
         t = R.tau(A, label)
         word_len = label.count(".") + 1
@@ -363,16 +333,12 @@ def check_tau_on_words(max_weight: int) -> Report:
     return out
 
 
-def check_rigidity(max_weight: int, symbols: int = 2) -> Report:
+def check_rigidity(max_weight: int) -> Report:
     """Validate the word model, decompose every label with round-trip
     evaluation, and compare nested-word counts with ambient dimensions."""
-    out = Report()
-    alphabet = W.standard_alphabet(max_weight, symbols)
-    A = R.shuffle_presentation(alphabet, max_weight)
-    violations = R.validate_presentation(A)
-    for v in violations:
-        out.append(Failure("presentation-axiom", (v.axiom,) + v.inputs, v.lhs, v.rhs))
-    if violations:
+    A = _word_presentation(max_weight)
+    out = R.validate_presentation(A)
+    if out:
         return out
     prim = R.primitive_basis(A)
     dims = {w: len(rows) for w, rows in prim.items()}
@@ -384,7 +350,7 @@ def check_rigidity(max_weight: int, symbols: int = 2) -> Report:
         try:
             R.primitive_decomposition(A, label)
         except R.RigidityError as exc:
-            out.append(Failure("decomposition-roundtrip", (label,), str(exc), ""))
+            out.append(R.Failure("decomposition-roundtrip", (label,), str(exc), ""))
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import load_golden
 from shufflealg import descent as D
+from shufflealg import verify as V
 from shufflealg.cli import DEFAULTS, main, parse_biword_combination
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import biword
@@ -117,6 +118,14 @@ def test_dims_json(capsys):
     assert kernels == [1, 1, 2, 10, 70]
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_dims_needs_a_positive_weight(capsys, max_n):
+    code, out, err = run(capsys, "dims", max_n)
+    assert code == 2
+    assert out == ""
+    assert "must be positive" in err
+
+
 def test_dims_cutoff_exceeded(capsys):
     code, out, err = run(capsys, "dims", "40", "--series")
     assert code == 2
@@ -130,6 +139,20 @@ def test_dims_config_file(tmp_path, capsys):
     assert code == 0
     code, out, err = run(capsys, "dims", "3", "--config", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("data", [{"verify_weight": 3.9}, {"verify_weight": True}, {"rank_cutoff": "3"}])
+def test_config_rejects_values_that_are_not_integers(tmp_path, capsys, data):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "pn-coproduct", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert repr(next(iter(data))) in err
+    config.write_text(json.dumps(list(data)))
+    code, out, err = run(capsys, "verify", "pn-coproduct", "--config", str(config))
+    assert code == 2
+    assert "JSON object" in err
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -177,6 +200,26 @@ def test_verify_with_nothing_to_check_exits_2(capsys, suite, weight):
         assert code == 2
         assert out == ""
         assert "nothing to check at this weight" in err
+
+
+@pytest.mark.parametrize("suite", sorted(V.SUITES))
+def test_every_suite_checks_something_at_weight_3(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--json", suite, "3")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["failures"] == []
+    assert payload["checked"] > 0
+
+
+def test_generic_suites_checked_at_weight_4(capsys):
+    checked = {}
+    for suite in ("shuffle-axioms", "dendriform", "bidendriform", "bialgebra", "tau"):
+        code, out, _ = run(capsys, "verify", "--json", suite, "4")
+        assert code == 0
+        checked[suite] = json.loads(out)["checked"]
+    assert checked == {
+        "shuffle-axioms": 524, "dendriform": 21, "bidendriform": 84, "bialgebra": 122, "tau": 175,
+    }
 
 
 def test_cutoff_defaults_come_from_descent():

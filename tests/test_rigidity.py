@@ -51,7 +51,7 @@ def test_perturbed_prec_breaks_shuffle_axiom(shx3):
     bad = perturbed_presentation(shx3, "a1", "a1", LinComb.single("a2"))
     violations = validate_presentation(bad)
     assert violations
-    assert any(v.axiom == "shuffle-axiom" for v in violations)
+    assert any(v.identity == "shuffle-axiom" for v in violations)
 
 
 def test_zero_prec_table_breaks_left_compatibility():
@@ -65,7 +65,7 @@ def test_zero_prec_table_breaks_left_compatibility():
     }
     A = Presentation(basis, prec, coproduct)
     violations = validate_presentation(A)
-    assert any(v.axiom == "left-compatibility" and v.inputs == ("a", "a") for v in violations)
+    assert any(v.identity == "left-compatibility" and v.inputs == ("a", "a") for v in violations)
 
 
 def test_structural_errors_rejected():
@@ -79,7 +79,7 @@ def test_structural_errors_rejected():
 
 def test_missing_entries_flagged():
     A = Presentation({1: ["a"], 2: ["m"]}, {}, {})
-    axioms = {v.axiom for v in validate_presentation(A)}
+    axioms = {v.identity for v in validate_presentation(A)}
     assert "prec-completeness" in axioms
     assert "coproduct-completeness" in axioms
 
