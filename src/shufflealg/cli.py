@@ -293,7 +293,7 @@ def cmd_membership(args) -> int:
 def cmd_decompose(args) -> int:
     try:
         A = R.load_presentation(args.file)
-    except (OSError, json.JSONDecodeError, KeyError, R.PresentationError) as exc:
+    except (OSError, json.JSONDecodeError, R.PresentationError) as exc:
         print(f"error: cannot load presentation: {exc}", file=sys.stderr)
         return 2
     violations = R.validate_presentation(A)

@@ -6,8 +6,9 @@ at most N, and a full counital coproduct table per basis label.  The right
 half-product is never stored: ``x > y := y < x``.  Everything is verified,
 not assumed: :func:`validate_presentation` checks grading, counitality,
 coassociativity, the half-shuffle associativity axiom, and the coproduct
-compatibility of the half-product, and reports each violation with the
-offending inputs and both sides.
+compatibility of the half-product on the tuples of basis labels within the
+weight bound (enumerated by :func:`~shufflealg.words.graded_tuples`), and
+reports each violation with the offending inputs and both sides.
 
 On a valid presentation the projector ``tau(x) = sum x' < S(x'')`` (left
 part nonunit) is an idempotent onto the primitive elements, and every basis
@@ -35,7 +36,7 @@ from .lincomb import (
     linear_extend,
     tensor_extend,
 )
-from .words import Word, deconcat, enumerate_words, word_prec
+from .words import compositions, deconcat, enumerate_words, graded_tuples, word_prec
 
 UNIT_LABEL = "1"
 
@@ -193,23 +194,23 @@ def validate_presentation(A: Presentation) -> Report:
     return out
 
 
+def _label_tuples(A: Presentation, arity: int):
+    """The tuples of basis labels within the weight bound, in label order."""
+    return graded_tuples(arity, A.max_weight, lambda m: A.basis.get(m, ()))
+
+
 def _validate_tables(A: Presentation, out: Report) -> None:
-    n = A.max_weight
-    labels = A.labels()
-    for a in labels:
-        for b in labels:
-            wsum = A.weight_of(a) + A.weight_of(b)
-            if wsum > n:
-                continue
-            entry = A.prec_table.get((a, b))
-            if entry is None:
-                out.append(Failure("prec-completeness", (a, b), "missing entry", ""))
-                continue
-            for key, _ in entry.terms().items():
-                if A.weight_of(key) != wsum:
-                    out.append(Failure("prec-grading", (a, b), entry, f"weight {wsum}"))
-                    break
-    for label in labels:
+    for a, b in _label_tuples(A, 2):
+        entry = A.prec_table.get((a, b))
+        if entry is None:
+            out.append(Failure("prec-completeness", (a, b), "missing entry", ""))
+            continue
+        wsum = A.weight_of(a) + A.weight_of(b)
+        for key, _ in entry.terms().items():
+            if A.weight_of(key) != wsum:
+                out.append(Failure("prec-grading", (a, b), entry, f"weight {wsum}"))
+                break
+    for label in A.labels():
         entry = A.coproduct_table.get(label)
         if entry is None:
             out.append(Failure("coproduct-completeness", (label,), "missing entry", ""))
@@ -242,36 +243,20 @@ def _validate_coassociativity(A: Presentation, out: Report) -> None:
 
 def _validate_shuffle_axiom(A: Presentation, out: Report) -> None:
     # (a < b) < c = a < (b sh c) on basis triples within the weight bound
-    n = A.max_weight
-    labels = A.labels()
-    for a in labels:
-        wa = A.weight_of(a)
-        for b in labels:
-            wab = wa + A.weight_of(b)
-            if wab >= n:
-                continue
-            ab = A.prec(a, b)
-            for c in labels:
-                if wab + A.weight_of(c) > n:
-                    continue
-                out.expect(
-                    "shuffle-axiom", (a, b, c),
-                    A.prec_lc(ab, LinComb.single(c)), A.prec_lc(LinComb.single(a), A.shuffle(b, c)),
-                )
+    for a, b, c in _label_tuples(A, 3):
+        out.expect(
+            "shuffle-axiom", (a, b, c),
+            A.prec_lc(A.prec(a, b), LinComb.single(c)), A.prec_lc(LinComb.single(a), A.shuffle(b, c)),
+        )
 
 
 def _validate_left_compatibility(A: Presentation, out: Report) -> None:
     # Delta(x < y) = x' < y' (x) x'' sh y'' + 1 (x) (x < y), full Sweedler sums
-    n = A.max_weight
-    labels = A.labels()
-    for x in labels:
-        for y in labels:
-            if A.weight_of(x) + A.weight_of(y) > n:
-                continue
-            xy = A.prec(x, y)
-            rhs = tensor_extend(A.prec, A.shuffle, A.coproduct(x), A.coproduct(y))
-            rhs = rhs + xy.map_keys(lambda key: (UNIT_LABEL, key))
-            out.expect("left-compatibility", (x, y), A.coproduct_lc(xy), rhs)
+    for x, y in _label_tuples(A, 2):
+        xy = A.prec(x, y)
+        rhs = tensor_extend(A.prec, A.shuffle, A.coproduct(x), A.coproduct(y))
+        rhs = rhs + xy.map_keys(lambda key: (UNIT_LABEL, key))
+        out.expect("left-compatibility", (x, y), A.coproduct_lc(xy), rhs)
 
 
 # -- antipode and the primitive projector ----------------------------------------
@@ -481,8 +466,6 @@ class PrimitiveDecomposition:
 
 def nested_word_count(prim_dims: dict[int, int], weight: int) -> int:
     """Number of nested words of a given weight over graded primitive dims."""
-    from .words import compositions
-
     total = 0
     for comp_ in compositions(weight, [w for w, d in prim_dims.items() if d > 0]):
         prod = 1
@@ -520,28 +503,20 @@ def biword_act(A: Presentation, b, label: str) -> LinComb:
 def shuffle_presentation(alphabet: dict[int, int], max_weight: int) -> Presentation:
     """Truncate the shuffle algebra of words over a finite graded alphabet."""
     words_by_weight = {w: enumerate_words(w, alphabet) for w in range(1, max_weight + 1)}
-    label_of: dict[Word, str] = {}
-    basis = {}
-    for w, words_ in words_by_weight.items():
-        basis[w] = [str(word_) for word_ in words_]
-        for word_ in words_:
-            label_of[word_] = str(word_)
+    label_of = {word_: str(word_) for words_ in words_by_weight.values() for word_ in words_}
+    basis = {w: [label_of[word_] for word_ in words_] for w, words_ in words_by_weight.items()}
 
     def relabel(lc: LinComb) -> LinComb:
         return LinComb((label_of[k], c) for k, c in lc.terms().items())
 
     prec = {}
+    for u, v in graded_tuples(2, max_weight, words_by_weight.get):
+        prec[(label_of[u], label_of[v])] = relabel(word_prec(u, v))
     coproduct = {}
-    for wa in range(1, max_weight + 1):
-        for wb in range(1, max_weight - wa + 1):
-            for u in words_by_weight[wa]:
-                for v in words_by_weight[wb]:
-                    prec[(label_of[u], label_of[v])] = relabel(word_prec(u, v))
-    for w, words_ in words_by_weight.items():
-        for word_ in words_:
-            coproduct[str(word_)] = deconcat(word_).map_keys(
-                lambda cut: tuple(UNIT_LABEL if w.is_empty() else label_of[w] for w in cut)
-            )
+    for word_, label in label_of.items():
+        coproduct[label] = deconcat(word_).map_keys(
+            lambda cut: tuple(UNIT_LABEL if part.is_empty() else label_of[part] for part in cut)
+        )
     return Presentation(basis, prec, coproduct)
 
 
@@ -571,15 +546,44 @@ def presentation_to_json(A: Presentation) -> dict:
     }
 
 
-def presentation_from_json(obj: dict) -> Presentation:
-    basis = {int(w): list(labels) for w, labels in obj["basis"].items()}
+def presentation_from_json(obj) -> Presentation:
+    """Parse the body :func:`presentation_to_json` writes; any other shape
+    raises :class:`PresentationError`."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("basis"), dict):
+        raise PresentationError("expected an object with a 'basis' object")
+    basis = {}
+    for w, labels in obj["basis"].items():
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise PresentationError(f"basis weight {w} must list its labels as strings")
+        basis[_number(int, w)] = labels
     prec = {}
-    for a, b, entries in obj["prec"]:
-        prec[(a, b)] = LinComb((key, Fraction(c)) for key, c in entries)
+    for a, b, entries in _rows(obj.get("prec"), 3, "'prec'"):
+        prec[(a, b)] = LinComb((key, _number(Fraction, c)) for key, c in _rows(entries, 2, "prec terms"))
     coproduct = {}
-    for label, entries in obj["coproduct"]:
-        coproduct[label] = LinComb(((left, right), Fraction(c)) for left, right, c in entries)
+    for label, entries in _rows(obj.get("coproduct"), 2, "'coproduct'"):
+        terms = _rows(entries, 3, "coproduct terms")
+        coproduct[label] = LinComb(((left, right), _number(Fraction, c)) for left, right, c in terms)
     return Presentation(basis, prec, coproduct)
+
+
+def _rows(value, width: int, what: str) -> list:
+    """``value`` if it lists rows of ``width`` entries, labels but the last."""
+    if isinstance(value, list) and all(
+        isinstance(row, list) and len(row) == width and all(isinstance(x, str) for x in row[:-1])
+        for row in value
+    ):
+        return value
+    raise PresentationError(f"{what} must be a list of {width}-element rows led by labels")
+
+
+def _number(parse, text):
+    # a JSON float would turn into its binary expansion, so only strings and integers
+    try:
+        if type(text) in (str, int):
+            return parse(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise PresentationError(f"{text!r} is not an exact number")
 
 
 def save_presentation(A: Presentation, path) -> None:

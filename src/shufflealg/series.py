@@ -58,10 +58,6 @@ class PowerSeries:
         return cls(lambda n: frozen[n] if n < len(frozen) else 0)
 
     @classmethod
-    def zero(cls) -> "PowerSeries":
-        return cls(lambda n: 0)
-
-    @classmethod
     def one(cls) -> "PowerSeries":
         return cls.from_coeffs([1])
 

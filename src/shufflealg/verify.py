@@ -16,7 +16,7 @@ degree along without reading it, so one tuple of permutations with pairwise
 distinct degrees across the tuple decides a biword identity on every
 decoration of those permutations.  Biword tuples are bounded by total size,
 which covers every tuple the same bound on weight covers, because size is at
-most weight.  :func:`_probe_tuples` enumerates both kinds.
+most weight.  :func:`~shufflealg.words.graded_tuples` enumerates both kinds.
 
 The action suites (``idempotents``, ``action-compat``) probe with one
 generic word per composition.  Unlike words over two symbols per weight, on
@@ -48,24 +48,6 @@ TEST_DEGREES = (1, 2)
 
 # -- generic probes ------------------------------------------------------------
 
-def _probe_tuples(arity: int, bound: int, shapes, generic, unit: bool = False) -> list[tuple]:
-    """``generic(t)`` for every tuple t of ``arity`` shapes, the i-th drawn
-    from ``shapes(m_i)``, with every m_i >= 1 (>= 0 with ``unit``) and the
-    m_i summing to at most ``bound``."""
-    least = 0 if unit else 1
-
-    def tuples(k, room):
-        if k == 0:
-            yield ()
-            return
-        for m in range(least, room - (k - 1) * least + 1):
-            for shape in shapes(m):
-                for rest in tuples(k - 1, room - m):
-                    yield (shape,) + rest
-
-    return [generic(t) for t in tuples(arity, bound)]
-
-
 def _generic_words(profiles) -> tuple[W.Word, ...]:
     """Words of the given profiles, letters pairwise distinct across the tuple."""
     letters = W.generic_word(itertools.chain(*profiles)).letters
@@ -85,13 +67,13 @@ def _permutations(size: int):
 
 def _word_probes(arity: int, max_weight: int) -> list[tuple[W.Word, ...]]:
     """The generic tuples of nonempty words of total weight at most max_weight."""
-    return _probe_tuples(arity, max_weight, W.compositions, _generic_words)
+    return [_generic_words(t) for t in W.graded_tuples(arity, max_weight, W.compositions)]
 
 
 def _biword_probes(arity: int, max_size: int, unit: bool = False) -> list[tuple[B.Biword, ...]]:
     """The generic tuples of biwords (nonempty unless ``unit``) of total size
     at most max_size."""
-    return _probe_tuples(arity, max_size, _permutations, _generic_biwords, unit)
+    return [_generic_biwords(t) for t in W.graded_tuples(arity, max_size, _permutations, unit)]
 
 
 def _dendriform_axioms(out: Report, triples, prec, succ, star) -> None:

@@ -86,9 +86,6 @@ class Word:
             return self
         return Word.trusted(self.letters[1:], self.weight - self.letters[0].weight)
 
-    def concat(self, other: "Word") -> "Word":
-        return Word.trusted(self.letters + other.letters, self.weight + other.weight)
-
     def reversed(self) -> "Word":
         return Word.trusted(self.letters[::-1], self.weight)
 
@@ -231,6 +228,24 @@ def compositions(total: int, parts: Iterable[int] | None = None):
                     yield (p,) + more
 
     yield from rec(total)
+
+
+def graded_tuples(arity: int, bound: int, items_of, unit: bool = False):
+    """The ``arity``-tuples whose i-th entry is drawn from ``items_of(m_i)``,
+    every weight m_i >= 1 (>= 0 with ``unit``) and the m_i summing to at most
+    ``bound``, in lexicographic order of (weight, position in its list)."""
+    least = 0 if unit else 1
+
+    def rec(k, room):
+        if k == 0:
+            yield ()
+            return
+        for m in range(least, room - (k - 1) * least + 1):
+            for item in items_of(m):
+                for rest in rec(k - 1, room - m):
+                    yield (item,) + rest
+
+    yield from rec(arity, bound)
 
 
 def enumerate_words(weight: int, alphabet: Mapping[int, int]) -> list[Word]:

@@ -213,12 +213,13 @@ def test_every_suite_checks_something_at_weight_3(capsys, suite):
 
 def test_generic_suites_checked_at_weight_4(capsys):
     checked = {}
-    for suite in ("shuffle-axioms", "dendriform", "bidendriform", "bialgebra", "tau"):
+    for suite in ("shuffle-axioms", "dendriform", "bidendriform", "bialgebra", "tau", "rigidity"):
         code, out, _ = run(capsys, "verify", "--json", suite, "4")
         assert code == 0
         checked[suite] = json.loads(out)["checked"]
     assert checked == {
         "shuffle-axioms": 524, "dendriform": 21, "bidendriform": 84, "bialgebra": 122, "tau": 175,
+        "rigidity": 540,
     }
 
 
@@ -293,6 +294,27 @@ def test_decompose_command(tmp_path, capsys):
 
     code, _, err = run(capsys, "decompose", str(good), "zz9")
     assert code == 2
+
+
+@pytest.mark.parametrize("body", [
+    [],
+    {"basis": [], "prec": [], "coproduct": []},
+    {"basis": {"1": [["a"]]}, "prec": [], "coproduct": []},
+    {"basis": {"1": ["a"]}, "prec": [["a", "a"]], "coproduct": []},
+    {"basis": {"1": ["a"]}, "prec": [], "coproduct": [["a", 5]]},
+    {"basis": {"1": ["a"]}, "prec": [], "coproduct": [["a", [["1", "a", "1/0"]]]]},
+    {"basis": {"1": ["a"]}, "prec": [], "coproduct": [["a", [["1", "a", 0.1]]]]},
+], ids=[
+    "top-level-list", "basis-list", "list-label", "short-prec-entry", "coproduct-terms-number",
+    "zero-denominator", "float-coefficient",
+])
+def test_decompose_rejects_a_malformed_presentation(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run(capsys, "decompose", str(path), "a")
+    assert code == 2
+    assert out == ""
+    assert "cannot load presentation" in err
 
 
 def test_usage_error_exits_2(capsys):

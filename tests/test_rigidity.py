@@ -52,6 +52,72 @@ def test_perturbed_prec_breaks_shuffle_axiom(shx3):
     violations = validate_presentation(bad)
     assert violations
     assert any(v.identity == "shuffle-axiom" for v in violations)
+    assert violations.checked == 114
+    assert [(v.identity, v.inputs) for v in violations] == [
+        ("shuffle-axiom", ("a1", "a1", "a1")),
+        ("shuffle-axiom", ("a1", "a1", "b1")),
+        ("shuffle-axiom", ("b1", "a1", "a1")),
+        ("left-compatibility", ("a1", "a1.a1")),
+        ("left-compatibility", ("a1", "a1.b1")),
+        ("left-compatibility", ("a1.a1", "a1")),
+        ("left-compatibility", ("a1.b1", "a1")),
+        ("left-compatibility", ("b1.a1", "a1")),
+    ]
+
+
+@pytest.mark.parametrize("weight, checked", [(4, 456), (5, 1806)])
+def test_word_model_checked_counts(weight, checked):
+    report = validate_presentation(shuffle_presentation(standard_alphabet(weight, 2), weight))
+    assert report == []
+    assert report.checked == checked
+
+
+def test_validation_draws_label_tuples_by_weight(monkeypatch):
+    # a loop over all label pairs (and pairs times labels) that skips the
+    # tuples over the weight bound makes 3,077,284 weight_of calls here
+    A = shuffle_presentation(standard_alphabet(6, 2), 6)
+    calls = 0
+    real_weight_of = Presentation.weight_of
+
+    def counting_weight_of(self, label):
+        nonlocal calls
+        calls += 1
+        return real_weight_of(self, label)
+
+    monkeypatch.setattr(Presentation, "weight_of", counting_weight_of)
+    report = validate_presentation(A)
+    assert report.checked == 7044
+    assert calls < 10 * report.checked
+
+
+def _one_letter_model(prec, coproduct):
+    """The words a1, a1.a1, a1.a1.a1 with some table entries replaced."""
+    A = shuffle_presentation({1: 1}, 3)
+    return Presentation(A.basis, {**A.prec_table, **prec}, {**A.coproduct_table, **coproduct})
+
+
+def _cuts(*pairs):
+    return LinComb(dict.fromkeys(pairs, 1))
+
+
+@pytest.mark.parametrize("identity, prec, coproduct, inputs", [
+    ("prec-grading", {("a1", "a1"): LinComb.single("a1")}, {}, ("a1", "a1")),
+    (
+        "coproduct-grading", {},
+        {"a1.a1": _cuts(("1", "a1.a1"), ("a1", "a1"), ("a1.a1", "1"), ("a1", "1"))}, ("a1.a1",),
+    ),
+    ("counit-left", {}, {"a1": _cuts(("a1", "1"))}, ("a1",)),
+    ("counit-right", {}, {"a1": _cuts(("1", "a1"))}, ("a1",)),
+    # the cut a1 (x) a1.a1 dropped: counital, but not coassociative
+    (
+        "coassociativity", {},
+        {"a1.a1.a1": _cuts(("1", "a1.a1.a1"), ("a1.a1", "a1"), ("a1.a1.a1", "1"))}, ("a1.a1.a1",),
+    ),
+])
+def test_validator_reports_each_planted_fault(identity, prec, coproduct, inputs):
+    assert validate_presentation(_one_letter_model({}, {})) == []
+    report = validate_presentation(_one_letter_model(prec, coproduct))
+    assert [v.inputs for v in report if v.identity == identity] == [inputs]
 
 
 def test_zero_prec_table_breaks_left_compatibility():

@@ -9,6 +9,7 @@ from shufflealg.words import (
     Word,
     deconcat,
     enumerate_words,
+    graded_tuples,
     nested_prec_form,
     parse_word,
     signed_reversal,
@@ -144,6 +145,17 @@ def test_enumerate_words_weight_1():
 def test_enumerate_words_counts_compositions():
     words = enumerate_words(3, {1: 1, 2: 1, 3: 1})
     assert len(words) == 4  # compositions of 3
+
+
+def test_graded_tuples_order_and_unit():
+    items = {0: ["1"], 1: ["a", "b"], 2: ["c"]}.get
+    assert list(graded_tuples(2, 2, items)) == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    assert list(graded_tuples(2, 2, items, unit=True)) == [
+        ("1", "1"), ("1", "a"), ("1", "b"), ("1", "c"),
+        ("a", "1"), ("a", "a"), ("a", "b"), ("b", "1"), ("b", "a"), ("b", "b"), ("c", "1"),
+    ]
+    assert list(graded_tuples(0, 2, items)) == [()]
+    assert list(graded_tuples(2, 1, items)) == []
 
 
 def test_descent_class_oracle_agrees():
