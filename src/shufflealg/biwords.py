@@ -21,14 +21,12 @@ action equals "apply b, then a".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .lincomb import LinComb, bilinear_extend, linear_extend
-from .words import compositions, descent_class_rearrangements
+from .words import Word, compositions, descent_class_rearrangements
 
 
-@dataclass(frozen=True, slots=True)
 class Biword:
     """A permutation of [k] with a positive degree attached to each column.
 
@@ -36,20 +34,19 @@ class Biword:
     it takes no part in equality, hashing or ``repr``.
     """
 
-    perm: tuple[int, ...] = ()
-    deg: tuple[int, ...] = ()
-    weight: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("perm", "deg", "weight")
 
-    def __post_init__(self):
-        if len(self.perm) != len(self.deg):
+    def __init__(self, perm: tuple[int, ...] = (), deg: tuple[int, ...] = ()):
+        if len(perm) != len(deg):
             raise ValueError("permutation and degree rows differ in length")
-        k = len(self.perm)
-        if sorted(self.perm) != list(range(1, k + 1)):
-            raise ValueError(f"top row is not a permutation of [{k}]: {self.perm}")
-        for d in self.deg:
-            if d < 1:
-                raise ValueError(f"degrees must be positive: {self.deg}")
-        object.__setattr__(self, "weight", sum(self.deg))
+        k = len(perm)
+        if sorted(perm) != list(range(1, k + 1)):
+            raise ValueError(f"top row is not a permutation of [{k}]: {perm}")
+        if any(d < 1 for d in deg):
+            raise ValueError(f"degrees must be positive: {deg}")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "deg", deg)
+        object.__setattr__(self, "weight", sum(deg))
 
     @classmethod
     def trusted(cls, perm: tuple[int, ...], deg: tuple[int, ...], weight: int) -> "Biword":
@@ -60,6 +57,18 @@ class Biword:
         object.__setattr__(b, "deg", deg)
         object.__setattr__(b, "weight", weight)
         return b
+
+    def __eq__(self, other):
+        same_class = other.__class__ is self.__class__
+        return (self.perm == other.perm and self.deg == other.deg) if same_class else NotImplemented
+
+    def __hash__(self):
+        return hash((self.perm, self.deg))
+
+    def __repr__(self):
+        return f"Biword(perm={self.perm!r}, deg={self.deg!r})"
+
+    __setattr__ = __delattr__ = Word.__setattr__  # immutable, as Word is
 
     @property
     def size(self) -> int:

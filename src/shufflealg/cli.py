@@ -171,11 +171,14 @@ def cmd_dims(args) -> int:
     include = [c for c in ("biwords", "descd", "prim", "series") if getattr(args, c)]
     if not include:
         include = ["biwords", "descd", "prim", "series"]
-    # an explicit option wins, even when it is 0
-    rank_cutoff, prim_cutoff, series_cutoff = (
-        config[name] if getattr(args, name) is None else getattr(args, name)
-        for name in ("rank_cutoff", "prim_cutoff", "series_cutoff")
-    )
+    cutoffs = []
+    for name in ("rank_cutoff", "prim_cutoff", "series_cutoff"):
+        given = getattr(args, name)  # an explicit option wins, even when it is 0
+        cutoffs.append(config[name] if given is None else given)
+        if cutoffs[-1] < 0:
+            source = f"config key {name!r}" if given is None else "--" + name.replace("_", "-")
+            raise UsageError(f"{source} must be non-negative, got {cutoffs[-1]}")
+    rank_cutoff, prim_cutoff, series_cutoff = cutoffs
     if args.max_n < 1:
         raise UsageError(f"max weight must be positive, got {args.max_n}")
     if args.max_n > series_cutoff:

@@ -15,16 +15,15 @@ monomial ``x(t_l) > pi_m < x(t_r)``.  Dimensions, membership and the descd
 row basis of the primitive kernel run on these classes without elimination;
 the spanning set and its exact rank (``descd_echelon``) are the independent
 route the tests compare against.  Primitive dimensions (the joint kernel of
-the two half-coproducts) run on exact rational elimination.
+the two half-coproducts) eliminate exactly, one block per permutation size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .lincomb import LinComb
 from .biwords import (
@@ -259,8 +258,7 @@ def exp_prec(mu: GradedSeries, cutoff: int | None = None) -> GradedSeries:
 
 # -- spanning monomials and ranks ---------------------------------------------
 
-@dataclass(frozen=True)
-class DendMonomial:
+class DendMonomial(NamedTuple):
     """Op-labeled binary tree over generator weights.
 
     The tree is either an int (a generator leaf pi_w) or a triple
@@ -425,12 +423,18 @@ def prim_dend_dimension(n: int, space: str = "full_S", cutoff: int | None = None
     if n < 1 or n > cutoff:
         raise ValueError(f"weight {n} is outside the configured cutoff {cutoff}")
     if space == "full_S":
-        rows = [LinComb.single(b) for b in enumerate_biwords(n)]
-    elif space == "descd":
-        rows = [LinComb._raw(dict.fromkeys(cls, 1)) for cls in descd_classes(n).values()]
-    else:
-        raise ValueError(f"unknown space {space!r}")
-    return len(rows) - rank_of([_coproduct_image(row) for row in rows])
+        # the half-coproducts cut columns and keep the degree row, so each composition
+        # with k parts has a copy of the block of the size-k permutations (degrees 1^k)
+        blocks = (_kernel_dimension(map(LinComb.single, enumerate_biwords(k, (1,)))) for k in range(1, n + 1))
+        return sum(comb(n - 1, k - 1) * dim for k, dim in enumerate(blocks, 1))
+    if space == "descd":
+        return _kernel_dimension(LinComb._raw(dict.fromkeys(cls, 1)) for cls in descd_classes(n).values())
+    raise ValueError(f"unknown space {space!r}")
+
+
+def _kernel_dimension(rows) -> int:
+    images = [_coproduct_image(row) for row in rows]
+    return len(images) - rank_of(images)
 
 
 # -- dimension report ------------------------------------------------------------
@@ -444,22 +448,18 @@ def biword_count(n: int) -> int:
     return sum(factorial(k) * comb(n - 1, k - 1) for k in range(1, n + 1))
 
 
-@dataclass
 class DimensionRow:
-    n: int
-    biword_count: int | None = None
-    biword_series: int | None = None
-    descd_rank: int | None = None
-    descd_closed: int | None = None
-    descd_catalan: int | None = None
-    prim_kernel: int | None = None
-    prim_series: int | None = None
+    def __init__(self, n: int):
+        # assigned in the key order of a `dims --json` row; the columns start empty
+        self.n = n
+        self.biword_count = self.biword_series = self.descd_rank = self.descd_closed = None
+        self.descd_catalan = self.prim_kernel = self.prim_series = None
 
 
-@dataclass
 class DimensionReport:
-    rows: list[DimensionRow] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
+    def __init__(self):
+        self.rows: list[DimensionRow] = []
+        self.flags: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -490,7 +490,7 @@ def dimension_report(
     p_series = primitive_dim_series()
     report = DimensionReport()
     for n in range(1, max_n + 1):
-        row = DimensionRow(n=n)
+        row = DimensionRow(n)
         if "biwords" in include:
             row.biword_count = biword_count(n) if n <= BIWORD_COUNT_CUTOFF else None
             if "series" in include:

@@ -24,7 +24,6 @@ label) or as explicit axiom violations from the validator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lincomb import (
@@ -49,14 +48,11 @@ class PresentationError(ValueError):
     """Structurally broken presentation data (missing labels or entries)."""
 
 
-@dataclass
 class Failure:
     """One instance of an identity whose two sides differ."""
 
-    identity: str
-    inputs: tuple
-    lhs: object
-    rhs: object
+    def __init__(self, identity: str, inputs: tuple, lhs, rhs):
+        self.identity, self.inputs, self.lhs, self.rhs = identity, inputs, lhs, rhs
 
     def __str__(self):
         ins = ", ".join(str(i) for i in self.inputs)
@@ -409,7 +405,6 @@ def _expand_primitive(A: Presentation, basis, v: LinComb) -> LinComb:
     return LinComb(((("P", w, i),), c) for i, c in enumerate(coords) if c)
 
 
-@dataclass
 class PrimitiveDecomposition:
     """A label expanded over right-nested half-products of primitives.
 
@@ -418,9 +413,8 @@ class PrimitiveDecomposition:
     p1 < (p2 < (... < pk)).
     """
 
-    label: str
-    terms: LinComb
-    presentation: Presentation
+    def __init__(self, label: str, terms: LinComb, presentation: Presentation):
+        self.label, self.terms, self.presentation = label, terms, presentation
 
     def primitive_vector(self, pid) -> LinComb:
         _, w, i = pid

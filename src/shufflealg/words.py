@@ -19,7 +19,6 @@ independent oracle for cross-checking.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
@@ -40,7 +39,6 @@ def symbol_name(symbol: int) -> str:
     return f"s{symbol}"
 
 
-@dataclass(frozen=True, slots=True)
 class Word:
     """Finite sequence of graded letters; the empty word is the unit.
 
@@ -48,16 +46,14 @@ class Word:
     construction; it takes no part in equality, hashing or ``repr``.
     """
 
-    letters: tuple[Letter, ...] = ()
-    weight: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("letters", "weight")
 
-    def __post_init__(self):
-        weight = 0
-        for let in self.letters:
+    def __init__(self, letters: tuple[Letter, ...] = ()):
+        for let in letters:
             if let.weight < 1:
                 raise ValueError(f"letter weight must be positive: {let}")
-            weight += let.weight
-        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "weight", sum(let.weight for let in letters))
 
     @classmethod
     def trusted(cls, letters: tuple[Letter, ...], weight: int) -> "Word":
@@ -67,6 +63,20 @@ class Word:
         object.__setattr__(w, "letters", letters)
         object.__setattr__(w, "weight", weight)
         return w
+
+    def __eq__(self, other):
+        return self.letters == other.letters if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
+
+    def __repr__(self):
+        return f"Word(letters={self.letters!r})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __len__(self):
         return len(self.letters)
@@ -178,8 +188,7 @@ def signed_reversal(w: Word) -> LinComb:
     return LinComb.single(w.reversed(), (-1) ** len(w))
 
 
-@dataclass(frozen=True)
-class NestedPrec:
+class NestedPrec(NamedTuple):
     """Right-nested half-shuffle expression y1 < (y2 < (... < yn))."""
 
     head: Letter

@@ -51,6 +51,27 @@ def test_biword_validation():
         Biword((1, 2), (1,))
 
 
+def test_biword_value_contract():
+    # hash, equality and repr as a frozen dataclass over `perm` and `deg` has them
+    b = Biword(perm=(2, 1), deg=(1, 3))
+    assert hash(b) == hash(((2, 1), (1, 3)))
+    assert b == Biword.trusted((2, 1), (1, 3), 4) == Biword.trusted((2, 1), (1, 3), 99)  # weight takes no part
+    assert hash(Biword.trusted((2, 1), (1, 3), 99)) == hash(b)
+    assert b != Biword((2, 1), (3, 1)) and b != Biword((1, 2), (1, 3))
+    assert b != ((2, 1), (1, 3)) and b.__eq__(((2, 1), (1, 3))) is NotImplemented
+    assert repr(b) == "Biword(perm=(2, 1), deg=(1, 3))"
+    assert repr(UNIT_BIWORD) == repr(Biword.trusted((), (), 0)) == "Biword(perm=(), deg=())"
+    for change in (
+        lambda: setattr(b, "perm", (1, 2)),
+        lambda: setattr(b, "weight", 0),
+        lambda: delattr(b, "deg"),
+        lambda: delattr(b, "weight"),
+    ):
+        with pytest.raises(AttributeError):
+            change()
+    assert (b.perm, b.deg, b.weight) == ((2, 1), (1, 3), 4)
+
+
 def test_tensor():
     assert tensor_biword(biword((1,), (1,)), biword((1,), (2,))) == biword((1, 2), (1, 2))
     assert tensor_biword(biword((2, 1), (3, 4)), biword((1,), (5,))) == biword((2, 1, 3), (3, 4, 5))

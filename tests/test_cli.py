@@ -1,10 +1,15 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import load_golden
+import shufflealg
 from shufflealg import descent as D
 from shufflealg import verify as V
 from shufflealg.cli import DEFAULTS, main, parse_biword_combination
@@ -116,6 +121,30 @@ def test_dims_json(capsys):
     assert payload["flags"] == []
     kernels = [row["prim_kernel"] for row in payload["rows"]]
     assert kernels == [1, 1, 2, 10, 70]
+
+
+def test_dims_json_row_key_order(capsys):
+    # the keys follow the DimensionRow fields; their order is part of the output
+    code, out, _ = run(capsys, "dims", "2", "--json")
+    assert code == 0
+    keys = ["n", "biword_count", "biword_series", "descd_rank", "descd_closed", "descd_catalan",
+            "prim_kernel", "prim_series"]
+    assert [list(row) for row in json.loads(out)["rows"]] == [keys, keys]
+
+
+@pytest.mark.parametrize("option", ["--rank-cutoff", "--prim-cutoff", "--series-cutoff"])
+def test_dims_rejects_a_negative_cutoff(tmp_path, capsys, option):
+    code, out, err = run(capsys, "dims", "2", option, "-1")
+    assert code == 2
+    assert out == ""
+    assert f"{option} must be non-negative, got -1" in err
+    key = option[2:].replace("-", "_")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: -2}))
+    code, out, err = run(capsys, "dims", "2", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert f"config key {key!r} must be non-negative, got -2" in err
 
 
 @pytest.mark.parametrize("max_n", ["0", "-1"])
@@ -321,3 +350,17 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["product", "warble", "a", "b"])
     assert exc.value.code == 2
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # against a bare interpreter, so modules that a site hook loads do not count
+    env = {**os.environ, "PYTHONPATH": str(Path(shufflealg.__file__).parents[1])}
+
+    def loaded(statement):
+        code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return set(done.stdout.split())
+
+    added = loaded("import shufflealg.cli") - loaded("pass")
+    assert "shufflealg.descent" in added
+    assert not {"dataclasses", "inspect"} & added

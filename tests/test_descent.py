@@ -43,6 +43,7 @@ from shufflealg.descent import (
     rank,
     series_star,
 )
+from shufflealg.linalg import rank_of
 from shufflealg.series import descent_dim_series_closed
 from shufflealg.verify import check_idempotents, check_pi_primitive, check_pn_coproducts
 from shufflealg import words as W
@@ -366,6 +367,19 @@ def test_internal_products_leave_descd():
 
 def test_prim_dimensions_full_space():
     assert [prim_dend_dimension(n, "full_S") for n in range(1, 5)] == [1, 1, 2, 10]
+
+
+def _kernel_by_elimination(biwords) -> int:
+    # one row per biword, eliminated all at once: the route the blocks replace
+    images = [D._coproduct_image(LinComb.single(b)) for b in biwords]
+    return len(images) - rank_of(images)
+
+
+def test_prim_dimensions_by_blocks_match_full_enumeration():
+    # the block of the size-k permutations with degrees 1^k
+    assert [_kernel_by_elimination(enumerate_biwords(k, (1,))) for k in range(1, 7)] == [1, 0, 1, 6, 39, 284]
+    for n in range(1, 7):
+        assert prim_dend_dimension(n, "full_S") == _kernel_by_elimination(enumerate_biwords(n))
 
 
 def test_prim_dimensions_descd():

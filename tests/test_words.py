@@ -37,6 +37,30 @@ def single(*letters):
     return LinComb.single(Word(letters))
 
 
+def test_word_value_contract():
+    # hash, equality and repr as a frozen dataclass over `letters` has them:
+    # set and dict orders, and so every printed combination, depend on them
+    w = Word(letters=(a, b))
+    assert hash(w) == hash(((a, b),))
+    assert w == Word.trusted((a, b), 2) == Word.trusted((a, b), 99)  # weight takes no part
+    assert hash(Word.trusted((a, b), 99)) == hash(w)
+    assert w != Word((b, a)) and w != (a, b) and w != ((a, b),)
+    assert w.__eq__((a, b)) is NotImplemented
+    assert repr(w) == "Word(letters=(Letter(weight=1, symbol=0), Letter(weight=1, symbol=1)))"
+    assert repr(EMPTY_WORD) == repr(Word.trusted((), 0)) == "Word(letters=())"
+    for change in (
+        lambda: setattr(w, "letters", ()),
+        lambda: setattr(w, "weight", 0),
+        lambda: delattr(w, "letters"),
+        lambda: delattr(w, "weight"),
+    ):
+        with pytest.raises(AttributeError):
+            change()
+    assert (w.letters, w.weight) == ((a, b), 2)
+    with pytest.raises(ValueError):
+        Word((Letter(0, 0),))
+
+
 def test_prec_basic():
     assert word_prec(ab, cw) == single(a, b, c) + single(a, c, b)
 
