@@ -490,7 +490,7 @@ def dimension_report(
     p_series = primitive_dim_series()
     report = DimensionReport()
     for n in range(1, max_n + 1):
-        row = DimensionRow(n)
+        row = DimensionRow(n=n)
         if "biwords" in include:
             row.biword_count = biword_count(n) if n <= BIWORD_COUNT_CUTOFF else None
             if "series" in include:
