@@ -15,7 +15,7 @@ from .lincomb import LinComb
 from .series import PowerSeries
 from .words import Letter, Word, word
 from .biwords import Biword, biword, parse_biword
-from .descent import GradedSeries, p_n, pi_composite, pi_n
+from .descent import p_n, pi_composite, pi_n
 from .rigidity import Presentation, RigidityError
 from . import biwords as _biwords, descent as _descent, words as _words
 
@@ -23,8 +23,7 @@ __version__ = "0.1.0"
 
 # every memo cache in the package; all are unbounded
 _CACHES = (_words.word_shuffle, _words.word_prec, _words.word_antipode, _biwords.enumerate_biwords,
-           _descent.p_n, _descent._pi_recursive, _descent._evaluate_tree, _descent.descd_echelon,
-           _descent.descd_classes)
+           _descent.p_n, _descent._evaluate_tree, _descent.descd_echelon, _descent.descd_classes)
 
 
 def clear_caches() -> None:
@@ -35,7 +34,6 @@ def clear_caches() -> None:
 
 __all__ = [
     "Biword",
-    "GradedSeries",
     "Letter",
     "LinComb",
     "PowerSeries",

@@ -160,6 +160,8 @@ def cmd_pi(args) -> int:
         raise UsageError("pi needs a positive weight or composition")
     if len(numbers) == 1:
         result = D.pi_n(numbers[0], args.route)
+    elif args.route != "closed":
+        raise UsageError(f"--route {args.route} applies to a single weight, not to a composition")
     else:
         result = D.pi_composite(tuple(numbers))
     emit(args, lincomb_to_json(result), str(result))
@@ -168,9 +170,7 @@ def cmd_pi(args) -> int:
 
 def cmd_dims(args) -> int:
     config = args.config_values
-    include = [c for c in ("biwords", "descd", "prim", "series") if getattr(args, c)]
-    if not include:
-        include = ["biwords", "descd", "prim", "series"]
+    include = [c for c in D.REPORT_COLUMNS if getattr(args, c)] or D.REPORT_COLUMNS
     cutoffs = []
     for name in ("rank_cutoff", "prim_cutoff", "series_cutoff"):
         given = getattr(args, name)  # an explicit option wins, even when it is 0
@@ -238,12 +238,11 @@ def _print_dims_table(report) -> None:
 def cmd_verify(args) -> int:
     config = args.config_values
     max_weight = args.max_weight if args.max_weight is not None else config["verify_weight"]
-    try:
-        failures = V.run_suite(args.suite, max_weight)
-    except KeyError:
+    if args.suite not in V.SUITES:
         raise UsageError(
             f"unknown suite {args.suite!r}; available: {', '.join(sorted(V.SUITES))}"
         )
+    failures = V.run_suite(args.suite, max_weight)
     if not failures and not failures.checked:
         raise UsageError(
             f"nothing to check at this weight: {args.suite} up to weight {max_weight} "
@@ -380,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", parents=[common], help="dimension table with cross-checks")
     p.add_argument("max_n", type=int)
-    for flag in ("biwords", "descd", "prim", "series"):
+    for flag in D.REPORT_COLUMNS:
         p.add_argument(f"--{flag}", action="store_true", help=f"include the {flag} columns")
     p.add_argument("--rank-cutoff", type=int, default=None)
     p.add_argument("--prim-cutoff", type=int, default=None)

@@ -4,9 +4,11 @@ The graded projector p_n is the sum of the identity biwords over all
 compositions of n; the half-products of the p_n generate a dendriform
 subalgebra whose weight-n component is spanned by op-labeled binary trees
 over compositions of n.  The idempotent pi_n is the single one-column
-biword of degree n; it comes out of three routes (the closed form, the
-alternating convolution formula, and the recursive completion against the
-nested idempotents pi_{n1..nk}), which must agree.
+biword of degree n; it comes out of three routes, which must agree: the
+closed form, the half-shuffle logarithm of the identity series (its weight-n
+component), and the inverse of the half-shuffle exponential (the series mu
+with exp_prec(mu) = identity, solved degree by degree).  A graded series is
+a plain list of combinations, entry n holding the weight-n component.
 
 Each weight-n basis vector is the sum of the biwords with one decorated
 binary search tree (insert the top row from left to right, each node keeping
@@ -74,41 +76,17 @@ def pi_n(n: int, route: str = "closed") -> LinComb:
         raise ValueError("pi_n needs a positive weight")
     if route == "closed":
         return LinComb.single(Biword((1,), (n,)))
+    if route not in ("alternating", "recursive"):
+        raise ValueError(f"unknown route {route!r}")
+    ident = identity_series(n)
     if route == "alternating":
-        return _pi_alternating(n)
-    if route == "recursive":
-        return _pi_recursive(n)
-    raise ValueError(f"unknown route {route!r}")
-
-
-def _pi_alternating(n: int) -> LinComb:
-    # sum over compositions (a1..ak) of (-1)^(k-1) p_a1 < (p_a2 * ... * p_ak)
-    def term(comp_):
-        if len(comp_) == 1:
-            return p_n(n)
-        star_part = p_n(comp_[1])
-        for a in comp_[2:]:
-            star_part = biword_star_lc(star_part, p_n(a))
-        return biword_prec_lc(p_n(comp_[0]), star_part)
-
-    return LinComb.sum((term(c), (-1) ** (len(c) - 1)) for c in compositions(n))
-
-
-@lru_cache(maxsize=None)
-def _pi_recursive(n: int) -> LinComb:
-    # peel all strictly finer nested idempotents off p_n
-    return p_n(n) - LinComb.sum(
-        (_nested_prec([_pi_recursive(i) for i in comp_]), 1)
-        for comp_ in compositions(n)
-        if len(comp_) > 1
-    )
-
-
-def _nested_prec(factors: list[LinComb]) -> LinComb:
-    out = factors[-1]
-    for f in reversed(factors[:-1]):
-        out = biword_prec_lc(f, out)
-    return out
+        return prec_logarithm(ident)[n]
+    # solve exp_prec(mu) = identity degree by degree: mu[m] is still zero while
+    # its own component is formed, so the sum runs over the mu[i] with i < m
+    mu = [LinComb.zero()] * (n + 1)
+    for m in range(1, n + 1):
+        mu[m] = ident[m] - _positive_op(biword_prec_lc, mu, ident, m)
+    return mu[n]
 
 
 def pi_composite(comp_: Iterable[int]) -> LinComb:
@@ -117,143 +95,64 @@ def pi_composite(comp_: Iterable[int]) -> LinComb:
     parts = tuple(comp_)
     if not parts:
         raise ValueError("the empty composition has no idempotent")
-    return _nested_prec([pi_n(i) for i in parts])
-
-
-# -- graded series and the half-shuffle logarithm -----------------------------
-
-class GradedSeries:
-    """Weight-graded biword combination, handled one component at a time."""
-
-    __slots__ = ("_components",)
-
-    def __init__(self, components: Mapping[int, LinComb]):
-        data = {}
-        for n, lc in components.items():
-            if lc.is_zero():
-                continue
-            for key in lc.terms():
-                if key.weight != n:
-                    raise ValueError(
-                        f"component {n} holds a biword of weight {key.weight}"
-                    )
-            data[n] = lc
-        self._components = data
-
-    @classmethod
-    def unit(cls) -> "GradedSeries":
-        return cls({0: LinComb.single(UNIT_BIWORD)})
-
-    @classmethod
-    def zero(cls) -> "GradedSeries":
-        return cls({})
-
-    def component(self, n: int) -> LinComb:
-        return self._components.get(n, LinComb.zero())
-
-    def weights(self) -> list[int]:
-        return sorted(self._components)
-
-    def max_weight(self) -> int:
-        return max(self._components, default=0)
-
-    def positive_part(self) -> "GradedSeries":
-        return GradedSeries({n: lc for n, lc in self._components.items() if n > 0})
-
-    def has_unit_constant_term(self) -> bool:
-        return self.component(0) == LinComb.single(UNIT_BIWORD)
-
-    def __add__(self, other: "GradedSeries") -> "GradedSeries":
-        weights = set(self._components) | set(other._components)
-        return GradedSeries({n: self.component(n) + other.component(n) for n in weights})
-
-    def __sub__(self, other: "GradedSeries") -> "GradedSeries":
-        weights = set(self._components) | set(other._components)
-        return GradedSeries({n: self.component(n) - other.component(n) for n in weights})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        return self._components == other._components
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"GradedSeries({self._components!r})"
-
-
-def _series_bilinear(op, a: GradedSeries, b: GradedSeries, cutoff: int) -> GradedSeries:
-    out: dict[int, LinComb] = {}
-    for i in a.weights():
-        if i > cutoff:
-            continue
-        for j in b.weights():
-            if i + j > cutoff:
-                continue
-            term = op(a.component(i), b.component(j))
-            if term.is_zero():
-                continue
-            n = i + j
-            out[n] = out.get(n, LinComb.zero()) + term
-    return GradedSeries(out)
-
-
-def series_star(a: GradedSeries, b: GradedSeries, cutoff: int) -> GradedSeries:
-    return _series_bilinear(biword_star_lc, a, b, cutoff)
-
-
-def series_prec(a: GradedSeries, b: GradedSeries, cutoff: int) -> GradedSeries:
-    return _series_bilinear(biword_prec_lc, a, b, cutoff)
-
-
-def identity_series(cutoff: int) -> GradedSeries:
-    """The completed identity: unit plus every graded projector up to the cutoff."""
-    comps = {0: LinComb.single(UNIT_BIWORD)}
-    for n in range(1, cutoff + 1):
-        comps[n] = p_n(n)
-    return GradedSeries(comps)
-
-
-def convolution_inverse(q: GradedSeries, cutoff: int | None = None) -> GradedSeries:
-    """Star-inverse of a series with unit constant term: sum (-1)^k (q+)^k."""
-    if not q.has_unit_constant_term():
-        raise ValueError("convolution inverse needs unit constant term")
-    if cutoff is None:
-        cutoff = q.max_weight()
-    qplus = q.positive_part()
-    out = GradedSeries.unit()
-    power = GradedSeries.unit()
-    for k in range(1, cutoff + 1):
-        power = series_star(power, qplus, cutoff)
-        if not power.weights():
-            break
-        out = out + power if k % 2 == 0 else out - power
+    out = pi_n(parts[-1])
+    for i in reversed(parts[:-1]):
+        out = biword_prec_lc(pi_n(i), out)
     return out
 
 
-def prec_logarithm(q: GradedSeries, cutoff: int | None = None) -> GradedSeries:
+# -- graded series and the half-shuffle logarithm -----------------------------
+#
+# A graded series truncated at weight N is a list of N + 1 combinations whose
+# entry n holds the weight-n component.
+
+_UNIT = LinComb.single(UNIT_BIWORD)
+
+
+def _check_series(s: list[LinComb], constant: LinComb, what: str) -> None:
+    if not s or s[0] != constant:
+        raise ValueError(f"{what} needs {'unit' if constant else 'zero'} constant term")
+    for n, lc in enumerate(s):
+        for key in lc.terms():
+            if key.weight != n:
+                raise ValueError(f"component {n} holds a biword of weight {key.weight}")
+
+
+def _positive_op(op, a: list[LinComb], b: list[LinComb], n: int) -> LinComb:
+    """Component n of op(a+, b), a+ the positive part of a."""
+    return LinComb.sum((op(a[i], b[n - i]), 1) for i in range(1, n + 1))
+
+
+def identity_series(cutoff: int) -> list[LinComb]:
+    """The completed identity: unit plus every graded projector up to the cutoff."""
+    return [p_n(n) for n in range(cutoff + 1)]
+
+
+def convolution_inverse(q: list[LinComb]) -> list[LinComb]:
+    """Star-inverse of a series with unit constant term, degree by degree:
+    z[0] = 1 and z[n] = -sum over i >= 1 of q[i] * z[n - i]."""
+    _check_series(q, _UNIT, "the convolution inverse")
+    z = [_UNIT] * len(q)
+    for n in range(1, len(q)):
+        z[n] = -_positive_op(biword_star_lc, q, z, n)
+    return z
+
+
+def prec_logarithm(q: list[LinComb]) -> list[LinComb]:
     """The series mu with q = exp_prec(mu), via mu = q+ < (star-inverse of q)."""
-    if not q.has_unit_constant_term():
-        raise ValueError("the half-shuffle logarithm needs unit constant term")
-    if cutoff is None:
-        cutoff = q.max_weight()
-    return series_prec(q.positive_part(), convolution_inverse(q, cutoff), cutoff)
+    _check_series(q, _UNIT, "the half-shuffle logarithm")
+    z = convolution_inverse(q)
+    return [LinComb.zero()] + [_positive_op(biword_prec_lc, q, z, n) for n in range(1, len(q))]
 
 
-def exp_prec(mu: GradedSeries, cutoff: int | None = None) -> GradedSeries:
-    """Right-nested half-shuffle exponential: unit + mu + mu<(mu) + ..."""
-    if mu.component(0):
-        raise ValueError("exp_prec needs zero constant term")
-    if cutoff is None:
-        cutoff = mu.max_weight()
-    total = GradedSeries.unit()
-    power = GradedSeries.unit()
-    for _ in range(1, cutoff + 1):
-        power = series_prec(mu, power, cutoff)
-        if not power.weights():
-            break
-        total = total + power
-    return total
+def exp_prec(mu: list[LinComb]) -> list[LinComb]:
+    """Right-nested half-shuffle exponential e = 1 + mu < e, degree by degree:
+    e[n] = sum over i >= 1 of mu[i] < e[n - i]."""
+    _check_series(mu, LinComb.zero(), "exp_prec")
+    e = [_UNIT] * len(mu)
+    for n in range(1, len(mu)):
+        e[n] = _positive_op(biword_prec_lc, mu, e, n)
+    return e
 
 
 # -- spanning monomials and ranks ---------------------------------------------
@@ -466,12 +365,12 @@ class DimensionReport:
         return not self.flags
 
 
-_ALL_COLUMNS = ("biwords", "descd", "prim", "series")
+REPORT_COLUMNS = ("biwords", "descd", "prim", "series")
 
 
 def dimension_report(
     max_n: int,
-    include: Iterable[str] = _ALL_COLUMNS,
+    include: Iterable[str] = REPORT_COLUMNS,
     rank_cutoff: int = DEFAULT_RANK_CUTOFF,
     prim_cutoff: int = DEFAULT_PRIM_CUTOFF,
 ) -> DimensionReport:
@@ -481,7 +380,7 @@ def dimension_report(
     class-count and kernel columns are computed only up to their cutoffs.
     """
     include = set(include)
-    unknown = include - set(_ALL_COLUMNS)
+    unknown = include - set(REPORT_COLUMNS)
     if unknown:
         raise ValueError(f"unknown report columns: {sorted(unknown)}")
     r_series = biword_count_series()

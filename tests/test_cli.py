@@ -14,7 +14,7 @@ from shufflealg import descent as D
 from shufflealg import verify as V
 from shufflealg.cli import DEFAULTS, main, parse_biword_combination
 from shufflealg.lincomb import LinComb
-from shufflealg.biwords import biword
+from shufflealg.biwords import biword, biword_from_json
 from shufflealg.rigidity import (
     perturbed_presentation,
     save_presentation,
@@ -98,6 +98,29 @@ def test_pi_command(capsys):
     code, out, _ = run(capsys, "pi", "1,1")
     assert code == 0
     assert out == "12|11"
+
+
+def test_pi_route_with_a_composition_is_a_usage_error(capsys):
+    for route in ("alternating", "recursive"):
+        code, out, err = run(capsys, "pi", "2,1", "--route", route)
+        assert code == 2
+        assert out == ""
+        assert "--route" in err
+    code, out, _ = run(capsys, "pi", "2,1", "--route", "closed")
+    assert code == 0
+    assert out == "12|21"
+
+
+def test_pi_alternating_route_at_weight_10_in_a_fresh_process():
+    env = {**os.environ, "PYTHONPATH": str(Path(shufflealg.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "shufflealg.cli", "pi", "10", "--route", "alternating", "--json"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    (term,) = json.loads(done.stdout)
+    assert (term["coeff_num"], term["coeff_den"]) == (1, 1)
+    assert str(biword_from_json(term["key"])) == "1|10"
 
 
 def test_dims_command(capsys):
@@ -203,6 +226,16 @@ def test_verify_pass_and_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nonsense", "2")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_verify_lets_a_key_error_inside_a_suite_propagate(capsys, monkeypatch):
+    def broken(max_weight):
+        raise KeyError("inside the suite")
+
+    monkeypatch.setitem(V.SUITES, "tau", broken)
+    with pytest.raises(KeyError, match="inside the suite"):
+        main(["verify", "tau", "2"])
+    assert "unknown suite" not in capsys.readouterr().err
 
 
 def test_verify_json(capsys):

@@ -13,6 +13,7 @@ from shufflealg.biwords import (
     UNIT_BIWORD,
     biword,
     biword_prec_lc,
+    biword_star_lc,
     biword_succ_lc,
     coproduct_prec_lc,
     coproduct_succ_lc,
@@ -23,7 +24,6 @@ from shufflealg import clear_caches
 from shufflealg import descent as D
 from shufflealg.descent import (
     DendMonomial,
-    GradedSeries,
     biword_count,
     bst_class,
     convolution_inverse,
@@ -41,7 +41,6 @@ from shufflealg.descent import (
     prec_logarithm,
     prim_dend_dimension,
     rank,
-    series_star,
 )
 from shufflealg.linalg import rank_of
 from shufflealg.series import descent_dim_series_closed
@@ -65,7 +64,7 @@ def test_p_n_term_count():
 
 
 def test_pi_routes_agree():
-    for n in range(1, 7):
+    for n in range(1, 11):
         closed = pi_n(n, "closed")
         assert closed == LinComb.single(biword((1,), (n,)))
         assert pi_n(n, "alternating") == closed
@@ -117,51 +116,97 @@ def test_pi_family_orthogonal_idempotents():
 def test_prec_logarithm_of_identity():
     q = identity_series(6)
     mu = prec_logarithm(q)
+    assert len(mu) == 7
     for n in range(1, 7):
-        assert mu.component(n) == pi_n(n)
-    assert mu.component(0).is_zero()
+        assert mu[n] == pi_n(n)
+    assert mu[0].is_zero()
 
 
 def test_prec_logarithm_of_unit_is_zero():
-    assert prec_logarithm(GradedSeries.unit()) == GradedSeries.zero()
+    unit = LinComb.single(UNIT_BIWORD)
+    assert prec_logarithm([unit]) == [LinComb.zero()]
+    assert prec_logarithm([unit, LinComb.zero(), LinComb.zero()]) == [LinComb.zero()] * 3
 
 
 def test_prec_logarithm_rejects_bad_constant_term():
     with pytest.raises(ValueError):
-        prec_logarithm(GradedSeries({1: p_n(1)}))
+        prec_logarithm([LinComb.zero(), p_n(1)])
+    with pytest.raises(ValueError):
+        convolution_inverse([p_n(1)])
+    with pytest.raises(ValueError):
+        exp_prec([p_n(0), p_n(1)])
 
 
 def test_graded_series_rejects_mixed_weights():
-    with pytest.raises(ValueError):
-        GradedSeries({2: p_n(3)})
+    # a component holding a biword of another weight, as input to each operation
+    for op, constant in ((prec_logarithm, p_n(0)), (convolution_inverse, p_n(0)), (exp_prec, LinComb.zero())):
+        with pytest.raises(ValueError, match="component 2 holds a biword of weight 3"):
+            op([constant, LinComb.zero(), p_n(3)])
 
 
-def _random_graded_series(seed: int, max_weight: int) -> GradedSeries:
+def _random_graded_series(seed: int, max_weight: int) -> list[LinComb]:
     rng = random.Random(seed)
-    comps = {0: LinComb.single(UNIT_BIWORD)}
+    comps = [LinComb.single(UNIT_BIWORD)]
     for n in range(1, max_weight + 1):
         pool = enumerate_biwords(n, (1, 2))
         terms = {}
         for b in rng.sample(pool, min(3, len(pool))):
             terms[b] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-        comps[n] = LinComb(terms)
-    return GradedSeries(comps)
+        comps.append(LinComb(terms))
+    return comps
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_logarithm_exponential_roundtrip(seed):
     cutoff = 4
     q = _random_graded_series(seed, cutoff)
-    mu = prec_logarithm(q, cutoff)
-    assert exp_prec(mu, cutoff) == q
-    assert prec_logarithm(exp_prec(mu, cutoff), cutoff) == mu
+    mu = prec_logarithm(q)
+    assert len(mu) == cutoff + 1
+    assert exp_prec(mu) == q
+    assert prec_logarithm(exp_prec(mu)) == mu
 
 
 def test_convolution_inverse_inverts():
     cutoff = 4
     q = _random_graded_series(7, cutoff)
-    z = convolution_inverse(q, cutoff)
-    assert series_star(q, z, cutoff) == GradedSeries.unit()
+    z = convolution_inverse(q)
+    assert len(z) == cutoff + 1
+    product = [LinComb.sum((biword_star_lc(q[i], z[n - i]), 1) for i in range(n + 1)) for n in range(cutoff + 1)]
+    assert product == [LinComb.single(UNIT_BIWORD)] + [LinComb.zero()] * cutoff
+
+
+def _pi_by_alternating_sum(n: int) -> LinComb:
+    # the sum over compositions (a1..ak) of n of (-1)^(k-1) p_a1 < (p_a2 * ... * p_ak)
+    def term(comp_):
+        if len(comp_) == 1:
+            return p_n(n)
+        star_part = p_n(comp_[1])
+        for a in comp_[2:]:
+            star_part = biword_star_lc(star_part, p_n(a))
+        return biword_prec_lc(p_n(comp_[0]), star_part)
+
+    return LinComb.sum((term(c), (-1) ** (len(c) - 1)) for c in compositions(n))
+
+
+def _pis_by_nested_completion(max_n: int) -> dict[int, LinComb]:
+    # pi_m is p_m minus every strictly finer nested idempotent pi_c1 < (pi_c2 < (...))
+    pis = {}
+    for m in range(1, max_n + 1):
+        def nested(comp_):
+            out = pis[comp_[-1]]
+            for i in reversed(comp_[:-1]):
+                out = biword_prec_lc(pis[i], out)
+            return out
+
+        pis[m] = p_n(m) - LinComb.sum((nested(c), 1) for c in compositions(m) if len(c) > 1)
+    return pis
+
+
+def test_pi_routes_match_the_composition_expansions():
+    nested = _pis_by_nested_completion(6)
+    for n in range(1, 7):
+        assert pi_n(n, "alternating") == _pi_by_alternating_sum(n)
+        assert pi_n(n, "recursive") == nested[n]
 
 
 def test_spanning_set_small():
