@@ -13,26 +13,39 @@ which keeps them comparable and serializable.
 
 from __future__ import annotations
 
-from .lincomb import LinComb, bilinear_extend
+from .lincomb import LinComb, accumulate
 from .biwords import Biword
 from .words import Word, deconcat, generic_word, word_prec, word_shuffle, word_succ
 
 
-def phi_apply(b: Biword, w: Word) -> LinComb:
-    """Apply one biword to one word: a single permuted word, or zero."""
+def _permuted(b: Biword, w: Word) -> Word | None:
+    """The word b sends w to, or None where b kills w."""
     letters = w.letters
     if len(b.perm) != len(letters):
-        return LinComb.zero()
-    permuted = tuple(letters[v - 1] for v in b.perm)
+        return None
+    permuted = tuple([letters[v - 1] for v in b.perm])
     for letter, d in zip(permuted, b.deg):
         if letter.weight != d:
-            return LinComb.zero()
-    return LinComb.single(Word.trusted(permuted, w.weight))
+            return None
+    return Word.trusted(permuted, w.weight)
+
+
+def phi_apply(b: Biword, w: Word) -> LinComb:
+    """Apply one biword to one word: a single permuted word, or zero."""
+    out = _permuted(b, w)
+    return LinComb.zero() if out is None else LinComb._raw({out: 1})
 
 
 def endo_apply(f: LinComb, x: LinComb) -> LinComb:
     """Bilinear extension of the action to combinations on both sides."""
-    return bilinear_extend(phi_apply, f, x)
+    return LinComb._raw(_act(f.terms().items(), x.terms().items()))
+
+
+def _act(fs, xs) -> dict:
+    """The action of (biword, coefficient) pairs on (word, coefficient) pairs, zeros dropped."""
+    return accumulate({}, (
+        (out, cf * cx) for b, cf in fs for w, cx in xs if (out := _permuted(b, w)) is not None
+    ))
 
 
 def compose_via_action(a: Biword, b: Biword) -> LinComb:
@@ -44,20 +57,17 @@ def compose_via_action(a: Biword, b: Biword) -> LinComb:
     """
     if a.size != b.size:
         return LinComb.zero()
-    if a.size == 0:
-        return LinComb.single(Biword())
     # the degree of the column with top entry j goes to position j
     probe = generic_word(d for _, d in sorted(zip(b.perm, b.deg)))
-    mid = phi_apply(b, probe)
-    assert len(mid) == 1, "probe was built to survive b"
-    (mid_word,) = mid.keys()
-    final = phi_apply(a, mid_word)
-    if final.is_zero():
+    mid = _permuted(b, probe)
+    assert mid is not None, "probe was built to survive b"
+    out = _permuted(a, mid)
+    if out is None:
         return LinComb.zero()
-    (out_word,) = final.keys()
-    perm = tuple(letter.symbol for letter in out_word.letters)
-    deg = tuple(letter.weight for letter in out_word.letters)
-    return LinComb.single(Biword(perm, deg))
+    # the probe's symbols are the positions 1..k, so the symbols form a permutation
+    perm = tuple([letter.symbol for letter in out.letters])
+    deg = tuple([letter.weight for letter in out.letters])
+    return LinComb._raw({Biword.trusted(perm, deg, out.weight): 1})
 
 
 _WORD_OPS = {
@@ -82,13 +92,15 @@ def convolutions_via_action(
     """``convolution_via_action`` for each op in ``ops``, from one pass: the
     cuts of the probe and the actions of f and g on them are shared."""
     combines = {op: _WORD_OPS[op] for op in ops}
-    cuts = []
+    sums = {op: {} for op in ops}
+    fs, gs = f.terms().items(), g.terms().items()
     for (left, right), ccut in deconcat(probe).terms().items():
-        fl = endo_apply(f, LinComb.single(left))
-        gr = endo_apply(g, LinComb.single(right))
-        if not (fl.is_zero() or gr.is_zero()):
-            cuts.append((fl, gr, ccut))
-    return {
-        op: LinComb.sum((bilinear_extend(combine, fl, gr), ccut) for fl, gr, ccut in cuts)
-        for op, combine in combines.items()
-    }
+        fl = _act(fs, ((left, ccut),)).items()
+        gr = _act(gs, ((right, 1),)).items() if fl else ()
+        if not gr:
+            continue
+        for op, combine in combines.items():
+            accumulate(sums[op], (
+                (key, cu * cv * c) for u, cu in fl for v, cv in gr for key, c in combine(u, v).terms().items()
+            ))
+    return {op: LinComb._raw(data) for op, data in sums.items()}

@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .lincomb import LinComb, bilinear_extend, linear_extend
-from .words import Word, compositions, descent_class_rearrangements
+from .lincomb import LinComb, accumulate, bilinear_extend, linear_extend
+from .words import Word, compositions
 
 
 class Biword:
@@ -121,7 +121,7 @@ def tensor_biword(a: Biword, b: Biword) -> Biword:
 def _interleavings(a: Biword, b: Biword, first_from_left: bool):
     """Riffle interleavings of a's columns with b's shifted columns."""
     k, l = a.size, b.size
-    cols_a = list(zip(a.perm, a.deg))
+    perm_a, deg_a = list(a.perm), list(a.deg)
     cols_b = [(v + k, d) for v, d in zip(b.perm, b.deg)]
     n = k + l
     weight = a.weight + b.weight
@@ -131,18 +131,12 @@ def _interleavings(a: Biword, b: Biword, first_from_left: bool):
     else:
         slot_iter = ((0,) + rest for rest in itertools.combinations(range(1, n), l - 1))
     for slots in slot_iter:
-        cols = []
-        ia = ib = 0
-        slot_set = set(slots)
-        for pos in range(n):
-            if pos in slot_set:
-                cols.append(cols_b[ib])
-                ib += 1
-            else:
-                cols.append(cols_a[ia])
-                ia += 1
-        perm, deg = zip(*cols)
-        yield Biword.trusted(perm, deg, weight)
+        perm, deg = perm_a.copy(), deg_a.copy()
+        # ascending slots: each insertion lands at its final position
+        for pos, (v, d) in zip(slots, cols_b):
+            perm.insert(pos, v)
+            deg.insert(pos, d)
+        yield Biword.trusted(tuple(perm), tuple(deg), weight)
 
 
 def biword_prec(a: Biword, b: Biword) -> LinComb:
@@ -182,30 +176,6 @@ def biword_star_lc(x: LinComb, y: LinComb) -> LinComb:
     return bilinear_extend(biword_star, x, y)
 
 
-# -- descent-class oracle for the half-products ------------------------------
-
-def _halves_by_descents(a: Biword, b: Biword, first: int) -> LinComb:
-    left = tuple(zip(a.perm, a.deg))
-    right = tuple((v + a.size, d) for v, d in zip(b.perm, b.deg))
-    return LinComb((Biword(*zip(*cols)), 1) for cols in descent_class_rearrangements(left, right, first))
-
-
-def biword_prec_by_descents(a: Biword, b: Biword) -> LinComb:
-    if a.is_unit():
-        return LinComb.zero()
-    if b.is_unit():
-        return LinComb.single(a)
-    return _halves_by_descents(a, b, 1)
-
-
-def biword_succ_by_descents(a: Biword, b: Biword) -> LinComb:
-    if b.is_unit():
-        return LinComb.zero()
-    if a.is_unit():
-        return LinComb.single(b)
-    return _halves_by_descents(a, b, a.size + 1)
-
-
 # -- coproducts ---------------------------------------------------------------
 
 def coproduct_prec(a: Biword) -> LinComb:
@@ -228,10 +198,22 @@ def _cut_sum(a: Biword, positions) -> LinComb:
 
 
 def _cut(a: Biword, k: int) -> tuple[Biword, Biword]:
+    """The first k columns and the rest, each top row standardized."""
+    perm = a.perm
+    n = len(perm)
+    # mark the prefix values with 1, then rank the values 1..n in one pass
+    rank = [0] * (n + 1)
+    for v in perm[:k]:
+        rank[v] = 1
+    seen = [0, 0]  # the values ranked so far in the suffix and in the prefix
+    for v in range(1, n + 1):
+        half = rank[v]
+        seen[half] += 1
+        rank[v] = seen[half]
     left_deg = a.deg[:k]
     left_weight = sum(left_deg)
-    left = Biword.trusted(standardize(a.perm[:k]), left_deg, left_weight)
-    right = Biword.trusted(standardize(a.perm[k:]), a.deg[k:], a.weight - left_weight)
+    left = Biword.trusted(tuple([rank[v] for v in perm[:k]]), left_deg, left_weight)
+    right = Biword.trusted(tuple([rank[v] for v in perm[k:]]), a.deg[k:], a.weight - left_weight)
     return (left, right)
 
 
@@ -259,18 +241,26 @@ def internal_compose(a: Biword, b: Biword) -> LinComb:
     to b.perm[a.perm[i]] and carries a's degrees.  Derived from, and tested
     against, the endomorphism oracle in :mod:`shufflealg.action`.
     """
+    c = _composed(a, b)
+    return LinComb.zero() if c is None else LinComb._raw({c: 1})
+
+
+def _composed(a: Biword, b: Biword) -> Biword | None:
+    """The composite biword of :func:`internal_compose`, or None for 0."""
     if a.size != b.size:
-        return LinComb.zero()
-    k = a.size
-    for i in range(k):
-        if a.deg[i] != b.deg[a.perm[i] - 1]:
-            return LinComb.zero()
-    perm = tuple(b.perm[a.perm[i] - 1] for i in range(k))
-    return LinComb.single(Biword.trusted(perm, a.deg, a.weight))
+        return None
+    b_perm, b_deg = b.perm, b.deg
+    for v, d in zip(a.perm, a.deg):
+        if d != b_deg[v - 1]:
+            return None
+    return Biword.trusted(tuple([b_perm[v - 1] for v in a.perm]), a.deg, a.weight)
 
 
 def internal_compose_lc(x: LinComb, y: LinComb) -> LinComb:
-    return bilinear_extend(internal_compose, x, y)
+    ys = y.terms().items()
+    return LinComb._raw(accumulate({}, (
+        (c, ca * cb) for ka, ca in x.terms().items() for kb, cb in ys if (c := _composed(ka, kb)) is not None
+    )))
 
 
 # -- enumeration ---------------------------------------------------------------

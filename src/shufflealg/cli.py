@@ -236,8 +236,11 @@ def _print_dims_table(report) -> None:
 
 
 def cmd_verify(args) -> int:
-    config = args.config_values
-    max_weight = args.max_weight if args.max_weight is not None else config["verify_weight"]
+    given = args.max_weight  # an explicit weight wins, even when it is 0
+    max_weight = args.config_values["verify_weight"] if given is None else given
+    if max_weight < 0:
+        source = "config key 'verify_weight'" if given is None else "max_weight"
+        raise UsageError(f"{source} must be non-negative, got {max_weight}")
     if args.suite not in V.SUITES:
         raise UsageError(
             f"unknown suite {args.suite!r}; available: {', '.join(sorted(V.SUITES))}"
@@ -439,9 +442,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,7 @@ the two half-coproducts) eliminate exactly, one block per permutation size.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count, islice
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -322,13 +323,22 @@ def prim_dend_dimension(n: int, space: str = "full_S", cutoff: int | None = None
     if n < 1 or n > cutoff:
         raise ValueError(f"weight {n} is outside the configured cutoff {cutoff}")
     if space == "full_S":
-        # the half-coproducts cut columns and keep the degree row, so each composition
-        # with k parts has a copy of the block of the size-k permutations (degrees 1^k)
-        blocks = (_kernel_dimension(map(LinComb.single, enumerate_biwords(k, (1,)))) for k in range(1, n + 1))
-        return sum(comb(n - 1, k - 1) * dim for k, dim in enumerate(blocks, 1))
+        return next(islice(_full_S_dimensions(), n - 1, None))
     if space == "descd":
         return _kernel_dimension(LinComb._raw(dict.fromkeys(cls, 1)) for cls in descd_classes(n).values())
     raise ValueError(f"unknown space {space!r}")
+
+
+def _full_S_dimensions():
+    """The full_S kernel dimensions at n = 1, 2, ..., one block elimination per n.
+
+    The half-coproducts cut columns and keep the degree row, so each composition
+    with k parts has a copy of the block of the size-k permutations (degrees 1^k).
+    """
+    blocks = []
+    for n in count(1):
+        blocks.append(_kernel_dimension(map(LinComb.single, enumerate_biwords(n, (1,)))))
+        yield sum(comb(n - 1, k - 1) * dim for k, dim in enumerate(blocks, 1))
 
 
 def _kernel_dimension(rows) -> int:
@@ -387,6 +397,7 @@ def dimension_report(
     closed = descent_dim_series_closed()
     catalan = descent_dim_series_catalan()
     p_series = primitive_dim_series()
+    prim_kernels = _full_S_dimensions()  # advanced once per row up to the cutoff
     report = DimensionReport()
     for n in range(1, max_n + 1):
         row = DimensionRow(n=n)
@@ -402,7 +413,7 @@ def dimension_report(
                 row.descd_catalan = int(catalan[n])
         if "prim" in include:
             if n <= prim_cutoff:
-                row.prim_kernel = prim_dend_dimension(n, "full_S", cutoff=prim_cutoff)
+                row.prim_kernel = next(prim_kernels)
             if "series" in include:
                 row.prim_series = int(p_series[n])
         report.rows.append(row)

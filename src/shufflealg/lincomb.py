@@ -275,14 +275,15 @@ def coassociativity_sides(cop: LinComb, coproduct: Callable) -> tuple[LinComb, L
     triples, for ``cop`` a combination of key pairs and ``coproduct`` a map
     from one key to its coproduct."""
     items = cop.terms().items()
-    lhs = LinComb(
+    # products of exact nonzero coefficients: no check needed
+    lhs = accumulate({}, (
         ((l1, l2, right), c * c2)
         for (left, right), c in items
         for (l1, l2), c2 in coproduct(left).terms().items()
-    )
-    rhs = LinComb(
+    ))
+    rhs = accumulate({}, (
         ((left, r1, r2), c * c2)
         for (left, right), c in items
         for (r1, r2), c2 in coproduct(right).terms().items()
-    )
-    return lhs, rhs
+    ))
+    return LinComb._raw(lhs), LinComb._raw(rhs)

@@ -28,14 +28,14 @@ from fractions import Fraction
 
 from .lincomb import (
     LinComb,
+    accumulate,
     bilinear_extend,
     canonical_key,
     coassociativity_sides,
     exact_div,
     linear_extend,
-    tensor_extend,
 )
-from .words import compositions, deconcat, enumerate_words, graded_tuples, word_prec
+from .words import EMPTY_WORD, compositions, deconcat, enumerate_words, graded_tuples, word_prec
 
 UNIT_LABEL = "1"
 
@@ -101,6 +101,7 @@ class Presentation:
             for left, right in cop.terms():
                 self._require_label(left, unit_ok=True)
                 self._require_label(right, unit_ok=True)
+        self._shuffle_cache: dict[tuple[str, str], LinComb] = {}
         self._antipode_cache: dict[str, LinComb] = {}
         self._tau_cache: dict[str, LinComb] = {}
         self._primitive_basis = None
@@ -147,7 +148,11 @@ class Presentation:
             return LinComb.single(b)
         if b == UNIT_LABEL:
             return LinComb.single(a)
-        return self.prec(a, b) + self.prec(b, a)
+        pair = (a, b) if a <= b else (b, a)  # commutative: one entry for both orders
+        out = self._shuffle_cache.get(pair)
+        if out is None:
+            out = self._shuffle_cache[pair] = self.prec(a, b) + self.prec(b, a)
+        return out
 
     def shuffle_lc(self, x: LinComb, y: LinComb) -> LinComb:
         return bilinear_extend(self.shuffle, x, y)
@@ -239,20 +244,30 @@ def _validate_coassociativity(A: Presentation, out: Report) -> None:
 
 def _validate_shuffle_axiom(A: Presentation, out: Report) -> None:
     # (a < b) < c = a < (b sh c) on basis triples within the weight bound
+    prec, shuffle = A.prec, A.shuffle
     for a, b, c in _label_tuples(A, 3):
-        out.expect(
-            "shuffle-axiom", (a, b, c),
-            A.prec_lc(A.prec(a, b), LinComb.single(c)), A.prec_lc(LinComb.single(a), A.shuffle(b, c)),
-        )
+        ab_c = ((k, c1 * c2) for ab, c1 in prec(a, b).terms().items() for k, c2 in prec(ab, c).terms().items())
+        a_bc = ((k, c1 * c2) for bc, c1 in shuffle(b, c).terms().items() for k, c2 in prec(a, bc).terms().items())
+        lhs, rhs = (LinComb._raw(accumulate({}, side)) for side in (ab_c, a_bc))
+        out.expect("shuffle-axiom", (a, b, c), lhs, rhs)
 
 
 def _validate_left_compatibility(A: Presentation, out: Report) -> None:
     # Delta(x < y) = x' < y' (x) x'' sh y'' + 1 (x) (x < y), full Sweedler sums
+    prec, shuffle, coproduct = A.prec, A.shuffle, A.coproduct
     for x, y in _label_tuples(A, 2):
-        xy = A.prec(x, y)
-        rhs = tensor_extend(A.prec, A.shuffle, A.coproduct(x), A.coproduct(y))
-        rhs = rhs + xy.map_keys(lambda key: (UNIT_LABEL, key))
-        out.expect("left-compatibility", (x, y), A.coproduct_lc(xy), rhs)
+        xy = prec(x, y).terms().items()
+        lhs = accumulate({}, ((pair, c * c2) for key, c in xy for pair, c2 in coproduct(key).terms().items()))
+        rhs = {(UNIT_LABEL, key): c for key, c in xy}
+        cop_y = coproduct(y).terms().items()
+        for (x1, x2), cx in coproduct(x).terms().items():
+            for (y1, y2), cy in cop_y:
+                left = prec(x1, y1).terms().items()
+                if left:
+                    right = shuffle(x2, y2).terms().items()
+                    c = cx * cy
+                    accumulate(rhs, (((l, r), c * cl * cr) for l, cl in left for r, cr in right))
+        out.expect("left-compatibility", (x, y), LinComb._raw(lhs), LinComb._raw(rhs))
 
 
 # -- antipode and the primitive projector ----------------------------------------
@@ -499,18 +514,17 @@ def shuffle_presentation(alphabet: dict[int, int], max_weight: int) -> Presentat
     words_by_weight = {w: enumerate_words(w, alphabet) for w in range(1, max_weight + 1)}
     label_of = {word_: str(word_) for words_ in words_by_weight.values() for word_ in words_}
     basis = {w: [label_of[word_] for word_ in words_] for w, words_ in words_by_weight.items()}
-
-    def relabel(lc: LinComb) -> LinComb:
-        return LinComb((label_of[k], c) for k, c in lc.terms().items())
-
+    # relabelling merges no terms: the Presentation rejects a label shared by two words
     prec = {}
     for u, v in graded_tuples(2, max_weight, words_by_weight.get):
-        prec[(label_of[u], label_of[v])] = relabel(word_prec(u, v))
-    coproduct = {}
-    for word_, label in label_of.items():
-        coproduct[label] = deconcat(word_).map_keys(
-            lambda cut: tuple(UNIT_LABEL if part.is_empty() else label_of[part] for part in cut)
-        )
+        terms = word_prec(u, v).terms().items()
+        prec[(label_of[u], label_of[v])] = LinComb._raw({label_of[k]: c for k, c in terms})
+    label_of[EMPTY_WORD] = UNIT_LABEL
+    coproduct = {
+        label: LinComb._raw({(label_of[left], label_of[right]): 1 for left, right in deconcat(word_).terms()})
+        for word_, label in label_of.items()
+        if label != UNIT_LABEL
+    }
     return Presentation(basis, prec, coproduct)
 
 
@@ -552,11 +566,11 @@ def presentation_from_json(obj) -> Presentation:
         basis[_number(int, w)] = labels
     prec = {}
     for a, b, entries in _rows(obj.get("prec"), 3, "'prec'"):
-        prec[(a, b)] = LinComb((key, _number(Fraction, c)) for key, c in _rows(entries, 2, "prec terms"))
+        prec[(a, b)] = LinComb((key, _number(_exact, c)) for key, c in _rows(entries, 2, "prec terms"))
     coproduct = {}
     for label, entries in _rows(obj.get("coproduct"), 2, "'coproduct'"):
         terms = _rows(entries, 3, "coproduct terms")
-        coproduct[label] = LinComb(((left, right), _number(Fraction, c)) for left, right, c in terms)
+        coproduct[label] = LinComb(((left, right), _number(_exact, c)) for left, right, c in terms)
     return Presentation(basis, prec, coproduct)
 
 
@@ -578,6 +592,14 @@ def _number(parse, text):
     except (ValueError, ZeroDivisionError):
         pass
     raise PresentationError(f"{text!r} is not an exact number")
+
+
+def _exact(text):
+    # most coefficients are integers, which int parses faster than Fraction
+    try:
+        return int(text)
+    except ValueError:
+        return Fraction(text)
 
 
 def save_presentation(A: Presentation, path) -> None:

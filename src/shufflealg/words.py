@@ -12,8 +12,8 @@ product with unit 1.  The deconcatenation coproduct and the antipode make
 this a graded connected commutative Hopf algebra.
 
 Half-shuffles are computed recursively; the descent-class enumeration
-(permutations with at most one descent, at a pinned position) is kept as an
-independent oracle for cross-checking.
+(permutations with at most one descent, at a pinned position) is the
+independent oracle they are tested against, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -320,44 +320,3 @@ def word_to_json(w: Word) -> list:
 def word_from_json(items: list) -> Word:
     return Word(tuple(Letter(it["weight"], it["symbol"]) for it in items))
 
-
-# -- descent-class oracle ---------------------------------------------------
-#
-# w < z is the sum over permutations alpha of [k+l] with descent set inside
-# {k} and alpha^{-1}(1) = 1 of the rearranged concatenation; w > z pins
-# alpha^{-1}(1) = k + 1 instead.  The same rule rearranges biword columns
-# (see :mod:`shufflealg.biwords`).  Exponential-time; used only to
-# cross-check the recursive implementations.
-
-def descent_class_rearrangements(left: tuple, right: tuple, first: int):
-    """The columns ``left + right`` rearranged by each permutation alpha of
-    [k+l] (k = len(left)) with descent set inside {k} and alpha^{-1}(1) = first."""
-    columns = left + right
-    n = len(columns)
-    k = len(left)
-    for alpha in itertools.permutations(range(1, n + 1)):
-        descents = {i + 1 for i in range(n - 1) if alpha[i] > alpha[i + 1]}
-        if not descents <= {k}:
-            continue
-        inv = [0] * (n + 1)
-        for pos, val in enumerate(alpha, start=1):
-            inv[val] = pos
-        if inv[1] == first:
-            yield tuple(columns[inv[i] - 1] for i in range(1, n + 1))
-
-
-def word_prec_by_descents(w: Word, z: Word) -> LinComb:
-    if w.is_empty():
-        return LinComb.zero()
-    if z.is_empty():
-        return LinComb.single(w)
-    return LinComb((Word(cols), 1) for cols in descent_class_rearrangements(w.letters, z.letters, 1))
-
-
-def word_succ_by_descents(w: Word, z: Word) -> LinComb:
-    if z.is_empty():
-        return LinComb.zero()
-    if w.is_empty():
-        return LinComb.single(z)
-    first = len(w.letters) + 1
-    return LinComb((Word(cols), 1) for cols in descent_class_rearrangements(w.letters, z.letters, first))

@@ -1,0 +1,74 @@
+"""Independent routes that the tests check the library against.
+
+Not collected by pytest; the test modules import from it.
+
+Descent-class half-products.  w < z is the sum over permutations alpha of
+[k+l] with descent set inside {k} and alpha^{-1}(1) = 1 of the rearranged
+concatenation; w > z pins alpha^{-1}(1) = k + 1 instead.  The same rule
+rearranges biword columns.  Exponential-time; used only to cross-check the
+recursive word half-shuffles and the riffles of :mod:`shufflealg.biwords`.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from shufflealg.biwords import Biword
+from shufflealg.lincomb import LinComb
+from shufflealg.words import Word
+
+
+def descent_class_rearrangements(left: tuple, right: tuple, first: int):
+    """The columns ``left + right`` rearranged by each permutation alpha of
+    [k+l] (k = len(left)) with descent set inside {k} and alpha^{-1}(1) = first."""
+    columns = left + right
+    n = len(columns)
+    k = len(left)
+    for alpha in itertools.permutations(range(1, n + 1)):
+        descents = {i + 1 for i in range(n - 1) if alpha[i] > alpha[i + 1]}
+        if not descents <= {k}:
+            continue
+        inv = [0] * (n + 1)
+        for pos, val in enumerate(alpha, start=1):
+            inv[val] = pos
+        if inv[1] == first:
+            yield tuple(columns[inv[i] - 1] for i in range(1, n + 1))
+
+
+def word_prec_by_descents(w: Word, z: Word) -> LinComb:
+    if w.is_empty():
+        return LinComb.zero()
+    if z.is_empty():
+        return LinComb.single(w)
+    return LinComb((Word(cols), 1) for cols in descent_class_rearrangements(w.letters, z.letters, 1))
+
+
+def word_succ_by_descents(w: Word, z: Word) -> LinComb:
+    if z.is_empty():
+        return LinComb.zero()
+    if w.is_empty():
+        return LinComb.single(z)
+    first = len(w.letters) + 1
+    return LinComb((Word(cols), 1) for cols in descent_class_rearrangements(w.letters, z.letters, first))
+
+
+def _halves_by_descents(a: Biword, b: Biword, first: int) -> LinComb:
+    left = tuple(zip(a.perm, a.deg))
+    right = tuple((v + a.size, d) for v, d in zip(b.perm, b.deg))
+    return LinComb((Biword(*zip(*cols)), 1) for cols in descent_class_rearrangements(left, right, first))
+
+
+def biword_prec_by_descents(a: Biword, b: Biword) -> LinComb:
+    if a.is_unit():
+        return LinComb.zero()
+    if b.is_unit():
+        return LinComb.single(a)
+    return _halves_by_descents(a, b, 1)
+
+
+def biword_succ_by_descents(a: Biword, b: Biword) -> LinComb:
+    if b.is_unit():
+        return LinComb.zero()
+    if a.is_unit():
+        return LinComb.single(b)
+    return _halves_by_descents(a, b, a.size + 1)

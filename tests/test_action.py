@@ -3,7 +3,7 @@ from itertools import permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflealg.lincomb import LinComb
+from shufflealg.lincomb import LinComb, bilinear_extend
 from shufflealg import biwords as B
 from shufflealg import verify as V
 from shufflealg.action import (
@@ -303,3 +303,32 @@ def test_action_commutes_with_letter_substitution(w, data):
     f, g = _combination(data.draw, k), _combination(data.draw, w.weight - k)
     for op in ("prec", "succ", "star"):
         assert convolution_via_action(f, g, w, op) == sigma(convolution_via_action(f, g, generic, op))
+
+
+# -- key-level kernels against their bilinear extensions -----------------------
+
+biwords_of_small_size = st.integers(0, 3).flatmap(
+    lambda k: st.sampled_from(enumerate_biwords_by_size(k, (1, 2)))
+)
+word_combinations = st.lists(st.tuples(words_of_small_weight, coefficients), max_size=5).map(LinComb)
+biword_combinations = st.lists(st.tuples(biwords_of_small_size, coefficients), max_size=6).map(LinComb)
+
+
+@settings(max_examples=80, deadline=None)
+@given(biword_combinations, word_combinations)
+def test_endo_apply_is_the_bilinear_extension_of_phi(f, x):
+    assert endo_apply(f, x) == bilinear_extend(phi_apply, f, x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(biword_combinations, biword_combinations)
+def test_internal_compose_lc_is_the_bilinear_extension(x, y):
+    assert B.internal_compose_lc(x, y) == bilinear_extend(B.internal_compose, x, y)
+
+
+def test_endo_apply_drops_a_cancelled_word():
+    # both biwords send a1.a1 to a1.a1, so their difference acts as zero
+    f = LinComb({biword((1, 2), (1, 1)): 1, biword((2, 1), (1, 1)): -1})
+    out = endo_apply(f, LinComb.single(Word((a1, a1))))
+    assert out.is_zero()
+    assert out.terms() == {}

@@ -1,8 +1,10 @@
+from itertools import permutations
 from math import comb
 
 import pytest
 
 from conftest import biword_combination, load_golden
+from oracles import biword_prec_by_descents, biword_succ_by_descents
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import (
     UNIT_BIWORD,
@@ -11,15 +13,14 @@ from shufflealg.biwords import (
     biword,
     biword_from_json,
     biword_prec,
-    biword_prec_by_descents,
     biword_star,
     biword_succ,
-    biword_succ_by_descents,
     biword_to_json,
     coproduct_prec,
     coproduct_succ,
     enumerate_biwords,
     enumerate_biwords_by_size,
+    generic_biword,
     hopf_coproduct,
     internal_compose,
     parse_biword,
@@ -275,3 +276,16 @@ def test_matrix_rendering():
     x = biword((3, 1, 4, 2), (1, 12, 3, 4))
     assert render_biword_matrix(x) == "( 3  1 4 2 )\n( 1 12 3 4 )"
     assert render_biword_matrix(UNIT_BIWORD) == "( )"
+
+
+def test_cut_standardizes_both_halves():
+    from shufflealg.biwords import _cut
+
+    for size in range(7):
+        for perm in permutations(range(1, size + 1)):
+            a = generic_biword(perm)
+            for k in range(size + 1):
+                left, right = _cut(a, k)
+                assert left == Biword(standardize(perm[:k]), a.deg[:k]), (perm, k)
+                assert right == Biword(standardize(perm[k:]), a.deg[k:]), (perm, k)
+                assert (left.weight, right.weight) == (sum(a.deg[:k]), sum(a.deg[k:]))

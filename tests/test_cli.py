@@ -238,6 +238,40 @@ def test_verify_lets_a_key_error_inside_a_suite_propagate(capsys, monkeypatch):
     assert "unknown suite" not in capsys.readouterr().err
 
 
+def test_verify_lets_a_value_error_inside_a_suite_propagate(capsys, monkeypatch):
+    def broken(max_weight):
+        raise ValueError("a bug inside the suite")
+
+    monkeypatch.setitem(V.SUITES, "tau", broken)
+    with pytest.raises(ValueError, match="a bug inside the suite"):
+        main(["verify", "tau", "2"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("suite", ["action-compat", "pn-coproduct"])
+def test_verify_rejects_a_negative_weight(tmp_path, capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "-1", "--json")
+    assert code == 2
+    assert out == ""
+    assert "max_weight must be non-negative, got -1" in err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"verify_weight": -2}))
+    code, out, err = run(capsys, "verify", suite, "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert "config key 'verify_weight' must be non-negative, got -2" in err
+
+
+def test_verify_at_weight_0_is_unchanged(capsys):
+    # the internal-compose pairs of action-compat do not depend on the weight
+    code, out, _ = run(capsys, "verify", "action-compat", "0", "--json")
+    assert code == 0
+    assert json.loads(out) == {"suite": "action-compat", "max_weight": 0, "checked": 3481, "failures": []}
+    code, out, err = run(capsys, "verify", "pn-coproduct", "0")
+    assert code == 2
+    assert "nothing to check at this weight" in err
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--json", "pi-primitive", "3")
     assert code == 0

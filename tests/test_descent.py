@@ -472,6 +472,22 @@ def test_dimension_report_values_and_flags():
     assert [by_n[n].prim_series for n in range(1, 6)] == [1, 1, 2, 10, 70]
 
 
+def test_dimension_report_eliminates_each_block_once(monkeypatch):
+    # one elimination per permutation size k <= prim_cutoff; recomputing the
+    # blocks of every k <= n for each row n takes 1 + 2 + ... + 6 = 21
+    sizes = []
+
+    def counting_rank_of(rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return rank_of(rows)
+
+    monkeypatch.setattr(D, "rank_of", counting_rank_of)
+    report = dimension_report(40, rank_cutoff=6, prim_cutoff=6)
+    assert sizes == [1, 2, 6, 24, 120, 720]
+    assert [row.prim_kernel for row in report.rows[:7]] == [1, 1, 2, 10, 70, 550, None]
+
+
 def test_dimension_report_series_extension():
     report = dimension_report(9, include=("descd", "series"), rank_cutoff=3)
     by_n = {row.n: row for row in report.rows}

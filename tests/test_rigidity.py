@@ -311,3 +311,54 @@ def test_decomposition_with_non_integer_coordinates_is_exact():
         (("P", 2, 0),): 1,
         (("P", 1, 0), ("P", 1, 0)): 1,
     }
+
+
+def test_perturbed_prec_failure_text(shx3):
+    bad = perturbed_presentation(shx3, "a1", "a1", LinComb.single("a2"))
+    assert [str(v) for v in validate_presentation(bad)] == [
+        "shuffle-axiom fails at (a1, a1, a1):\n"
+        "  lhs = 2*a1.a1.a1 + a2.a1\n"
+        "  rhs = 2*a1.a1.a1 + 2*a1.a2",
+        "shuffle-axiom fails at (a1, a1, b1):\n"
+        "  lhs = a1.a1.b1 + a1.b1.a1 + a2.b1\n"
+        "  rhs = a1.a1.b1 + a1.b1.a1",
+        "shuffle-axiom fails at (b1, a1, a1):\n"
+        "  lhs = 2*b1.a1.a1\n"
+        "  rhs = 2*b1.a1.a1 + 2*b1.a2",
+        "left-compatibility fails at (a1, a1.a1):\n"
+        "  lhs = 1 (x) a1.a1.a1 + a1 (x) a1.a1 + a1.a1 (x) a1 + a1.a1.a1 (x) 1\n"
+        "  rhs = 1 (x) a1.a1.a1 + a1 (x) a1.a1 + a1.a1 (x) a1 + a1.a1.a1 (x) 1 + a2 (x) a1",
+        "left-compatibility fails at (a1, a1.b1):\n"
+        "  lhs = 1 (x) a1.a1.b1 + a1 (x) a1.b1 + a1.a1 (x) b1 + a1.a1.b1 (x) 1\n"
+        "  rhs = 1 (x) a1.a1.b1 + a1 (x) a1.b1 + a1.a1 (x) b1 + a1.a1.b1 (x) 1 + a2 (x) b1",
+        "left-compatibility fails at (a1.a1, a1):\n"
+        "  lhs = 2*1 (x) a1.a1.a1 + 2*a1 (x) a1.a1 + 2*a1.a1 (x) a1 + 2*a1.a1.a1 (x) 1\n"
+        "  rhs = 2*1 (x) a1.a1.a1 + 2*a1 (x) a1.a1 + 2*a1 (x) a2 + 2*a1.a1 (x) a1"
+        " + 2*a1.a1.a1 (x) 1 + a2 (x) a1",
+        "left-compatibility fails at (a1.b1, a1):\n"
+        "  lhs = 1 (x) a1.a1.b1 + 1 (x) a1.b1.a1 + a1 (x) a1.b1 + a1 (x) b1.a1 + a1.a1 (x) b1"
+        " + a1.a1.b1 (x) 1 + a1.b1 (x) a1 + a1.b1.a1 (x) 1\n"
+        "  rhs = 1 (x) a1.a1.b1 + 1 (x) a1.b1.a1 + a1 (x) a1.b1 + a1 (x) b1.a1 + a1.a1 (x) b1"
+        " + a1.a1.b1 (x) 1 + a1.b1 (x) a1 + a1.b1.a1 (x) 1 + a2 (x) b1",
+        "left-compatibility fails at (b1.a1, a1):\n"
+        "  lhs = 2*1 (x) b1.a1.a1 + 2*b1 (x) a1.a1 + 2*b1.a1 (x) a1 + 2*b1.a1.a1 (x) 1\n"
+        "  rhs = 2*1 (x) b1.a1.a1 + 2*b1 (x) a1.a1 + 2*b1 (x) a2 + 2*b1.a1 (x) a1 + 2*b1.a1.a1 (x) 1",
+    ]
+
+
+def _one_coefficient(text):
+    return {"basis": {"1": ["a"]}, "prec": [["a", "a", []]], "coproduct": [["a", [["1", "a", text]]]]}
+
+
+@pytest.mark.parametrize("text", ["3", "-1", "+2", " 3 ", "1_0", "3/4", "1.5", "1e3", 7])
+def test_loaded_coefficient_is_the_exact_number(text):
+    A = presentation_from_json(_one_coefficient(text))
+    (coeff,) = A.coproduct_table["a"].terms().values()
+    assert coeff == Fraction(text)
+    assert type(coeff) is (int if Fraction(text).denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("text", ["1/0", "x", "1/2/3", 0.5, 2.0])
+def test_inexact_or_malformed_coefficient_fails_to_load(text):
+    with pytest.raises(PresentationError, match="not an exact number"):
+        presentation_from_json(_one_coefficient(text))

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from oracles import word_prec_by_descents, word_succ_by_descents
 from shufflealg.lincomb import LinComb
 from shufflealg.words import (
     EMPTY_WORD,
@@ -18,10 +19,8 @@ from shufflealg.words import (
     word_antipode,
     word_from_json,
     word_prec,
-    word_prec_by_descents,
     word_shuffle,
     word_succ,
-    word_succ_by_descents,
     word_to_json,
 )
 from shufflealg.verify import check_word_shuffle_axioms
