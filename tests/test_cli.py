@@ -267,9 +267,6 @@ def test_verify_at_weight_0_is_unchanged(capsys):
     code, out, _ = run(capsys, "verify", "action-compat", "0", "--json")
     assert code == 0
     assert json.loads(out) == {"suite": "action-compat", "max_weight": 0, "checked": 3481, "failures": []}
-    code, out, err = run(capsys, "verify", "pn-coproduct", "0")
-    assert code == 2
-    assert "nothing to check at this weight" in err
 
 
 def test_verify_json(capsys):
@@ -289,7 +286,7 @@ def test_verify_action_compat_at_default_weight(capsys):
     assert payload["checked"] == 14833
 
 
-@pytest.mark.parametrize("suite, weight", [("dendriform", "1"), ("bidendriform", "0")])
+@pytest.mark.parametrize("suite, weight", [("dendriform", "1"), ("bidendriform", "0"), ("pn-coproduct", "0")])
 def test_verify_with_nothing_to_check_exits_2(capsys, suite, weight):
     for extra in ((), ("--json",)):
         code, out, err = run(capsys, "verify", suite, weight, *extra)
