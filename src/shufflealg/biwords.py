@@ -199,7 +199,15 @@ def _cut_sum(a: Biword, positions) -> LinComb:
 
 def _cut(a: Biword, k: int) -> tuple[Biword, Biword]:
     """The first k columns and the rest, each top row standardized."""
-    perm = a.perm
+    left_perm, right_perm = standardized_halves(a.perm, k)
+    left_deg = a.deg[:k]
+    left_weight = sum(left_deg)
+    left = Biword.trusted(left_perm, left_deg, left_weight)
+    return (left, Biword.trusted(right_perm, a.deg[k:], a.weight - left_weight))
+
+
+def standardized_halves(perm: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first k entries of a permutation of [n] and the rest, each standardized."""
     n = len(perm)
     # mark the prefix values with 1, then rank the values 1..n in one pass
     rank = [0] * (n + 1)
@@ -210,11 +218,7 @@ def _cut(a: Biword, k: int) -> tuple[Biword, Biword]:
         half = rank[v]
         seen[half] += 1
         rank[v] = seen[half]
-    left_deg = a.deg[:k]
-    left_weight = sum(left_deg)
-    left = Biword.trusted(tuple([rank[v] for v in perm[:k]]), left_deg, left_weight)
-    right = Biword.trusted(tuple([rank[v] for v in perm[k:]]), a.deg[k:], a.weight - left_weight)
-    return (left, right)
+    return tuple([rank[v] for v in perm[:k]]), tuple([rank[v] for v in perm[k:]])
 
 
 def coproduct_prec_lc(x: LinComb) -> LinComb:

@@ -170,7 +170,9 @@ def cmd_pi(args) -> int:
 
 def cmd_dims(args) -> int:
     config = args.config_values
-    include = [c for c in D.REPORT_COLUMNS if getattr(args, c)] or D.REPORT_COLUMNS
+    include = [c for c in D.REPORT_COLUMNS if getattr(args, c)]
+    if include in ([], ["series"]):  # no column group named: all of them
+        include = D.REPORT_COLUMNS
     cutoffs = []
     for name in ("rank_cutoff", "prim_cutoff", "series_cutoff"):
         given = getattr(args, name)  # an explicit option wins, even when it is 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import count, islice
-from math import comb
+from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -35,9 +35,8 @@ from .biwords import (
     biword_prec_lc,
     biword_star_lc,
     biword_succ_lc,
-    coproduct_prec_lc,
-    coproduct_succ_lc,
     enumerate_biwords,
+    standardized_halves,
 )
 from .linalg import RowEchelon, rank_of
 from .series import (
@@ -310,12 +309,6 @@ def descd_membership(x: LinComb, n: int) -> bool:
 
 # -- primitive dimensions -------------------------------------------------------
 
-def _coproduct_image(row: LinComb) -> LinComb:
-    left = coproduct_prec_lc(row).map_keys(lambda t: ("P", t))
-    right = coproduct_succ_lc(row).map_keys(lambda t: ("S", t))
-    return left + right
-
-
 def prim_dend_dimension(n: int, space: str = "full_S", cutoff: int | None = None) -> int:
     """dim of Ker(prec coproduct) intersect Ker(succ coproduct) at weight n."""
     if cutoff is None:
@@ -325,7 +318,7 @@ def prim_dend_dimension(n: int, space: str = "full_S", cutoff: int | None = None
     if space == "full_S":
         return next(islice(_full_S_dimensions(), n - 1, None))
     if space == "descd":
-        return _kernel_dimension(LinComb._raw(dict.fromkeys(cls, 1)) for cls in descd_classes(n).values())
+        return _kernel_dimension(descd_classes(n).values())
     raise ValueError(f"unknown space {space!r}")
 
 
@@ -334,16 +327,34 @@ def _full_S_dimensions():
 
     The half-coproducts cut columns and keep the degree row, so each composition
     with k parts has a copy of the block of the size-k permutations (degrees 1^k).
+    Each row of block k holds the k - 1 nontrivial cuts of one permutation.
     """
     blocks = []
     for n in count(1):
-        blocks.append(_kernel_dimension(map(LinComb.single, enumerate_biwords(n, (1,)))))
+        blocks.append(_kernel_dimension((b,) for b in enumerate_biwords(n, (1,))))
         yield sum(comb(n - 1, k - 1) * dim for k, dim in enumerate(blocks, 1))
 
 
-def _kernel_dimension(rows) -> int:
-    images = [_coproduct_image(row) for row in rows]
-    return len(images) - rank_of(images)
+def _kernel_dimension(sums) -> int:
+    """Joint kernel dimension of the half-coproducts on the span of sums of biwords."""
+    rows = [_cut_row(members) for members in sums]
+    return len(rows) - rank_of(rows)
+
+
+def _cut_row(members) -> LinComb:
+    """Both half-coproducts of a sum of distinct biwords, as one row.  The cut
+    after column j is a prec term when the column with top entry 1 is among the
+    first j, and a succ term otherwise; its key (is prec, j, standardized prefix,
+    standardized suffix, degree row) determines the pair of biwords it gives."""
+    row: dict = {}
+    for b in members:
+        perm, deg = b.perm, b.deg
+        first = perm.index(1) + 1
+        for j in range(1, len(perm)):
+            left, right = standardized_halves(perm, j)
+            key = (j >= first, j, *left, *right, *deg)
+            row[key] = row.get(key, 0) + 1
+    return LinComb._raw(row)
 
 
 # -- dimension report ------------------------------------------------------------
@@ -352,8 +363,6 @@ def biword_count(n: int) -> int:
     """Number of biwords of weight n: sum over k of k! C(n-1, k-1)."""
     if n == 0:
         return 1
-    from math import factorial
-
     return sum(factorial(k) * comb(n - 1, k - 1) for k in range(1, n + 1))
 
 

@@ -16,15 +16,16 @@ from math import gcd
 from .lincomb import LinComb, canonical_key
 
 
-def _to_int_row(lc: LinComb, keyof: dict) -> dict:
+def _to_int_row(lc: LinComb, sort_keys: dict) -> dict:
     denom_lcm = 1
     for coeff in lc.terms().values():
         d = coeff.denominator
         denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
     row = {}
     for key, coeff in lc.terms().items():
-        sk = canonical_key(key)
-        keyof.setdefault(sk, key)
+        sk = sort_keys.get(key)
+        if sk is None:
+            sk = sort_keys[key] = canonical_key(key)
         row[sk] = int(coeff * denom_lcm)
     return row
 
@@ -45,7 +46,7 @@ class RowEchelon:
 
     def __init__(self):
         self._pivots: dict = {}  # lead sort key -> integer row (dict)
-        self._keyof: dict = {}
+        self._sort_keys: dict = {}  # key -> canonical_key(key), in the order first added
 
     @property
     def rank(self) -> int:
@@ -96,7 +97,7 @@ class RowEchelon:
         """Insert a vector; True when it enlarged the span."""
         if lc.is_zero():
             return False
-        row = self._reduce(_to_int_row(lc, self._keyof))
+        row = self._reduce(_to_int_row(lc, self._sort_keys))
         if not row:
             return False
         _strip_content(row)
@@ -111,15 +112,16 @@ class RowEchelon:
         """Span membership by exact reduction."""
         if lc.is_zero():
             return True
-        row = _to_int_row(lc, dict(self._keyof))
+        row = _to_int_row(lc, {})
         return not self._reduce(row)
 
     def pivot_rows(self) -> list[LinComb]:
         """Primitive integer pivot rows, ordered by leading key."""
+        keyof = {sk: key for key, sk in reversed(self._sort_keys.items())}  # first key wins
         out = []
         for lead in sorted(self._pivots):
             row = self._pivots[lead]
-            out.append(LinComb._raw({self._keyof[k]: v for k, v in row.items()}))
+            out.append(LinComb._raw({keyof[k]: v for k, v in row.items()}))
         return out
 
 

@@ -1,16 +1,17 @@
 """Lazily evaluated exact-rational formal power series.
 
 A :class:`PowerSeries` wraps a coefficient oracle ``n -> coefficient``
-together with a memo, so recursive constructions (products, composition, square
-roots, multiplicative inverses) cost polynomial instead of exponential work.
+together with a memo, so recursive constructions (products, square roots,
+multiplicative inverses) cost polynomial instead of exponential work.
 Asking for coefficient n fills the memo for every index up to n, lowest
-first, so deep indices need no deep recursion.
-Coefficients are only ever computed up to a caller-supplied index; nothing
-closed-form is attempted.  Coefficients are exact: an ``int`` while
-integral, a ``Fraction`` only after a division that leaves a remainder.
+first, so deep indices need no deep recursion.  Coefficients are exact: an
+``int`` while integral, a ``Fraction`` only after a division that leaves a
+remainder.
 
-Composition ``f(g)`` requires ``g`` to have zero constant term; square roots
-and inverses require constant term one.  These are checked eagerly so the
+The dimension series substitute x/(1-x) into a series.  That substitution
+is the binomial transform (:meth:`PowerSeries.geometric_substitution`), n
+products for coefficient n, so no power of x/(1-x) is ever expanded.
+Square roots and inverses require constant term one, checked eagerly so the
 failure happens at construction, not at some later coefficient query.
 
 Values are immutable and safe to share; the memo fill is idempotent, so
@@ -20,6 +21,7 @@ concurrent readers can at worst recompute a coefficient to the same value.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 from typing import Callable, Sequence
 
 from .lincomb import exact, exact_div
@@ -73,44 +75,22 @@ class PowerSeries:
     @classmethod
     def factorials(cls) -> "PowerSeries":
         """sum_k k! x^k"""
-        import math
-
-        return cls(math.factorial)
+        return cls(factorial)
 
     # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        return PowerSeries(lambda n: self[n] + other[n])
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         return PowerSeries(lambda n: self[n] - other[n])
 
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(lambda n: -self[n])
+    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        return PowerSeries(lambda n: sum(self[i] * other[n - i] for i in range(n + 1)))
 
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            return PowerSeries(
-                lambda n: sum(self[i] * other[n - i] for i in range(n + 1))
-            )
-        scalar = exact(other)
-        return PowerSeries(lambda n: self[n] * scalar)
-
-    __rmul__ = __mul__
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """f(g) for g with zero constant term."""
-        if inner[0]:
-            raise ValueError("composition needs zero constant term in the inner series")
-        powers = [PowerSeries.one()]
-
-        def coeff(n: int) -> int | Fraction:
-            while len(powers) <= n:
-                powers.append(powers[-1] * inner)
-            # inner^k has valuation >= k, so only k <= n contributes
-            return sum(self[k] * powers[k][n] for k in range(n + 1))
-
-        return PowerSeries(coeff)
+    def geometric_substitution(self) -> "PowerSeries":
+        """f(x/(1-x)), the binomial transform: f_0 at n = 0 and
+        sum_{k=1..n} f_k C(n-1, k-1) at n >= 1."""
+        return PowerSeries(
+            lambda n: sum(self[k] * comb(n - 1, k - 1) for k in range(1, n + 1)) if n else self[0]
+        )
 
     def sqrt(self) -> "PowerSeries":
         """The square root with constant term 1; requires f[0] == 1."""
@@ -154,7 +134,7 @@ def catalan_series() -> PowerSeries:
 
 def biword_count_series() -> PowerSeries:
     """(sum_k k! x^k) o (x/(1-x)); coefficient n counts biwords of weight n."""
-    return PowerSeries.factorials().compose(PowerSeries.geometric())
+    return PowerSeries.factorials().geometric_substitution()
 
 
 def descent_dim_series_closed() -> PowerSeries:
@@ -166,7 +146,7 @@ def descent_dim_series_closed() -> PowerSeries:
 
 def descent_dim_series_catalan() -> PowerSeries:
     """Catalan series composed with x/(1-x); same expansion as the closed form."""
-    return catalan_series().compose(PowerSeries.geometric())
+    return catalan_series().geometric_substitution()
 
 
 def primitive_dim_series() -> PowerSeries:

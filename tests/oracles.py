@@ -2,6 +2,14 @@
 
 Not collected by pytest; the test modules import from it.
 
+Series composition.  ``compose(f, g)`` expands f(g) through the lazy powers
+g^k, in O(n^3) coefficient products; it checks the binomial transform
+:meth:`PowerSeries.geometric_substitution` and the dimension series built on it.
+
+Coproduct images.  ``coproduct_image(x)`` forms both half-coproducts of a
+combination through ``LinComb`` and tags them "P" and "S"; it checks the
+key-level cut rows of the primitive kernel in :mod:`shufflealg.descent`.
+
 Descent-class half-products.  w < z is the sum over permutations alpha of
 [k+l] with descent set inside {k} and alpha^{-1}(1) = 1 of the rearranged
 concatenation; w > z pins alpha^{-1}(1) = k + 1 instead.  The same rule
@@ -13,8 +21,11 @@ from __future__ import annotations
 
 import itertools
 
-from shufflealg.biwords import Biword
+from fractions import Fraction
+
+from shufflealg.biwords import Biword, coproduct_prec_lc, coproduct_succ_lc
 from shufflealg.lincomb import LinComb
+from shufflealg.series import PowerSeries
 from shufflealg.words import Word
 
 
@@ -72,3 +83,24 @@ def biword_succ_by_descents(a: Biword, b: Biword) -> LinComb:
     if a.is_unit():
         return LinComb.single(b)
     return _halves_by_descents(a, b, a.size + 1)
+
+
+def compose(f: PowerSeries, inner: PowerSeries) -> PowerSeries:
+    """f(g) for g with zero constant term."""
+    if inner[0]:
+        raise ValueError("composition needs zero constant term in the inner series")
+    powers = [PowerSeries.one()]
+
+    def coeff(n: int) -> int | Fraction:
+        while len(powers) <= n:
+            powers.append(powers[-1] * inner)
+        # inner^k has valuation >= k, so only k <= n contributes
+        return sum(f[k] * powers[k][n] for k in range(n + 1))
+
+    return PowerSeries(coeff)
+
+
+def coproduct_image(row: LinComb) -> LinComb:
+    left = coproduct_prec_lc(row).map_keys(lambda t: ("P", t))
+    right = coproduct_succ_lc(row).map_keys(lambda t: ("S", t))
+    return left + right

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -135,6 +136,30 @@ def test_dims_command(capsys):
     lines = out.splitlines()
     assert lines[0].split() == ["n", "descd", "closed", "catalan"]
     assert lines[6].split() == ["6", "543", "543", "543"]
+
+
+def test_dims_series_alone_selects_every_group(capsys):
+    # --series adds series columns to the groups; naming no group selects all three
+    code, out, _ = run(capsys, "dims", "6", "--series")
+    assert code == 0
+    assert out.splitlines()[0].split() == ["n", "biwords", "R(x)", "descd", "closed", "catalan", "prim", "P(x)"]
+    for extra in ([], ["--json"]):
+        code, out, _ = run(capsys, "dims", "6", *extra)
+        assert code == 0
+        code, out_series, _ = run(capsys, "dims", "6", "--series", *extra)
+        assert code == 0
+        assert out_series == out
+
+
+def test_dims_40_output_matches_golden(capsys):
+    # the benchmark's dims job, byte for byte; a faster route must print the same
+    golden = (Path(__file__).parent / "golden" / "dims_40.json").read_bytes()
+    assert hashlib.sha256(golden).hexdigest() == (
+        "b73a2e55810ff63800d6eca805bd5a52de8db82febfc22b32f5647a0be1cef4d"
+    )
+    code = main(["dims", "40", "--rank-cutoff", "6", "--prim-cutoff", "6", "--series-cutoff", "40", "--json"])
+    assert code == 0
+    assert capsys.readouterr().out.encode() == golden
 
 
 def test_dims_json(capsys):

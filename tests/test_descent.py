@@ -8,6 +8,7 @@ import pytest
 
 import shufflealg
 from conftest import biword_combination, load_golden
+from oracles import coproduct_image
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import (
     UNIT_BIWORD,
@@ -416,7 +417,7 @@ def test_prim_dimensions_full_space():
 
 def _kernel_by_elimination(biwords) -> int:
     # one row per biword, eliminated all at once: the route the blocks replace
-    images = [D._coproduct_image(LinComb.single(b)) for b in biwords]
+    images = [coproduct_image(LinComb.single(b)) for b in biwords]
     return len(images) - rank_of(images)
 
 
@@ -425,6 +426,25 @@ def test_prim_dimensions_by_blocks_match_full_enumeration():
     assert [_kernel_by_elimination(enumerate_biwords(k, (1,))) for k in range(1, 7)] == [1, 0, 1, 6, 39, 284]
     for n in range(1, 7):
         assert prim_dend_dimension(n, "full_S") == _kernel_by_elimination(enumerate_biwords(n))
+
+
+def _rekeyed(image: LinComb) -> dict:
+    # ("P", (left, right)) -> (True, j, left top row, right top row, degree row)
+    out = {}
+    for (tag, (left, right)), coeff in image.terms().items():
+        out[(tag == "P", left.size, *left.perm, *right.perm, *left.deg, *right.deg)] = coeff
+    return out
+
+
+def test_cut_rows_match_the_lincomb_coproduct_images():
+    for k in range(1, 7):
+        for b in enumerate_biwords(k, (1,)):
+            assert D._cut_row((b,)).terms() == _rekeyed(coproduct_image(LinComb.single(b)))
+    # the descd rows sum over a class: cuts of distinct members may coincide
+    for n in range(1, 6):
+        for members in descd_classes(n).values():
+            image = coproduct_image(LinComb.sum((LinComb.single(b), 1) for b in members))
+            assert D._cut_row(members).terms() == _rekeyed(image)
 
 
 def test_prim_dimensions_descd():

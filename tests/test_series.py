@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import compose
 from shufflealg.series import (
     PowerSeries,
     biword_count_series,
@@ -20,23 +21,23 @@ def ints(series, lo, hi):
 
 
 def test_compose_factorials_with_geometric():
-    r = PowerSeries.factorials().compose(PowerSeries.geometric())
+    r = compose(PowerSeries.factorials(), PowerSeries.geometric())
     assert ints(r, 1, 6) == [1, 3, 11, 49, 261, 1631]
 
 
 def test_compose_identity_left_slot():
     g = PowerSeries.from_coeffs([0, 2, -1, Fraction(1, 3)])
-    assert PowerSeries.x().compose(g).coefficients(8) == g.coefficients(8)
+    assert compose(PowerSeries.x(), g).coefficients(8) == g.coefficients(8)
 
 
 def test_compose_catalan_with_geometric():
-    s = catalan_series().compose(PowerSeries.geometric())
+    s = compose(catalan_series(), PowerSeries.geometric())
     assert ints(s, 1, 6) == [1, 3, 10, 36, 137, 543]
 
 
 def test_compose_rejects_nonzero_constant_term():
     with pytest.raises(ValueError):
-        PowerSeries.factorials().compose(PowerSeries.one())
+        compose(PowerSeries.factorials(), PowerSeries.one())
 
 
 def test_sqrt_of_one():
@@ -135,10 +136,26 @@ def test_compose_associative(fc, gc, hc):
     f = PowerSeries.from_coeffs(fc)
     g = PowerSeries.from_coeffs([0] + gc)
     h = PowerSeries.from_coeffs([0] + hc)
-    lhs = f.compose(g).compose(h)
-    rhs = f.compose(g.compose(h))
+    lhs = compose(compose(f, g), h)
+    rhs = compose(f, compose(g, h))
     for n in range(8):
         assert lhs[n] == rhs[n]
+
+
+coefficient_lists = st.one_of(
+    st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=15),
+    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7), min_size=1, max_size=15),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient_lists)
+def test_geometric_substitution_is_composition_with_geometric(coeffs):
+    f = PowerSeries.from_coeffs(coeffs)
+    expected = compose(f, PowerSeries.geometric()).coefficients(15)
+    got = f.geometric_substitution().coefficients(15)
+    assert got == expected
+    assert [type(c) for c in got] == [type(c) for c in expected]
 
 
 def test_memo_is_stable():
@@ -176,6 +193,16 @@ def test_closed_route_at_1000_matches_recurrence():
     closed = descent_dim_series_closed()
     assert closed[1000] == a[1000]
     assert ints(closed, 990, 1000) == a[990:]
+    # every n <= 1000, and the floor divisions above were exact
+    assert ints(closed, 0, 1000) == a
+    assert all((n + 1) * a[n] == (6 * n - 3) * a[n - 1] - 5 * (n - 2) * a[n - 2] for n in range(2, 1001))
+
+
+def test_catalan_route_equals_closed_route_to_300():
+    closed = descent_dim_series_closed()
+    catalan = descent_dim_series_catalan()
+    assert catalan[300] == closed[300]
+    assert ints(catalan, 0, 300) == ints(closed, 0, 300)
 
 
 def _fraction_fold(n_max: int) -> dict:
