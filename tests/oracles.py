@@ -20,7 +20,6 @@ recursive word half-shuffles and the riffles of :mod:`shufflealg.biwords`.
 from __future__ import annotations
 
 import itertools
-
 from fractions import Fraction
 
 from shufflealg.biwords import Biword, coproduct_prec_lc, coproduct_succ_lc

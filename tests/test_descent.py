@@ -440,7 +440,7 @@ def test_cut_rows_match_the_lincomb_coproduct_images():
     for k in range(1, 7):
         for b in enumerate_biwords(k, (1,)):
             assert D._cut_row((b,)).terms() == _rekeyed(coproduct_image(LinComb.single(b)))
-    # the descd rows sum over a class: cuts of distinct members may coincide
+    # a descd row sums the cuts of every member of one class
     for n in range(1, 6):
         for members in descd_classes(n).values():
             image = coproduct_image(LinComb.sum((LinComb.single(b), 1) for b in members))
