@@ -17,13 +17,13 @@ from .words import Letter, Word, word
 from .biwords import Biword, biword, parse_biword
 from .descent import p_n, pi_composite, pi_n
 from .rigidity import Presentation, RigidityError
-from . import biwords as _biwords, descent as _descent, words as _words
+from . import descent as _descent, words as _words
 
 __version__ = "0.1.0"
 
 # every memo cache in the package; all are unbounded
-_CACHES = (_words.word_shuffle, _words.word_prec, _words.word_antipode, _biwords.enumerate_biwords,
-           _descent.p_n, _descent._evaluate_tree, _descent.descd_echelon, _descent.descd_classes)
+_CACHES = (_words.word_shuffle, _words.word_prec, _words.word_antipode,
+           _descent._evaluate_tree, _descent.descd_echelon)
 
 
 def clear_caches() -> None:

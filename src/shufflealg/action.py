@@ -77,20 +77,12 @@ _WORD_OPS = {
 }
 
 
-def convolution_via_action(f: LinComb, g: LinComb, probe: Word, op: str = "star") -> LinComb:
-    """Evaluate ``op . (f (x) g) . Delta`` on a probe word.
-
-    ``op`` is one of ``prec``, ``succ``, ``star``; f and g are biword
-    combinations acting through phi.
-    """
-    return convolutions_via_action(f, g, probe, (op,))[op]
-
-
 def convolutions_via_action(
     f: LinComb, g: LinComb, probe: Word, ops=tuple(_WORD_OPS)
 ) -> dict[str, LinComb]:
-    """``convolution_via_action`` for each op in ``ops``, from one pass: the
-    cuts of the probe and the actions of f and g on them are shared."""
+    """Evaluate ``op . (f (x) g) . Delta`` on a probe word for each op in
+    ``ops`` (``prec``, ``succ``, ``star``), from one pass: the cuts of the
+    probe and the actions of the biword combinations f and g are shared."""
     combines = {op: _WORD_OPS[op] for op in ops}
     sums = {op: {} for op in ops}
     fs, gs = f.terms().items(), g.terms().items()

@@ -21,7 +21,6 @@ action equals "apply b, then a".
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .lincomb import LinComb, accumulate, bilinear_extend, linear_extend
 from .words import Word, compositions
@@ -110,12 +109,6 @@ def standardize(values) -> tuple[int, ...]:
         raise ValueError(f"cannot standardize a sequence with repeats: {values}")
     ranks = {v: i + 1 for i, v in enumerate(sorted(values))}
     return tuple(ranks[v] for v in values)
-
-
-def tensor_biword(a: Biword, b: Biword) -> Biword:
-    """Block-diagonal concatenation: b's top row shifted by a's size."""
-    k = a.size
-    return Biword.trusted(a.perm + tuple(v + k for v in b.perm), a.deg + b.deg, a.weight + b.weight)
 
 
 def _interleavings(a: Biword, b: Biword, first_from_left: bool):
@@ -269,7 +262,6 @@ def internal_compose_lc(x: LinComb, y: LinComb) -> LinComb:
 
 # -- enumeration ---------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def enumerate_biwords(weight: int, degrees: tuple[int, ...] | None = None) -> tuple[Biword, ...]:
     """All biwords of the given weight, canonical order.
 
@@ -278,9 +270,8 @@ def enumerate_biwords(weight: int, degrees: tuple[int, ...] | None = None) -> tu
     """
     if weight == 0:
         return (UNIT_BIWORD,)
-    parts = degrees if degrees is not None else None
     out = []
-    for comp in compositions(weight, parts):
+    for comp in compositions(weight, degrees):
         k = len(comp)
         for perm in itertools.permutations(range(1, k + 1)):
             out.append(Biword.trusted(perm, comp, weight))
@@ -312,17 +303,6 @@ def render_biword(b: Biword) -> str:
     if b.is_unit():
         return "1"
     return f"{_render_row(b.perm)}|{_render_row(b.deg)}"
-
-
-def render_biword_matrix(b: Biword) -> str:
-    """Two-row matrix form, one column per biletter."""
-    if b.is_unit():
-        return "( )"
-    cells = [(str(v), str(d)) for v, d in zip(b.perm, b.deg)]
-    widths = [max(len(t), len(d)) for t, d in cells]
-    top = " ".join(t.rjust(w) for (t, _), w in zip(cells, widths))
-    bottom = " ".join(d.rjust(w) for (_, d), w in zip(cells, widths))
-    return f"( {top} )\n( {bottom} )"
 
 
 class BiwordParseError(ValueError):

@@ -108,6 +108,17 @@ def parse_biword_combination(text: str) -> LinComb:
 
 # -- subcommands -----------------------------------------------------------------
 
+def _setting(args, attr: str, key: str, label: str) -> int:
+    """The command-line value ``attr`` if given (even 0), else config key ``key``;
+    a negative value is a usage error naming its source."""
+    given = getattr(args, attr)
+    value = args.config_values[key] if given is None else given
+    if value < 0:
+        source = f"config key {key!r}" if given is None else label
+        raise UsageError(f"{source} must be non-negative, got {value}")
+    return value
+
+
 def cmd_product(args) -> int:
     kind = args.kind
     if kind in ("word-prec", "word-succ", "shuffle"):
@@ -151,9 +162,9 @@ def cmd_coproduct(args) -> int:
 
 
 def cmd_pi(args) -> int:
-    parts = [p for p in args.target.split(",") if p]
+    parts = args.target.split(",") if args.target else []
     try:
-        numbers = [int(p) for p in parts]
+        numbers = [int(p) for p in parts]  # an empty part is malformed too
     except ValueError:
         raise UsageError(f"bad composition {args.target!r}")
     if not numbers or any(n < 1 for n in numbers):
@@ -169,18 +180,13 @@ def cmd_pi(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    config = args.config_values
     include = [c for c in D.REPORT_COLUMNS if getattr(args, c)]
     if include in ([], ["series"]):  # no column group named: all of them
         include = D.REPORT_COLUMNS
-    cutoffs = []
-    for name in ("rank_cutoff", "prim_cutoff", "series_cutoff"):
-        given = getattr(args, name)  # an explicit option wins, even when it is 0
-        cutoffs.append(config[name] if given is None else given)
-        if cutoffs[-1] < 0:
-            source = f"config key {name!r}" if given is None else "--" + name.replace("_", "-")
-            raise UsageError(f"{source} must be non-negative, got {cutoffs[-1]}")
-    rank_cutoff, prim_cutoff, series_cutoff = cutoffs
+    rank_cutoff, prim_cutoff, series_cutoff = (
+        _setting(args, name, name, "--" + name.replace("_", "-"))
+        for name in ("rank_cutoff", "prim_cutoff", "series_cutoff")
+    )
     if args.max_n < 1:
         raise UsageError(f"max weight must be positive, got {args.max_n}")
     if args.max_n > series_cutoff:
@@ -238,11 +244,7 @@ def _print_dims_table(report) -> None:
 
 
 def cmd_verify(args) -> int:
-    given = args.max_weight  # an explicit weight wins, even when it is 0
-    max_weight = args.config_values["verify_weight"] if given is None else given
-    if max_weight < 0:
-        source = "config key 'verify_weight'" if given is None else "max_weight"
-        raise UsageError(f"{source} must be non-negative, got {max_weight}")
+    max_weight = _setting(args, "max_weight", "verify_weight", "max_weight")
     if args.suite not in V.SUITES:
         raise UsageError(
             f"unknown suite {args.suite!r}; available: {', '.join(sorted(V.SUITES))}"
@@ -301,8 +303,7 @@ def cmd_decompose(args) -> int:
     try:
         A = R.load_presentation(args.file)
     except (OSError, json.JSONDecodeError, R.PresentationError) as exc:
-        print(f"error: cannot load presentation: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot load presentation: {exc}")
     violations = R.validate_presentation(A)
     if violations:
         print(f"FAIL: presentation violates {len(violations)} axiom instance(s)")

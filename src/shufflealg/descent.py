@@ -25,8 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count, islice
 from math import comb, factorial
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .lincomb import LinComb
 from .biwords import (
@@ -56,7 +55,6 @@ BIWORD_COUNT_CUTOFF = 7
 
 # -- graded projectors and idempotents --------------------------------------
 
-@lru_cache(maxsize=None)
 def p_n(n: int) -> LinComb:
     """Projector onto weight n: identity biwords over all compositions of n."""
     if n < 0:
@@ -225,31 +223,6 @@ def descd_spanning_set(n: int) -> list[tuple[DendMonomial, LinComb]]:
     return out
 
 
-def _check_homogeneous(vectors) -> int | None:
-    weight = None
-    for v in vectors:
-        for key in v.terms():
-            if weight is None:
-                weight = key.weight
-            elif key.weight != weight:
-                raise ValueError("vectors are not weight-homogeneous of equal weight")
-    return weight
-
-
-def rank(vectors) -> int:
-    """Dimension of the span of weight-homogeneous biword combinations."""
-    vectors = list(vectors)
-    _check_homogeneous(vectors)
-    seen = set()
-    distinct = []
-    for v in vectors:
-        marker = frozenset(v.terms().items())
-        if marker not in seen:
-            seen.add(marker)
-            distinct.append(v)
-    return rank_of(distinct)
-
-
 @lru_cache(maxsize=None)
 def descd_echelon(n: int) -> RowEchelon:
     ech = RowEchelon()
@@ -279,8 +252,7 @@ def _bst(cols: tuple) -> tuple:
     return (left, d, _bst(tuple(c for c in rest if c[0] > root)))
 
 
-@lru_cache(maxsize=None)
-def descd_classes(n: int) -> Mapping[tuple, tuple[Biword, ...]]:
+def descd_classes(n: int) -> dict[tuple, tuple[Biword, ...]]:
     """The biwords of weight n grouped by decorated tree, in canonical order;
     each class sum is one basis vector of the weight-n descent component."""
     if n < 1:
@@ -288,7 +260,7 @@ def descd_classes(n: int) -> Mapping[tuple, tuple[Biword, ...]]:
     out: dict[tuple, list[Biword]] = {}
     for b in enumerate_biwords(n):
         out.setdefault(bst_class(b), []).append(b)
-    return MappingProxyType({t: tuple(members) for t, members in out.items()})
+    return {t: tuple(members) for t, members in out.items()}
 
 
 def descd_class_dimension(n: int) -> int:

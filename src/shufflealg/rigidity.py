@@ -528,16 +528,6 @@ def shuffle_presentation(alphabet: dict[int, int], max_weight: int) -> Presentat
     return Presentation(basis, prec, coproduct)
 
 
-def perturbed_presentation(
-    A: Presentation, left: str, right: str, delta: LinComb
-) -> Presentation:
-    """Copy of the presentation with one half-product entry shifted by delta."""
-    prec = dict(A.prec_table)
-    key = (left, right)
-    prec[key] = prec.get(key, LinComb.zero()) + delta
-    return Presentation(A.basis, prec, A.coproduct_table)
-
-
 # -- JSON body -----------------------------------------------------------------------
 
 def presentation_to_json(A: Presentation) -> dict:

@@ -226,6 +226,8 @@ def generic_word(profile: Iterable[int]) -> Word:
 def compositions(total: int, parts: Iterable[int] | None = None):
     """All ordered compositions of ``total`` into the allowed parts (default: any)."""
     allowed = sorted(set(parts)) if parts is not None else range(1, total + 1)
+    if allowed and allowed[0] < 1:
+        raise ValueError(f"composition parts must be positive, got {allowed[0]}")
 
     def rec(rest):
         if rest == 0:

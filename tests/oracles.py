@@ -15,6 +15,10 @@ Descent-class half-products.  w < z is the sum over permutations alpha of
 concatenation; w > z pins alpha^{-1}(1) = k + 1 instead.  The same rule
 rearranges biword columns.  Exponential-time; used only to cross-check the
 recursive word half-shuffles and the riffles of :mod:`shufflealg.biwords`.
+
+Planted faults.  ``perturbed_presentation`` shifts one half-product entry of
+a presentation, so the validator and the decomposition have a known defect
+to report.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from fractions import Fraction
 
 from shufflealg.biwords import Biword, coproduct_prec_lc, coproduct_succ_lc
 from shufflealg.lincomb import LinComb
+from shufflealg.rigidity import Presentation
 from shufflealg.series import PowerSeries
 from shufflealg.words import Word
 
@@ -103,3 +108,13 @@ def coproduct_image(row: LinComb) -> LinComb:
     left = coproduct_prec_lc(row).map_keys(lambda t: ("P", t))
     right = coproduct_succ_lc(row).map_keys(lambda t: ("S", t))
     return left + right
+
+
+def perturbed_presentation(
+    A: Presentation, left: str, right: str, delta: LinComb
+) -> Presentation:
+    """Copy of the presentation with one half-product entry shifted by delta."""
+    prec = dict(A.prec_table)
+    key = (left, right)
+    prec[key] = prec.get(key, LinComb.zero()) + delta
+    return Presentation(A.basis, prec, A.coproduct_table)

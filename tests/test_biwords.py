@@ -26,7 +26,6 @@ from shufflealg.biwords import (
     parse_biword,
     render_biword,
     standardize,
-    tensor_biword,
 )
 from shufflealg.series import biword_count_series
 from shufflealg.verify import check_biword_bialgebra, check_biword_bidendriform, check_biword_dendriform
@@ -71,12 +70,6 @@ def test_biword_value_contract():
         with pytest.raises(AttributeError):
             change()
     assert (b.perm, b.deg, b.weight) == ((2, 1), (1, 3), 4)
-
-
-def test_tensor():
-    assert tensor_biword(biword((1,), (1,)), biword((1,), (2,))) == biword((1, 2), (1, 2))
-    assert tensor_biword(biword((2, 1), (3, 4)), biword((1,), (5,))) == biword((2, 1, 3), (3, 4, 5))
-    assert tensor_biword(biword((2, 1), (1, 1)), UNIT_BIWORD) == biword((2, 1), (1, 1))
 
 
 def test_worked_products_match_golden():
@@ -268,14 +261,6 @@ def test_parse_errors():
 def test_json_roundtrip():
     x = biword((2, 1), (5, 1))
     assert biword_from_json(biword_to_json(x)) == x
-
-
-def test_matrix_rendering():
-    from shufflealg.biwords import render_biword_matrix
-
-    x = biword((3, 1, 4, 2), (1, 12, 3, 4))
-    assert render_biword_matrix(x) == "( 3  1 4 2 )\n( 1 12 3 4 )"
-    assert render_biword_matrix(UNIT_BIWORD) == "( )"
 
 
 def test_cut_standardizes_both_halves():

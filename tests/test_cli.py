@@ -16,11 +16,8 @@ from shufflealg import verify as V
 from shufflealg.cli import DEFAULTS, main, parse_biword_combination
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import biword, biword_from_json
-from shufflealg.rigidity import (
-    perturbed_presentation,
-    save_presentation,
-    shuffle_presentation,
-)
+from oracles import perturbed_presentation
+from shufflealg.rigidity import save_presentation, shuffle_presentation
 
 
 def run(capsys, *argv):
@@ -110,6 +107,13 @@ def test_pi_route_with_a_composition_is_a_usage_error(capsys):
     code, out, _ = run(capsys, "pi", "2,1", "--route", "closed")
     assert code == 0
     assert out == "12|21"
+
+
+@pytest.mark.parametrize("target", ["1,,2", ",3,", "2,", ","])
+def test_pi_rejects_an_empty_part(capsys, target):
+    code, out, err = run(capsys, "pi", target)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad composition {target!r}"
 
 
 def test_pi_alternating_route_at_weight_10_in_a_fresh_process():

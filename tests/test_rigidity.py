@@ -4,6 +4,7 @@ import pytest
 
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import Biword
+from oracles import perturbed_presentation
 from shufflealg.descent import p_n
 from shufflealg.rigidity import (
     Presentation,
@@ -14,7 +15,6 @@ from shufflealg.rigidity import (
     biword_act,
     load_presentation,
     nested_word_count,
-    perturbed_presentation,
     presentation_from_json,
     presentation_to_json,
     primitive_basis,

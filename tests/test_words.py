@@ -8,6 +8,7 @@ from shufflealg.words import (
     EMPTY_WORD,
     Letter,
     Word,
+    compositions,
     deconcat,
     enumerate_words,
     graded_tuples,
@@ -168,6 +169,22 @@ def test_enumerate_words_weight_1():
 def test_enumerate_words_counts_compositions():
     words = enumerate_words(3, {1: 1, 2: 1, 3: 1})
     assert len(words) == 4  # compositions of 3
+
+
+def test_nonpositive_parts_are_rejected():
+    from shufflealg.biwords import enumerate_biwords
+    from shufflealg.rigidity import shuffle_presentation
+
+    for call in (
+        lambda: list(compositions(3, [0, 1])),
+        lambda: list(compositions(3, [-1, 2])),
+        lambda: enumerate_words(2, {0: 1, 1: 1}),
+        lambda: enumerate_biwords(2, (0, 1)),
+        lambda: shuffle_presentation({0: 1, 1: 1}, 2),
+    ):
+        with pytest.raises(ValueError, match="positive"):
+            call()
+    assert list(compositions(3, [2, 1])) == [(1, 1, 1), (1, 2), (2, 1)]
 
 
 def test_graded_tuples_order_and_unit():
