@@ -256,32 +256,23 @@ def cmd_verify(args) -> int:
             "has no identity instances"
         )
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "suite": args.suite,
-                    "max_weight": max_weight,
-                    "checked": failures.checked,
-                    "failures": [
-                        {
-                            "identity": f.identity,
-                            "inputs": [str(i) for i in f.inputs],
-                            "lhs": str(f.lhs),
-                            "rhs": str(f.rhs),
-                        }
-                        for f in failures
-                    ],
-                }
-            )
-        )
+        print(json.dumps({"suite": args.suite, "max_weight": max_weight, **_report_json(failures)}))
+    elif failures:
+        print(f"FAIL: {args.suite} up to weight {max_weight}: {len(failures)} violation(s)")
+        for f in failures[:5]:
+            print(str(f))
     else:
-        if failures:
-            print(f"FAIL: {args.suite} up to weight {max_weight}: {len(failures)} violation(s)")
-            for f in failures[:5]:
-                print(str(f))
-        else:
-            print(f"PASS: {args.suite} up to weight {max_weight}")
+        print(f"PASS: {args.suite} up to weight {max_weight}")
     return 1 if failures else 0
+
+
+def _report_json(report) -> dict:
+    """The instance count and failure records of a report, for ``--json``."""
+    records = [
+        {"identity": f.identity, "inputs": list(map(str, f.inputs)), "lhs": str(f.lhs), "rhs": str(f.rhs)}
+        for f in report
+    ]
+    return {"checked": report.checked, "failures": records}
 
 
 def cmd_membership(args) -> int:
@@ -304,45 +295,43 @@ def cmd_decompose(args) -> int:
         A = R.load_presentation(args.file)
     except (OSError, json.JSONDecodeError, R.PresentationError) as exc:
         raise UsageError(f"cannot load presentation: {exc}")
-    violations = R.validate_presentation(A)
-    if violations:
-        print(f"FAIL: presentation violates {len(violations)} axiom instance(s)")
-        for v in violations[:5]:
-            print(f"  {v}")
-        return 1
+    report = R.validate_presentation(A)
+    if report:
+        summary = [f"presentation violates {len(report)} axiom instance(s)", *(f"  {v}" for v in report[:5])]
+        return _decompose_failed(args, report, "\n".join(summary))
     try:
         decomp = R.primitive_decomposition(A, args.label)
     except R.PresentationError as exc:
         raise UsageError(str(exc))
     except R.RigidityError as exc:
-        print(f"FAIL: rigidity failure: {exc}")
-        return 1
-    roundtrip = None
+        report.append(R.Failure("decomposition-roundtrip", (args.label,), str(exc), ""))
+        return _decompose_failed(args, report, f"rigidity failure: {exc}")
     if args.roundtrip:
-        roundtrip = decomp.evaluate() == LinComb.single(args.label)
-        if not roundtrip:
-            print("FAIL: decomposition does not evaluate back to the label")
-            return 1
+        report.expect("decomposition-roundtrip", (args.label,), decomp.evaluate(), LinComb.single(args.label))
+        if report:
+            return _decompose_failed(args, report, "decomposition does not evaluate back to the label")
     if args.json:
-        payload = {
-            "label": args.label,
-            "terms": [
-                {
-                    "coeff_num": c.numerator,
-                    "coeff_den": c.denominator,
-                    "word": [decomp.primitive_name(p) for p in pids],
-                }
-                for pids, c in decomp.terms.items()
-            ],
-        }
-        if roundtrip is not None:
-            payload["roundtrip"] = roundtrip
+        terms = [
+            {"coeff_num": c.numerator, "coeff_den": c.denominator, "word": list(map(decomp.primitive_name, pids))}
+            for pids, c in decomp.terms.items()
+        ]
+        payload = {"label": args.label, "terms": terms}
+        if args.roundtrip:
+            payload["roundtrip"] = True
         print(json.dumps(payload))
     else:
         print(str(decomp))
-        if roundtrip:
+        if args.roundtrip:
             print("roundtrip: ok")
     return 0
+
+
+def _decompose_failed(args, report, text: str) -> int:
+    if args.json:
+        print(json.dumps({"label": args.label, **_report_json(report)}))
+    else:
+        print(f"FAIL: {text}")
+    return 1
 
 
 # -- parser ------------------------------------------------------------------------

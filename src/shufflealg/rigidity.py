@@ -20,22 +20,20 @@ vectors, by peeling the leading primitive through the coproduct:
 Invalid presentations surface as :class:`RigidityError` (a tau image that
 fails primitivity, or a decomposition that does not evaluate back to its
 label) or as explicit axiom violations from the validator.
+
+The kernels read item tables, tuples of (key, coefficient) pairs that a
+:class:`Presentation` derives from its ``LinComb`` tables (unit rows included;
+the shuffle per unordered label pair once needed), and add terms into plain
+dicts: a ``LinComb`` is built only for a failure record or a public result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
-from .lincomb import (
-    LinComb,
-    accumulate,
-    bilinear_extend,
-    canonical_key,
-    coassociativity_sides,
-    exact_div,
-    linear_extend,
-)
-from .words import EMPTY_WORD, compositions, deconcat, enumerate_words, graded_tuples, word_prec
+from .lincomb import LinComb, accumulate, canonical_key, exact, exact_div, linear_extend
+from .words import compositions, enumerate_words, graded_tuples, word_prec
 
 UNIT_LABEL = "1"
 
@@ -66,9 +64,11 @@ class Report(list):
     checked = 0
 
     def expect(self, identity: str, inputs: tuple, lhs, rhs) -> None:
-        """Count one instance of an identity and record it if the sides differ."""
+        """Count one instance of an identity and record it if the sides differ;
+        a side given as a zero-free coefficient map is recorded as a LinComb."""
         self.checked += 1
         if lhs != rhs:
+            lhs, rhs = (LinComb._raw(x) if type(x) is dict else x for x in (lhs, rhs))
             self.append(Failure(identity, inputs, lhs, rhs))
 
 
@@ -91,29 +91,33 @@ class Presentation:
                 self._weight[label] = w
         self.prec_table: dict[tuple[str, str], LinComb] = dict(prec)
         self.coproduct_table: dict[str, LinComb] = dict(coproduct)
-        for (a, b), out in self.prec_table.items():
-            self._require_label(a)
-            self._require_label(b)
-            for key in out.terms():
-                self._require_label(key)
+        # item tables with the unit rows: a < 1 = a, 1 < b = 0, Delta(1) = 1 (x) 1
+        self._prec_rows = prec_rows = {(a, UNIT_LABEL): ((a, 1),) for a in self._weight}
+        prec_rows.update(((UNIT_LABEL, b), ()) for b in [UNIT_LABEL, *self._weight])
+        self._coproduct_rows = coproduct_rows = {UNIT_LABEL: (((UNIT_LABEL, UNIT_LABEL), 1),)}
+        labels, legs = set(self.coproduct_table), set()
+        for pair, out in self.prec_table.items():
+            terms = out.terms()
+            prec_rows[pair] = tuple(terms.items())
+            labels.update(pair, terms)
         for label, cop in self.coproduct_table.items():
-            self._require_label(label)
-            for left, right in cop.terms():
-                self._require_label(left, unit_ok=True)
-                self._require_label(right, unit_ok=True)
-        self._shuffle_cache: dict[tuple[str, str], LinComb] = {}
+            terms = cop.terms()
+            coproduct_rows[label] = tuple(terms.items())
+            legs.update(*terms)
+        self._require_labels(labels)
+        self._require_labels(legs, unit_ok=True)
+        self._shuffle_rows = {(UNIT_LABEL, UNIT_LABEL): ((UNIT_LABEL, 1),)}  # 1 * 1 = 1, but 1 < 1 = 0
         self._antipode_cache: dict[str, LinComb] = {}
         self._tau_cache: dict[str, LinComb] = {}
         self._primitive_basis = None
         self._decomp_cache: dict[str, LinComb] = {}
 
-    def _require_label(self, label: str, unit_ok: bool = False):
-        if label == UNIT_LABEL:
-            if not unit_ok:
-                raise PresentationError("the unit cannot appear here")
-            return
-        if label not in self._weight:
-            raise PresentationError(f"unknown basis label {label!r}")
+    def _require_labels(self, labels, unit_ok: bool = False):
+        bad = set(labels).difference(self._weight, [UNIT_LABEL] if unit_ok else [])
+        if UNIT_LABEL in bad:
+            raise PresentationError("the unit cannot appear here")
+        if bad:
+            raise PresentationError(f"unknown basis label {min(bad)!r}")
 
     @property
     def max_weight(self) -> int:
@@ -141,21 +145,14 @@ class Presentation:
         return entry
 
     def prec_lc(self, x: LinComb, y: LinComb) -> LinComb:
-        return bilinear_extend(self.prec, x, y)
+        return LinComb._raw(self._prec_terms(x.terms(), y.terms()))
 
     def shuffle(self, a: str, b: str) -> LinComb:
         if a == UNIT_LABEL:
             return LinComb.single(b)
         if b == UNIT_LABEL:
             return LinComb.single(a)
-        pair = (a, b) if a <= b else (b, a)  # commutative: one entry for both orders
-        out = self._shuffle_cache.get(pair)
-        if out is None:
-            out = self._shuffle_cache[pair] = self.prec(a, b) + self.prec(b, a)
-        return out
-
-    def shuffle_lc(self, x: LinComb, y: LinComb) -> LinComb:
-        return bilinear_extend(self.shuffle, x, y)
+        return self.prec(a, b) + self.prec(b, a)
 
     def coproduct(self, label: str) -> LinComb:
         if label == UNIT_LABEL:
@@ -165,17 +162,29 @@ class Presentation:
             raise PresentationError(f"missing coproduct entry for {label!r}")
         return entry
 
-    def coproduct_lc(self, x: LinComb) -> LinComb:
-        return linear_extend(self.coproduct, x)
+    def _prec_row(self, a: str, b: str):
+        """The (label, coefficient) terms of a < b."""
+        row = self._prec_rows.get((a, b))
+        return self.prec(a, b).terms().items() if row is None else row
 
-    def reduced_coproduct_lc(self, x: LinComb) -> LinComb:
-        """Coproduct with both unit tensor legs removed."""
-        full = self.coproduct_lc(x)
-        return LinComb(
-            (pair, c)
-            for pair, c in full.terms().items()
-            if pair[0] != UNIT_LABEL and pair[1] != UNIT_LABEL
-        )
+    def _coproduct_row(self, label: str):
+        """The ((left, right), coefficient) terms of the coproduct of a label."""
+        row = self._coproduct_rows.get(label)
+        return self.coproduct(label).terms().items() if row is None else row
+
+    def _shuffle_row(self, a: str, b: str) -> tuple:
+        """The terms of a * b, kept per unordered pair (the shuffle commutes)."""
+        pair = (a, b) if a <= b else (b, a)
+        row = self._shuffle_rows.get(pair)
+        if row is None:
+            terms = accumulate(dict(self._prec_row(a, b)), self._prec_row(b, a))
+            row = self._shuffle_rows[pair] = tuple(terms.items())
+        return row
+
+    def _prec_terms(self, x: dict, y: dict) -> dict:
+        """x < y for coefficient maps of labels."""
+        row, ys = self._prec_row, y.items()
+        return accumulate({}, ((k, cx * cy * c) for a, cx in x.items() for b, cy in ys for k, c in row(a, b)))
 
 
 # -- validation ----------------------------------------------------------------
@@ -225,49 +234,67 @@ def _validate_tables(A: Presentation, out: Report) -> None:
 
 def _validate_counit(A: Presentation, out: Report) -> None:
     for label in A.labels():
-        cop = A.coproduct(label)
-        left_unit = LinComb(
-            (right, c) for (left, right), c in cop.terms().items() if left == UNIT_LABEL
-        )
-        right_unit = LinComb(
-            (left, c) for (left, right), c in cop.terms().items() if right == UNIT_LABEL
-        )
-        expected = LinComb.single(label)
-        out.expect("counit-left", (label,), left_unit, expected)
-        out.expect("counit-right", (label,), right_unit, expected)
+        row, expected = A._coproduct_rows[label], {label: 1}
+        out.expect("counit-left", (label,), {r: c for (l, r), c in row if l == UNIT_LABEL}, expected)
+        out.expect("counit-right", (label,), {l: c for (l, r), c in row if r == UNIT_LABEL}, expected)
 
 
 def _validate_coassociativity(A: Presentation, out: Report) -> None:
+    rows = A._coproduct_rows
     for label in A.labels():
-        out.expect("coassociativity", (label,), *coassociativity_sides(A.coproduct(label), A.coproduct))
+        row = rows[label]
+        lhs = accumulate({}, (((l1, l2, r), c * c2) for (l, r), c in row for (l1, l2), c2 in rows[l]))
+        rhs = accumulate({}, (((l, r1, r2), c * c2) for (l, r), c in row for (r1, r2), c2 in rows[r]))
+        out.expect("coassociativity", (label,), lhs, rhs)
+
+
+def _add_scaled(acc: dict, scale, row) -> None:
+    """acc += scale * row in place, dropping a key whose coefficient cancels."""
+    get = acc.get
+    for key, c in row:
+        c = get(key, 0) + scale * c
+        if c:
+            acc[key] = c
+        else:
+            del acc[key]
 
 
 def _validate_shuffle_axiom(A: Presentation, out: Report) -> None:
     # (a < b) < c = a < (b sh c) on basis triples within the weight bound
-    prec, shuffle = A.prec, A.shuffle
+    prec, shuffle = A._prec_rows, A._shuffle_row
     for a, b, c in _label_tuples(A, 3):
-        ab_c = ((k, c1 * c2) for ab, c1 in prec(a, b).terms().items() for k, c2 in prec(ab, c).terms().items())
-        a_bc = ((k, c1 * c2) for bc, c1 in shuffle(b, c).terms().items() for k, c2 in prec(a, bc).terms().items())
-        lhs, rhs = (LinComb._raw(accumulate({}, side)) for side in (ab_c, a_bc))
+        lhs, rhs = {}, {}
+        for ab, c1 in prec[a, b]:
+            _add_scaled(lhs, c1, prec[ab, c])
+        for bc, c1 in shuffle(b, c):
+            _add_scaled(rhs, c1, prec[a, bc])
         out.expect("shuffle-axiom", (a, b, c), lhs, rhs)
 
 
 def _validate_left_compatibility(A: Presentation, out: Report) -> None:
     # Delta(x < y) = x' < y' (x) x'' sh y'' + 1 (x) (x < y), full Sweedler sums
-    prec, shuffle, coproduct = A.prec, A.shuffle, A.coproduct
+    prec, cop, shuffle = A._prec_rows, A._coproduct_rows, A._shuffle_row
     for x, y in _label_tuples(A, 2):
-        xy = prec(x, y).terms().items()
-        lhs = accumulate({}, ((pair, c * c2) for key, c in xy for pair, c2 in coproduct(key).terms().items()))
+        xy = prec[x, y]
+        lhs = {}
+        for key, c in xy:
+            _add_scaled(lhs, c, cop[key])
         rhs = {(UNIT_LABEL, key): c for key, c in xy}
-        cop_y = coproduct(y).terms().items()
-        for (x1, x2), cx in coproduct(x).terms().items():
+        get, cop_y = rhs.get, cop[y]
+        for (x1, x2), cx in cop[x]:
             for (y1, y2), cy in cop_y:
-                left = prec(x1, y1).terms().items()
+                left = prec[x1, y1]
                 if left:
-                    right = shuffle(x2, y2).terms().items()
-                    c = cx * cy
-                    accumulate(rhs, (((l, r), c * cl * cr) for l, cl in left for r, cr in right))
-        out.expect("left-compatibility", (x, y), LinComb._raw(lhs), LinComb._raw(rhs))
+                    right = shuffle(x2, y2)
+                    for l, cl in left:
+                        c = cx * cy * cl
+                        for r, cr in right:
+                            v = get((l, r), 0) + c * cr
+                            if v:
+                                rhs[l, r] = v
+                            else:
+                                del rhs[l, r]
+        out.expect("left-compatibility", (x, y), lhs, rhs)
 
 
 # -- antipode and the primitive projector ----------------------------------------
@@ -283,15 +310,15 @@ def _antipode_label(A: Presentation, label: str) -> LinComb:
     if label == UNIT_LABEL:
         return LinComb.single(UNIT_LABEL)
     cached = A._antipode_cache.get(label)
-    if cached is not None:
-        return cached
-    acc = LinComb.single(label, -1) - LinComb.sum(
-        (A.shuffle_lc(_antipode_label(A, left), LinComb.single(right)), c)
-        for (left, right), c in A.coproduct(label).terms().items()
-        if left != UNIT_LABEL and right != UNIT_LABEL
-    )
-    A._antipode_cache[label] = acc
-    return acc
+    if cached is None:
+        # S(x) = -x - sum over proper cuts of S(x') sh x''
+        acc = {label: -1}
+        for (left, right), c in A._coproduct_row(label):
+            if left != UNIT_LABEL and right != UNIT_LABEL:
+                for key, ck in _antipode_label(A, left).terms().items():
+                    _add_scaled(acc, -c * ck, A._shuffle_row(key, right))
+        cached = A._antipode_cache[label] = LinComb._raw(acc)
+    return cached
 
 
 def tau(A: Presentation, x) -> LinComb:
@@ -306,15 +333,14 @@ def _tau_label(A: Presentation, label: str) -> LinComb:
     if label == UNIT_LABEL:
         return LinComb.zero()
     cached = A._tau_cache.get(label)
-    if cached is not None:
-        return cached
-    acc = LinComb.sum(
-        (A.prec_lc(LinComb.single(left), _antipode_label(A, right)), c)
-        for (left, right), c in A.coproduct(label).terms().items()
-        if left != UNIT_LABEL
-    )
-    A._tau_cache[label] = acc
-    return acc
+    if cached is None:
+        acc = {}
+        for (left, right), c in A._coproduct_row(label):
+            if left != UNIT_LABEL:
+                for key, ck in _antipode_label(A, right).terms().items():
+                    _add_scaled(acc, c * ck, A._prec_row(left, key))
+        cached = A._tau_cache[label] = LinComb._raw(acc)
+    return cached
 
 
 # -- primitive basis and decomposition ---------------------------------------------
@@ -333,38 +359,19 @@ def primitive_basis(A: Presentation) -> dict[int, list[LinComb]]:
     for w in sorted(A.basis):
         ech = RowEchelon()
         for label in A.basis[w]:
-            ech.add(tau(A, label))
+            ech.add(_tau_label(A, label))
         rows = ech.pivot_rows()
         for row in rows:
-            bad = A.reduced_coproduct_lc(row)
-            if not bad.is_zero():
+            terms = ((pair, c * c2) for key, c in row.terms().items() for pair, c2 in A._coproduct_row(key))
+            bad = accumulate({}, ((pair, c) for pair, c in terms if UNIT_LABEL not in pair))  # reduced coproduct
+            if bad:
                 raise RigidityError(
                     f"tau image {row} at weight {w} is not primitive: "
-                    f"reduced coproduct {bad}"
+                    f"reduced coproduct {LinComb._raw(bad)}"
                 )
         out[w] = rows
     A._primitive_basis = out
     return out
-
-
-def _expand_in_rows(rows: list[LinComb], v: LinComb) -> list:
-    """Exact coordinates of v in echelon rows (distinct leading keys)."""
-    by_lead = {}
-    for idx, row in enumerate(rows):
-        lead = min(row.terms(), key=canonical_key)
-        by_lead[lead] = idx
-    result = [0] * len(rows)
-    remainder = v
-    while not remainder.is_zero():
-        lead = min(remainder.terms(), key=canonical_key)
-        idx = by_lead.get(lead)
-        if idx is None:
-            raise RigidityError(f"vector {v} does not lie in the primitive span")
-        row = rows[idx]
-        c = exact_div(remainder[lead], row[lead])
-        result[idx] += c
-        remainder = remainder - row * c
-    return result
 
 
 def primitive_decomposition(A: Presentation, label: str) -> "PrimitiveDecomposition":
@@ -374,7 +381,7 @@ def primitive_decomposition(A: Presentation, label: str) -> "PrimitiveDecomposit
     result is re-evaluated through the product table and must reproduce the
     label exactly, otherwise a :class:`RigidityError` is raised.
     """
-    A._require_label(label)
+    A._require_labels((label,))
     basis = primitive_basis(A)
     terms = _decompose_label(A, basis, label)
     decomp = PrimitiveDecomposition(label=label, terms=terms, presentation=A)
@@ -389,35 +396,36 @@ def primitive_decomposition(A: Presentation, label: str) -> "PrimitiveDecomposit
 
 def _decompose_label(A: Presentation, basis, label: str) -> LinComb:
     cached = A._decomp_cache.get(label)
-    if cached is not None:
-        return cached
-    acc = _expand_primitive(A, basis, tau(A, label)) + LinComb.sum(
-        (
-            bilinear_extend(
-                lambda head, tail: LinComb.single(head + tail),
-                _expand_primitive(A, basis, tau(A, left)),
-                _decompose_label(A, basis, right),
-            ),
-            c,
-        )
-        for (left, right), c in A.coproduct(label).terms().items()
-        if left != UNIT_LABEL and right != UNIT_LABEL
-    )
-    A._decomp_cache[label] = acc
-    return acc
+    if cached is None:
+        acc = _expand_primitive(A, basis, _tau_label(A, label))
+        for (left, right), c in A._coproduct_row(label):
+            if left != UNIT_LABEL and right != UNIT_LABEL:
+                tails = _decompose_label(A, basis, right).terms().items()
+                for head, ch in _expand_primitive(A, basis, _tau_label(A, left)).items():
+                    accumulate(acc, ((head + tail, c * ch * ct) for tail, ct in tails))
+        cached = A._decomp_cache[label] = LinComb._raw(acc)
+    return cached
 
 
-def _expand_primitive(A: Presentation, basis, v: LinComb) -> LinComb:
-    """Write a primitive vector as length-1 nested words over the basis."""
-    if v.is_zero():
-        return LinComb.zero()
-    weights = {A.weight_of(k) for k in v.terms()}
-    if len(weights) != 1:
+def _expand_primitive(A: Presentation, basis, v: LinComb) -> dict:
+    """A primitive vector as length-1 nested words: its coordinates in the echelon rows."""
+    remainder, out = dict(v.terms()), {}
+    weights = {A.weight_of(k) for k in remainder}
+    if len(weights) > 1:
         raise RigidityError(f"tau image {v} is not weight-homogeneous")
-    (w,) = weights
+    w = weights.pop() if weights else 0
     rows = basis.get(w, [])
-    coords = _expand_in_rows(rows, v)
-    return LinComb(((("P", w, i),), c) for i, c in enumerate(coords) if c)
+    by_lead = {min(row.terms(), key=canonical_key): i for i, row in enumerate(rows)}
+    while remainder:
+        # the leading key rises at every step, so each row is used at most once
+        lead = min(remainder, key=canonical_key)
+        i = by_lead.get(lead)
+        if i is None:
+            raise RigidityError(f"vector {v} does not lie in the primitive span")
+        row = rows[i].terms()
+        c = out[(("P", w, i),)] = exact_div(remainder[lead], row[lead])
+        _add_scaled(remainder, -c, row.items())
+    return out
 
 
 class PrimitiveDecomposition:
@@ -440,10 +448,10 @@ class PrimitiveDecomposition:
 
     def evaluate_word(self, pid_word) -> LinComb:
         """p1 < (p2 < (... < pk)) for the primitive ids (p1, ..., pk)."""
-        value = self.primitive_vector(pid_word[-1])
+        value = self.primitive_vector(pid_word[-1]).terms()
         for pid in reversed(pid_word[:-1]):
-            value = self.presentation.prec_lc(self.primitive_vector(pid), value)
-        return value
+            value = self.presentation._prec_terms(self.primitive_vector(pid).terms(), value)
+        return LinComb._raw(value)
 
     def primitive_name(self, pid) -> str:
         vec = self.primitive_vector(pid)
@@ -475,13 +483,8 @@ class PrimitiveDecomposition:
 
 def nested_word_count(prim_dims: dict[int, int], weight: int) -> int:
     """Number of nested words of a given weight over graded primitive dims."""
-    total = 0
-    for comp_ in compositions(weight, [w for w, d in prim_dims.items() if d > 0]):
-        prod = 1
-        for part in comp_:
-            prod *= prim_dims[part]
-        total += prod
-    return total
+    parts = [w for w, d in prim_dims.items() if d > 0]
+    return sum(prod(prim_dims[part] for part in comp_) for comp_ in compositions(weight, parts))
 
 
 # -- transport of the biword action ------------------------------------------------
@@ -519,12 +522,15 @@ def shuffle_presentation(alphabet: dict[int, int], max_weight: int) -> Presentat
     for u, v in graded_tuples(2, max_weight, words_by_weight.get):
         terms = word_prec(u, v).terms().items()
         prec[(label_of[u], label_of[v])] = LinComb._raw({label_of[k]: c for k, c in terms})
-    label_of[EMPTY_WORD] = UNIT_LABEL
-    coproduct = {
-        label: LinComb._raw({(label_of[left], label_of[right]): 1 for left, right in deconcat(word_).terms()})
-        for word_, label in label_of.items()
-        if label != UNIT_LABEL
-    }
+    coproduct = {}
+    for label in label_of.values():
+        # deconcatenation, cut between the dot-separated letters of the label
+        letters = label.split(".")
+        cuts = (
+            (".".join(letters[:k]) or UNIT_LABEL, ".".join(letters[k:]) or UNIT_LABEL)
+            for k in range(len(letters) + 1)
+        )
+        coproduct[label] = LinComb._raw(dict.fromkeys(cuts, 1))
     return Presentation(basis, prec, coproduct)
 
 
@@ -556,12 +562,17 @@ def presentation_from_json(obj) -> Presentation:
         basis[_number(int, w)] = labels
     prec = {}
     for a, b, entries in _rows(obj.get("prec"), 3, "'prec'"):
-        prec[(a, b)] = LinComb((key, _number(_exact, c)) for key, c in _rows(entries, 2, "prec terms"))
+        prec[(a, b)] = _exact_terms((key, c) for key, c in _rows(entries, 2, "prec terms"))
     coproduct = {}
     for label, entries in _rows(obj.get("coproduct"), 2, "'coproduct'"):
         terms = _rows(entries, 3, "coproduct terms")
-        coproduct[label] = LinComb(((left, right), _number(_exact, c)) for left, right, c in terms)
+        coproduct[label] = _exact_terms(((left, right), c) for left, right, c in terms)
     return Presentation(basis, prec, coproduct)
+
+
+def _exact_terms(pairs) -> LinComb:
+    # the parsed coefficients are exact already: drop zeros, add up repeated keys
+    return LinComb._raw(accumulate({}, ((key, c) for key, text in pairs if (c := _number(_exact, text)))))
 
 
 def _rows(value, width: int, what: str) -> list:
@@ -589,7 +600,7 @@ def _exact(text):
     try:
         return int(text)
     except ValueError:
-        return Fraction(text)
+        return exact(Fraction(text))
 
 
 def save_presentation(A: Presentation, path) -> None:

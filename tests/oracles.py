@@ -19,6 +19,15 @@ recursive word half-shuffles and the riffles of :mod:`shufflealg.biwords`.
 Planted faults.  ``perturbed_presentation`` shifts one half-product entry of
 a presentation, so the validator and the decomposition have a known defect
 to report.
+
+The presentation validator through ``LinComb``.  ``validate_by_lincomb``
+runs the table checks of :func:`~shufflealg.rigidity.validate_presentation`,
+then its counit, coassociativity, shuffle-axiom and left-compatibility checks
+the way they were first written: every lookup goes through the public
+``prec``, ``shuffle`` and ``coproduct`` of the presentation, which read its
+``LinComb`` tables, and every sum through ``accumulate`` or
+``coassociativity_sides``.  It checks the item-table kernels of
+:mod:`shufflealg.rigidity`.
 """
 
 from __future__ import annotations
@@ -27,8 +36,8 @@ import itertools
 from fractions import Fraction
 
 from shufflealg.biwords import Biword, coproduct_prec_lc, coproduct_succ_lc
-from shufflealg.lincomb import LinComb
-from shufflealg.rigidity import Presentation
+from shufflealg.lincomb import LinComb, accumulate, coassociativity_sides
+from shufflealg.rigidity import UNIT_LABEL, Presentation, Report, _label_tuples, _validate_tables
 from shufflealg.series import PowerSeries
 from shufflealg.words import Word
 
@@ -118,3 +127,62 @@ def perturbed_presentation(
     key = (left, right)
     prec[key] = prec.get(key, LinComb.zero()) + delta
     return Presentation(A.basis, prec, A.coproduct_table)
+
+
+def validate_by_lincomb(A: Presentation) -> Report:
+    out = Report()
+    _validate_tables(A, out)
+    if out:
+        return out
+    _validate_counit(A, out)
+    _validate_coassociativity(A, out)
+    _validate_shuffle_axiom(A, out)
+    _validate_left_compatibility(A, out)
+    return out
+
+
+def _validate_counit(A: Presentation, out: Report) -> None:
+    for label in A.labels():
+        cop = A.coproduct(label)
+        left_unit = LinComb(
+            (right, c) for (left, right), c in cop.terms().items() if left == UNIT_LABEL
+        )
+        right_unit = LinComb(
+            (left, c) for (left, right), c in cop.terms().items() if right == UNIT_LABEL
+        )
+        expected = LinComb.single(label)
+        out.expect("counit-left", (label,), left_unit, expected)
+        out.expect("counit-right", (label,), right_unit, expected)
+
+
+def _validate_coassociativity(A: Presentation, out: Report) -> None:
+    for label in A.labels():
+        out.expect("coassociativity", (label,), *coassociativity_sides(A.coproduct(label), A.coproduct))
+
+
+def _validate_shuffle_axiom(A: Presentation, out: Report) -> None:
+    # (a < b) < c = a < (b sh c) on basis triples within the weight bound
+    prec, shuffle = A.prec, A.shuffle
+    for a, b, c in _label_tuples(A, 3):
+        ab_c = ((k, c1 * c2) for ab, c1 in prec(a, b).terms().items() for k, c2 in prec(ab, c).terms().items())
+        a_bc = ((k, c1 * c2) for bc, c1 in shuffle(b, c).terms().items() for k, c2 in prec(a, bc).terms().items())
+        lhs, rhs = (LinComb._raw(accumulate({}, side)) for side in (ab_c, a_bc))
+        out.expect("shuffle-axiom", (a, b, c), lhs, rhs)
+
+
+def _validate_left_compatibility(A: Presentation, out: Report) -> None:
+    # Delta(x < y) = x' < y' (x) x'' sh y'' + 1 (x) (x < y), full Sweedler sums
+    prec, shuffle, coproduct = A.prec, A.shuffle, A.coproduct
+    for x, y in _label_tuples(A, 2):
+        xy = prec(x, y).terms().items()
+        lhs = accumulate({}, ((pair, c * c2) for key, c in xy for pair, c2 in coproduct(key).terms().items()))
+        rhs = {(UNIT_LABEL, key): c for key, c in xy}
+        cop_y = coproduct(y).terms().items()
+        for (x1, x2), cx in coproduct(x).terms().items():
+            for (y1, y2), cy in cop_y:
+                left = prec(x1, y1).terms().items()
+                if left:
+                    right = shuffle(x2, y2).terms().items()
+                    c = cx * cy
+                    accumulate(rhs, (((l, r), c * cl * cr) for l, cl in left for r, cr in right))
+        out.expect("left-compatibility", (x, y), LinComb._raw(lhs), LinComb._raw(rhs))

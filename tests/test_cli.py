@@ -17,7 +17,14 @@ from shufflealg.cli import DEFAULTS, main, parse_biword_combination
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import biword, biword_from_json
 from oracles import perturbed_presentation
-from shufflealg.rigidity import save_presentation, shuffle_presentation
+from shufflealg.rigidity import (
+    RigidityError,
+    presentation_from_json,
+    presentation_to_json,
+    save_presentation,
+    shuffle_presentation,
+    validate_presentation,
+)
 
 
 def run(capsys, *argv):
@@ -416,6 +423,48 @@ def test_decompose_command(tmp_path, capsys):
 
     code, _, err = run(capsys, "decompose", str(good), "zz9")
     assert code == 2
+
+
+def test_decompose_json_reports_a_failure_as_json(tmp_path, capsys, monkeypatch):
+    # the weight-3 one-symbol word model with a1 < a1 = 2*a1.a1
+    body = presentation_to_json(shuffle_presentation({1: 1}, 3))
+    for row in body["prec"]:
+        if row[:2] == ["a1", "a1"]:
+            row[2] = [["a1.a1", "2"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    code, out, _ = run(capsys, "decompose", str(bad), "a1.a1", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert sorted(payload) == ["checked", "failures", "label"]
+    assert payload["label"] == "a1.a1"
+    report = validate_presentation(presentation_from_json(body))
+    assert payload["checked"] == report.checked > 0
+    assert payload["failures"] == [
+        {"identity": f.identity, "inputs": list(f.inputs), "lhs": str(f.lhs), "rhs": str(f.rhs)}
+        for f in report
+    ]
+    code, out, _ = run(capsys, "decompose", str(bad), "a1.a1")
+    assert code == 1
+    assert out.startswith(f"FAIL: presentation violates {len(report)} axiom instance(s)\n")
+
+    # a rigidity failure on a valid presentation becomes one more record
+    good = tmp_path / "good.json"
+    save_presentation(shuffle_presentation({1: 1}, 3), good)
+
+    def planted(A, label):
+        raise RigidityError("planted")
+
+    monkeypatch.setattr("shufflealg.rigidity.primitive_decomposition", planted)
+    code, out, _ = run(capsys, "decompose", str(good), "a1.a1", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["checked"] == validate_presentation(shuffle_presentation({1: 1}, 3)).checked
+    assert payload["failures"] == [
+        {"identity": "decomposition-roundtrip", "inputs": ["a1.a1"], "lhs": "planted", "rhs": ""}
+    ]
+    code, out, _ = run(capsys, "decompose", str(good), "a1.a1")
+    assert (code, out) == (1, "FAIL: rigidity failure: planted")
 
 
 @pytest.mark.parametrize("body", [

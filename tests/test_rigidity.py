@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import Biword
-from oracles import perturbed_presentation
+from oracles import perturbed_presentation, validate_by_lincomb
 from shufflealg.descent import p_n
 from shufflealg.rigidity import (
     Presentation,
@@ -88,6 +89,68 @@ def test_validation_draws_label_tuples_by_weight(monkeypatch):
     report = validate_presentation(A)
     assert report.checked == 7044
     assert calls < 10 * report.checked
+
+
+def test_validation_builds_few_lincombs(monkeypatch):
+    # the kernels add table terms into dicts; a LinComb per lookup and per
+    # sum built 8814 of them (both constructors) for the 1806 instances here
+    A = shuffle_presentation(standard_alphabet(5, 2), 5)
+    built = 0
+    real_raw, real_init = LinComb._raw.__func__, LinComb.__init__
+
+    def counting_raw(cls, data):
+        nonlocal built
+        built += 1
+        return real_raw(cls, data)
+
+    def counting_init(self, terms=None):
+        nonlocal built
+        built += 1
+        real_init(self, terms)
+
+    monkeypatch.setattr(LinComb, "_raw", classmethod(counting_raw))
+    monkeypatch.setattr(LinComb, "__init__", counting_init)
+    report = validate_presentation(A)
+    assert report == [] and report.checked == 1806
+    assert built <= 2 * report.checked
+
+
+def _faulted_copy(A, rng):
+    """A copy of A with one or two half-product or coproduct entries shifted:
+    by minus an existing term (which cancels it), by minus twice one (which
+    flips its sign, so that sums over the entry cancel to zero at some keys),
+    or by a multiple of a term of the right weight."""
+    prec, coproduct = dict(A.prec_table), dict(A.coproduct_table)
+    for _ in range(rng.randint(1, 2)):
+        table = rng.choice((prec, coproduct))
+        key = rng.choice(sorted(table))
+        terms = table[key].terms()
+        if terms and rng.random() < 0.5:
+            term = rng.choice(sorted(terms, key=str))
+            delta = LinComb.single(term, -terms[term] * rng.choice((1, 2)))
+        else:
+            weight = sum(map(A.weight_of, key)) if table is prec else A.weight_of(key)
+            if table is prec:
+                term = rng.choice(A.basis[weight])
+            else:
+                left = rng.randint(0, weight)
+                term = tuple(rng.choice(A.basis.get(w, [UNIT_LABEL])) for w in (left, weight - left))
+            delta = LinComb.single(term, rng.choice((1, -1, 2, Fraction(1, 2), Fraction(-3, 2))))
+        table[key] = table[key] + delta
+    return Presentation(A.basis, prec, coproduct)
+
+
+def test_validator_matches_the_lincomb_oracle_on_faulted_copies():
+    rng = random.Random(20140)
+    models = [shuffle_presentation(standard_alphabet(w, 2), w) for w in (3, 4)]
+    identities = set()
+    for i in range(120):
+        bad = _faulted_copy(models[i % 2], rng)
+        fast, slow = validate_presentation(bad), validate_by_lincomb(bad)
+        assert fast.checked == slow.checked
+        assert [str(f) for f in fast] == [str(f) for f in slow]
+        identities.update(f.identity for f in fast)
+    assert {"counit-left", "counit-right", "coassociativity", "shuffle-axiom", "left-compatibility"} <= identities
 
 
 def _one_letter_model(prec, coproduct):
