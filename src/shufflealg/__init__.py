@@ -22,8 +22,7 @@ from . import descent as _descent, words as _words
 __version__ = "0.1.0"
 
 # every memo cache in the package; all are unbounded
-_CACHES = (_words.word_shuffle, _words.word_prec, _words.word_antipode,
-           _descent._evaluate_tree, _descent.descd_echelon)
+_CACHES = (_words.word_antipode, _descent._evaluate_tree, _descent.descd_echelon)
 
 
 def clear_caches() -> None:

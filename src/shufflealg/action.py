@@ -77,21 +77,18 @@ _WORD_OPS = {
 }
 
 
-def convolutions_via_action(
-    f: LinComb, g: LinComb, probe: Word, ops=tuple(_WORD_OPS)
-) -> dict[str, LinComb]:
-    """Evaluate ``op . (f (x) g) . Delta`` on a probe word for each op in
-    ``ops`` (``prec``, ``succ``, ``star``), from one pass: the cuts of the
-    probe and the actions of the biword combinations f and g are shared."""
-    combines = {op: _WORD_OPS[op] for op in ops}
-    sums = {op: {} for op in ops}
+def convolutions_via_action(f: LinComb, g: LinComb, probe: Word) -> dict[str, LinComb]:
+    """Evaluate ``op . (f (x) g) . Delta`` on a probe word for each op
+    (``prec``, ``succ``, ``star``), from one pass: the cuts of the probe and
+    the actions of the biword combinations f and g are shared."""
+    sums = {op: {} for op in _WORD_OPS}
     fs, gs = f.terms().items(), g.terms().items()
     for (left, right), ccut in deconcat(probe).terms().items():
         fl = _act(fs, ((left, ccut),)).items()
         gr = _act(gs, ((right, 1),)).items() if fl else ()
         if not gr:
             continue
-        for op, combine in combines.items():
+        for op, combine in _WORD_OPS.items():
             accumulate(sums[op], (
                 (key, cu * cv * c) for u, cu in fl for v, cv in gr for key, c in combine(u, v).terms().items()
             ))

@@ -281,12 +281,10 @@ def descd_membership(x: LinComb, n: int) -> bool:
 
 # -- primitive dimensions -------------------------------------------------------
 
-def prim_dend_dimension(n: int, space: str = "full_S", cutoff: int | None = None) -> int:
+def prim_dend_dimension(n: int, space: str = "full_S") -> int:
     """dim of Ker(prec coproduct) intersect Ker(succ coproduct) at weight n."""
-    if cutoff is None:
-        cutoff = DEFAULT_PRIM_CUTOFF
-    if n < 1 or n > cutoff:
-        raise ValueError(f"weight {n} is outside the configured cutoff {cutoff}")
+    if n < 1 or n > DEFAULT_PRIM_CUTOFF:
+        raise ValueError(f"weight {n} is outside the configured cutoff {DEFAULT_PRIM_CUTOFF}")
     if space == "full_S":
         return next(islice(_full_S_dimensions(), n - 1, None))
     if space == "descd":

@@ -271,24 +271,23 @@ def check_action_compatibility(max_weight: int, max_size: int = 3) -> Report:
 def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Report:
     """The action suite, probing pairs of total weight n with the words ``probes(n)``."""
     out = Report()
-    biwords = [b for w in range(max_weight) for b in B.enumerate_biwords(w)]
+    biwords = {m: B.enumerate_biwords(m) for m in range(max_weight)}
     probes_of = {n: probes(n) for n in range(1, max_weight + 1)}
-    for a in biwords:
-        for b in biwords:
-            total = a.weight + b.weight
-            if total > max_weight or total == 0:
-                continue
-            products = {
-                "prec": B.biword_prec(a, b),
-                "succ": B.biword_succ(a, b),
-                "star": B.biword_star(a, b),
-            }
-            fa, fb = LinComb.single(a), LinComb.single(b)
-            for probe in probes_of[total]:
-                lprobe = LinComb.single(probe)
-                convolutions = act.convolutions_via_action(fa, fb, probe)
-                for op, prod in products.items():
-                    out.expect(f"action-{op}", (a, b, probe), act.endo_apply(prod, lprobe), convolutions[op])
+    for a, b in W.graded_tuples(2, max_weight, lambda m: biwords.get(m, ()), unit=True):
+        total = a.weight + b.weight
+        if total == 0:
+            continue
+        products = {
+            "prec": B.biword_prec(a, b),
+            "succ": B.biword_succ(a, b),
+            "star": B.biword_star(a, b),
+        }
+        fa, fb = LinComb.single(a), LinComb.single(b)
+        for probe in probes_of[total]:
+            lprobe = LinComb.single(probe)
+            convolutions = act.convolutions_via_action(fa, fb, probe)
+            for op, prod in products.items():
+                out.expect(f"action-{op}", (a, b, probe), act.endo_apply(prod, lprobe), convolutions[op])
     sized = [b for k in range(max_size + 1) for b in B.enumerate_biwords_by_size(k, TEST_DEGREES)]
     for a in sized:
         for b in sized:

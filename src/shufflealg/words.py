@@ -11,9 +11,9 @@ so that the full shuffle ``sh = < + >`` is the commutative associative
 product with unit 1.  The deconcatenation coproduct and the antipode make
 this a graded connected commutative Hopf algebra.
 
-Half-shuffles are computed recursively; the descent-class enumeration
-(permutations with at most one descent, at a pinned position) is the
-independent oracle they are tested against, in ``tests/oracles.py``.
+The shuffle fills this recursion's table bottom-up within one call, with no
+cache; the descent-class enumeration (permutations with at most one descent,
+at a pinned position) is the independent oracle, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
-from .lincomb import LinComb, bilinear_extend
+from .lincomb import LinComb, accumulate, bilinear_extend
 
 
 class Letter(NamedTuple):
@@ -124,23 +124,30 @@ def _prepend(letter: Letter, combo: LinComb) -> LinComb:
     )
 
 
-@lru_cache(maxsize=None)
 def word_shuffle(w: Word, z: Word) -> LinComb:
-    """Full shuffle product; 1 is the unit."""
-    if w.is_empty():
-        return LinComb.single(z)
-    if z.is_empty():
-        return LinComb.single(w)
-    return word_prec(w, z) + word_succ(w, z)
+    """Full shuffle product; 1 is the unit.
+
+    ``row[j]`` holds the shuffles of ``a[i:]`` and ``b[j:]`` (letter tuples
+    to coefficients), ``a[i] . row[j] + b[j] . row[j + 1]``, as i runs down.
+    """
+    a, b = w.letters, z.letters
+    row = [{b[j:]: 1} for j in range(len(b) + 1)]
+    for i in reversed(range(len(a))):
+        head = (a[i],)
+        right = row[-1] = {a[i:]: 1}
+        for j in reversed(range(len(b))):
+            other = (b[j],)
+            right = row[j] = accumulate(
+                {head + k: c for k, c in row[j].items()}, [(other + k, c) for k, c in right.items()]
+            )
+    weight = w.weight + z.weight
+    return LinComb._raw({Word.trusted(k, weight): c for k, c in row[0].items()})
 
 
-@lru_cache(maxsize=None)
 def word_prec(w: Word, z: Word) -> LinComb:
     """Left half-shuffle: shuffles of w and z starting with the head of w."""
     if w.is_empty():
         return LinComb.zero()
-    if z.is_empty():
-        return LinComb.single(w)
     return _prepend(w.head(), word_shuffle(w.tail(), z))
 
 

@@ -12,6 +12,7 @@ import pytest
 from conftest import load_golden
 import shufflealg
 from shufflealg import descent as D
+from shufflealg import rigidity as R
 from shufflealg import verify as V
 from shufflealg.cli import DEFAULTS, main, parse_biword_combination
 from shufflealg.lincomb import LinComb
@@ -51,6 +52,16 @@ def test_product_shuffle_unit(capsys):
     code, out, _ = run(capsys, "product", "shuffle", "a", "")
     assert code == 0
     assert out == "a1"
+
+
+@pytest.mark.parametrize("kind, terms", [("shuffle", 301), ("word-prec", 300)])
+def test_product_of_a_long_word_needs_no_deep_recursion(capsys, kind, terms):
+    # a1^300 with b1: b1 goes into one of the 301 gaps (not the first under <)
+    code, out, _ = run(capsys, "product", "--json", kind, ".".join(["a1"] * 300), "b1")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload) == terms
+    assert all((t["coeff_num"], t["coeff_den"], len(t["key"])) == (1, 1, 301) for t in payload)
 
 
 def test_product_internal(capsys):
@@ -423,6 +434,19 @@ def test_decompose_command(tmp_path, capsys):
 
     code, _, err = run(capsys, "decompose", str(good), "zz9")
     assert code == 2
+
+
+def test_decompose_roundtrip_evaluates_once(tmp_path, capsys, monkeypatch):
+    # primitive_decomposition evaluates the decomposition; --roundtrip reports that check
+    good = tmp_path / "shx.json"
+    save_presentation(shuffle_presentation({1: 1, 2: 1}, 3), good)
+    calls = []
+    evaluate = R.PrimitiveDecomposition.evaluate
+    monkeypatch.setattr(R.PrimitiveDecomposition, "evaluate", lambda self: calls.append(1) or evaluate(self))
+    code, out, _ = run(capsys, "decompose", str(good), "a1.a2", "--roundtrip", "--json")
+    assert code == 0
+    assert json.loads(out)["roundtrip"] is True
+    assert len(calls) == 1
 
 
 def test_decompose_json_reports_a_failure_as_json(tmp_path, capsys, monkeypatch):

@@ -110,6 +110,17 @@ def test_shuffle_repeated_letters_multiplicity():
     assert result == LinComb({Word((a, a, a)): 3})
 
 
+def test_shuffle_of_a_repeated_letter_is_one_binomial_term():
+    # the riffles of a1^12 and a1^12 all give a1^24: C(24, 12) of them
+    w = Word((a,) * 12)
+    assert word_shuffle(w, w) == LinComb({Word((a,) * 24): comb(24, 12)})
+
+
+def test_shuffles_keep_no_cache():
+    assert not hasattr(word_shuffle, "cache_info")
+    assert not hasattr(word_prec, "cache_info")
+
+
 def test_deconcat():
     assert deconcat(Word((a,))) == LinComb(
         {(EMPTY_WORD, Word((a,))): 1, (Word((a,)), EMPTY_WORD): 1}
