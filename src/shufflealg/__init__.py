@@ -9,6 +9,7 @@ descent algebra with its idempotents and dimension machinery
 (:mod:`.descent`), exact elimination (:mod:`.linalg`), and abstract shuffle
 bialgebra presentations with the primitive projector and decomposition
 (:mod:`.rigidity`).  The command line lives in :mod:`.cli`.
+No module keeps a memo cache; each memo belongs to one object or one call.
 """
 
 from .lincomb import LinComb
@@ -17,19 +18,8 @@ from .words import Letter, Word, word
 from .biwords import Biword, biword, parse_biword
 from .descent import p_n, pi_composite, pi_n
 from .rigidity import Presentation, RigidityError
-from . import descent as _descent, words as _words
 
 __version__ = "0.1.0"
-
-# every memo cache in the package; all are unbounded
-_CACHES = (_words.word_antipode, _descent._evaluate_tree, _descent.descd_echelon)
-
-
-def clear_caches() -> None:
-    """Empty every memo cache; later calls recompute on demand."""
-    for cached in _CACHES:
-        cached.cache_clear()
-
 
 __all__ = [
     "Biword",
@@ -40,7 +30,6 @@ __all__ = [
     "RigidityError",
     "Word",
     "biword",
-    "clear_caches",
     "p_n",
     "parse_biword",
     "pi_composite",

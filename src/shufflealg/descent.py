@@ -22,7 +22,6 @@ the two half-coproducts) eliminate exactly, one block per permutation size.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import count, islice
 from math import comb, factorial
 from typing import Iterable, NamedTuple
@@ -202,28 +201,28 @@ def _tree_shapes(parts: tuple[int, ...]):
                     yield (op, left, right)
 
 
-@lru_cache(maxsize=None)
-def _evaluate_tree(tree) -> LinComb:
-    if isinstance(tree, int):
-        return pi_n(tree)
-    op, left, right = tree
-    lv = _evaluate_tree(left)
-    rv = _evaluate_tree(right)
-    return biword_prec_lc(lv, rv) if op == "<" else biword_succ_lc(lv, rv)
+def _evaluate_tree(tree, memo: dict) -> LinComb:
+    if tree not in memo:
+        if isinstance(tree, int):
+            memo[tree] = pi_n(tree)
+        else:
+            op, left, right = tree
+            lv, rv = _evaluate_tree(left, memo), _evaluate_tree(right, memo)
+            memo[tree] = biword_prec_lc(lv, rv) if op == "<" else biword_succ_lc(lv, rv)
+    return memo[tree]
 
 
 def descd_spanning_set(n: int) -> list[tuple[DendMonomial, LinComb]]:
     """Every parenthesized half-product of idempotents over compositions of n."""
     if n < 1:
         raise ValueError("spanning sets exist for positive weight only")
-    out = []
+    out, memo = [], {}
     for comp_ in sorted(compositions(n), key=lambda c: (len(c), c)):
         for tree in _tree_shapes(comp_):
-            out.append((DendMonomial(tree), _evaluate_tree(tree)))
+            out.append((DendMonomial(tree), _evaluate_tree(tree, memo)))
     return out
 
 
-@lru_cache(maxsize=None)
 def descd_echelon(n: int) -> RowEchelon:
     ech = RowEchelon()
     for _, value in descd_spanning_set(n):

@@ -147,13 +147,6 @@ class Presentation:
     def prec_lc(self, x: LinComb, y: LinComb) -> LinComb:
         return LinComb._raw(self._prec_terms(x.terms(), y.terms()))
 
-    def shuffle(self, a: str, b: str) -> LinComb:
-        if a == UNIT_LABEL:
-            return LinComb.single(b)
-        if b == UNIT_LABEL:
-            return LinComb.single(a)
-        return self.prec(a, b) + self.prec(b, a)
-
     def coproduct(self, label: str) -> LinComb:
         if label == UNIT_LABEL:
             return LinComb.single((UNIT_LABEL, UNIT_LABEL))

@@ -28,7 +28,8 @@ so ``internal-compose-vs-action`` probes with the biwords of degrees in
 Deconcatenation coassociativity and the coproduct compatibility of the
 half-shuffle are checked by :func:`~shufflealg.rigidity.validate_presentation`
 on the words over two symbols per weight, the presentation that the ``tau``
-and ``rigidity`` suites also use.
+and ``rigidity`` suites also use; ``tau`` checks that presentation's
+antipode recursion against the closed form on every label.
 """
 
 from __future__ import annotations
@@ -299,12 +300,14 @@ def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Repor
 
 
 def check_tau_on_words(max_weight: int) -> Report:
-    """On the shuffle algebra of words: tau fixes letters, kills longer words
-    and squares to itself, and the antipode is the signed reversal."""
+    """On the shuffle algebra of words: the antipode of the presentation, by
+    its graded-connected recursion, is the signed reversal of every label, and
+    tau fixes letters, kills longer words and squares to itself."""
     out = Report()
-    for (w,) in _word_probes(1, max_weight):
-        out.expect("antipode-signed-reversal", (w,), W.word_antipode(w), W.signed_reversal(w))
     A = _word_presentation(max_weight)
+    for label in A.labels():
+        expected = W.word_antipode(W.parse_word(label)).map_keys(str)
+        out.expect("antipode-signed-reversal", (label,), R.antipode(A, label), expected)
     for label in A.labels():
         t = R.tau(A, label)
         word_len = label.count(".") + 1

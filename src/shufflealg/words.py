@@ -9,17 +9,18 @@ The half-shuffles follow the recursion ``w < z = w1 . (rest(w) sh z)`` with
 
 so that the full shuffle ``sh = < + >`` is the commutative associative
 product with unit 1.  The deconcatenation coproduct and the antipode make
-this a graded connected commutative Hopf algebra.
+this a graded connected commutative Hopf algebra, whose antipode is
+S(w) = (-1)^len(w) reverse(w) (Reutenauer, *Free Lie Algebras*, 1993).
 
 The shuffle fills this recursion's table bottom-up within one call, with no
-cache; the descent-class enumeration (permutations with at most one descent,
-at a pinned position) is the independent oracle, in ``tests/oracles.py``.
+cache.  The independent oracles, in ``tests/oracles.py``, are the
+descent-class enumeration (permutations with at most one descent, at a
+pinned position) and the graded-connected antipode recursion.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 from .lincomb import LinComb, accumulate, bilinear_extend
@@ -179,19 +180,8 @@ def deconcat(w: Word) -> LinComb:
     return LinComb._raw(dict.fromkeys(_cuts(w), 1))
 
 
-@lru_cache(maxsize=None)
 def word_antipode(w: Word) -> LinComb:
-    """Antipode by the graded-connected recursion S(w) = -w - sum S(w') sh w''."""
-    if w.is_empty():
-        return LinComb.single(EMPTY_WORD)
-    proper = list(_cuts(w))[1:-1]
-    return LinComb.single(w, -1) - LinComb.sum(
-        (word_shuffle_lc(word_antipode(left), LinComb.single(right)), 1) for left, right in proper
-    )
-
-
-def signed_reversal(w: Word) -> LinComb:
-    """(-1)^len(w) times the reversed word; the antipode in closed form."""
+    """Antipode in closed form: (-1)^len(w) times the reversed word."""
     return LinComb.single(w.reversed(), (-1) ** len(w))
 
 
@@ -248,22 +238,23 @@ def compositions(total: int, parts: Iterable[int] | None = None):
     yield from rec(total)
 
 
-def graded_tuples(arity: int, bound: int, items_of, unit: bool = False):
+def graded_tuples(arity: int, bound: int, items_of, unit: bool = False) -> list[tuple]:
     """The ``arity``-tuples whose i-th entry is drawn from ``items_of(m_i)``,
     every weight m_i >= 1 (>= 0 with ``unit``) and the m_i summing to at most
     ``bound``, in lexicographic order of (weight, position in its list)."""
     least = 0 if unit else 1
-
-    def rec(k, room):
-        if k == 0:
-            yield ()
-            return
-        for m in range(least, room - (k - 1) * least + 1):
-            for item in items_of(m):
-                for rest in rec(k - 1, room - m):
-                    yield (item,) + rest
-
-    yield from rec(arity, bound)
+    items = {m: list(items_of(m)) for m in range(least, bound - (arity - 1) * least + 1)} if arity else {}
+    # the prefixes of one length with the weight room they leave, extended
+    # position by position; each extension keeps the order
+    level = [((), bound)]
+    for after in reversed(range(arity)):
+        level = [
+            (head + (item,), room - m)
+            for head, room in level
+            for m in range(least, room - after * least + 1)
+            for item in items[m]
+        ]
+    return [head for head, _ in level]
 
 
 def enumerate_words(weight: int, alphabet: Mapping[int, int]) -> list[Word]:

@@ -16,6 +16,10 @@ concatenation; w > z pins alpha^{-1}(1) = k + 1 instead.  The same rule
 rearranges biword columns.  Exponential-time; used only to cross-check the
 recursive word half-shuffles and the riffles of :mod:`shufflealg.biwords`.
 
+The word antipode.  ``antipode_by_recursion(w)`` is the graded-connected
+recursion S(w) = -w - sum over proper cuts of S(w') sh w'', with no cache;
+it checks the closed form :func:`~shufflealg.words.word_antipode`.
+
 Planted faults.  ``perturbed_presentation`` shifts one half-product entry of
 a presentation, so the validator and the decomposition have a known defect
 to report.
@@ -24,10 +28,10 @@ The presentation validator through ``LinComb``.  ``validate_by_lincomb``
 runs the table checks of :func:`~shufflealg.rigidity.validate_presentation`,
 then its counit, coassociativity, shuffle-axiom and left-compatibility checks
 the way they were first written: every lookup goes through the public
-``prec``, ``shuffle`` and ``coproduct`` of the presentation, which read its
-``LinComb`` tables, and every sum through ``accumulate`` or
-``coassociativity_sides``.  It checks the item-table kernels of
-:mod:`shufflealg.rigidity`.
+``prec`` and ``coproduct`` of the presentation, which read its ``LinComb``
+tables (the shuffle of two labels is their two half-products), and every sum
+through ``accumulate`` or ``coassociativity_sides``.  It checks the
+item-table kernels of :mod:`shufflealg.rigidity`.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from shufflealg.biwords import Biword, coproduct_prec_lc, coproduct_succ_lc
 from shufflealg.lincomb import LinComb, accumulate, coassociativity_sides
 from shufflealg.rigidity import UNIT_LABEL, Presentation, Report, _label_tuples, _validate_tables
 from shufflealg.series import PowerSeries
-from shufflealg.words import Word
+from shufflealg.words import EMPTY_WORD, Word, _cuts, word_shuffle_lc
 
 
 def descent_class_rearrangements(left: tuple, right: tuple, first: int):
@@ -98,6 +102,16 @@ def biword_succ_by_descents(a: Biword, b: Biword) -> LinComb:
     return _halves_by_descents(a, b, a.size + 1)
 
 
+def antipode_by_recursion(w: Word) -> LinComb:
+    """Antipode by the graded-connected recursion S(w) = -w - sum S(w') sh w''."""
+    if w.is_empty():
+        return LinComb.single(EMPTY_WORD)
+    proper = list(_cuts(w))[1:-1]
+    return LinComb.single(w, -1) - LinComb.sum(
+        (word_shuffle_lc(antipode_by_recursion(left), LinComb.single(right)), 1) for left, right in proper
+    )
+
+
 def compose(f: PowerSeries, inner: PowerSeries) -> PowerSeries:
     """f(g) for g with zero constant term."""
     if inner[0]:
@@ -127,6 +141,14 @@ def perturbed_presentation(
     key = (left, right)
     prec[key] = prec.get(key, LinComb.zero()) + delta
     return Presentation(A.basis, prec, A.coproduct_table)
+
+
+def _shuffle(A: Presentation, a: str, b: str) -> LinComb:
+    if a == UNIT_LABEL:
+        return LinComb.single(b)
+    if b == UNIT_LABEL:
+        return LinComb.single(a)
+    return A.prec(a, b) + A.prec(b, a)
 
 
 def validate_by_lincomb(A: Presentation) -> Report:
@@ -162,7 +184,7 @@ def _validate_coassociativity(A: Presentation, out: Report) -> None:
 
 def _validate_shuffle_axiom(A: Presentation, out: Report) -> None:
     # (a < b) < c = a < (b sh c) on basis triples within the weight bound
-    prec, shuffle = A.prec, A.shuffle
+    prec, shuffle = A.prec, lambda a, b: _shuffle(A, a, b)
     for a, b, c in _label_tuples(A, 3):
         ab_c = ((k, c1 * c2) for ab, c1 in prec(a, b).terms().items() for k, c2 in prec(ab, c).terms().items())
         a_bc = ((k, c1 * c2) for bc, c1 in shuffle(b, c).terms().items() for k, c2 in prec(a, bc).terms().items())
@@ -172,7 +194,7 @@ def _validate_shuffle_axiom(A: Presentation, out: Report) -> None:
 
 def _validate_left_compatibility(A: Presentation, out: Report) -> None:
     # Delta(x < y) = x' < y' (x) x'' sh y'' + 1 (x) (x < y), full Sweedler sums
-    prec, shuffle, coproduct = A.prec, A.shuffle, A.coproduct
+    prec, shuffle, coproduct = A.prec, lambda a, b: _shuffle(A, a, b), A.coproduct
     for x, y in _label_tuples(A, 2):
         xy = prec(x, y).terms().items()
         lhs = accumulate({}, ((pair, c * c2) for key, c in xy for pair, c2 in coproduct(key).terms().items()))

@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion.
 
 Every check is exact (rational arithmetic, equality on the nose); the only
-tolerances are the stated wall-clock bounds, asserted with a fresh cache so
-the timings are honest.  Each criterion prints one pass/fail line; run with
+tolerances are the stated wall-clock bounds; the package keeps no memo
+cache between calls, so each timing starts cold.  Each criterion prints one pass/fail line; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 
@@ -12,7 +12,6 @@ import pytest
 
 from conftest import biword_combination, load_golden
 from oracles import perturbed_presentation
-from shufflealg import clear_caches
 from shufflealg.lincomb import LinComb
 from shufflealg import action as act
 from shufflealg import biwords as B
@@ -41,7 +40,6 @@ def check(num: int, desc: str, ok: bool) -> None:
 
 
 def test_criterion_1_biword_counts():
-    clear_caches()
     start = time.perf_counter()
     counts = [len(B.enumerate_biwords(n)) for n in range(1, 7)]
     elapsed = time.perf_counter() - start
@@ -52,7 +50,6 @@ def test_criterion_1_biword_counts():
 
 
 def test_criterion_2_spanning_ranks():
-    clear_caches()
     start = time.perf_counter()
     ranks = [D.descd_dimension(n) for n in range(1, 7)]
     elapsed = time.perf_counter() - start

@@ -14,6 +14,7 @@ import shufflealg
 from shufflealg import descent as D
 from shufflealg import rigidity as R
 from shufflealg import verify as V
+from shufflealg import words as W
 from shufflealg.cli import DEFAULTS, main, parse_biword_combination
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import biword, biword_from_json
@@ -358,9 +359,33 @@ def test_generic_suites_checked_at_weight_4(capsys):
         assert code == 0
         checked[suite] = json.loads(out)["checked"]
     assert checked == {
-        "shuffle-axioms": 524, "dendriform": 21, "bidendriform": 84, "bialgebra": 122, "tau": 175,
+        "shuffle-axioms": 524, "dendriform": 21, "bidendriform": 84, "bialgebra": 122, "tau": 240,
         "rigidity": 540,
     }
+
+
+def test_tau_flags_an_antipode_that_drops_its_last_proper_cut(capsys, monkeypatch):
+    # the presentation antipode without the last proper cut of each label is
+    # wrong on every label with a proper cut (two letters or more) and right
+    # on every letter, which has none
+    def antipode_label(A, label):
+        if label == R.UNIT_LABEL:
+            return LinComb.single(label)
+        acc = {label: -1}
+        proper = [(pair, c) for pair, c in A._coproduct_row(label) if R.UNIT_LABEL not in pair]
+        for (left, right), c in proper[:-1]:
+            for key, ck in antipode_label(A, left).terms().items():
+                R._add_scaled(acc, -c * ck, A._shuffle_row(key, right))
+        return LinComb._raw(acc)
+
+    monkeypatch.setattr(R, "_antipode_label", antipode_label)
+    code, out, _ = run(capsys, "verify", "--json", "tau", "4")
+    failures = json.loads(out)["failures"]
+    assert code == 1
+    assert failures[0]["identity"] == "antipode-signed-reversal"
+    flagged = [f["inputs"] for f in failures if f["identity"] == "antipode-signed-reversal"]
+    labels = shuffle_presentation(W.standard_alphabet(4, 2), 4).labels()
+    assert flagged == [[label] for label in labels if "." in label]
 
 
 def test_cutoff_defaults_come_from_descent():

@@ -21,7 +21,6 @@ from shufflealg.biwords import (
     enumerate_biwords,
     internal_compose_lc,
 )
-from shufflealg import clear_caches
 from shufflealg import descent as D
 from shufflealg.descent import (
     DendMonomial,
@@ -45,7 +44,6 @@ from shufflealg.descent import (
 from shufflealg.linalg import rank_of
 from shufflealg.series import descent_dim_series_closed
 from shufflealg.verify import check_idempotents, check_pi_primitive, check_pn_coproducts
-from shufflealg import words as W
 from shufflealg.words import compositions
 
 
@@ -242,17 +240,14 @@ def test_spanning_set_rank_weight_7():
     # The definition route: the exact rank of the 20805 tree evaluations at n=7,
     # independent of both series; it must equal A002212(7) and the count of
     # planar binary trees with k vertices decorated by compositions of 7 into k parts.
-    try:
-        trees = sum(catalan(k) * comb(6, k - 1) for k in range(1, 8))
-        assert descd_dimension(7) == 2219 == int(descent_dim_series_closed()[7]) == trees
-        assert descd_class_dimension(7) == 2219
-    finally:
-        clear_caches()
+    trees = sum(catalan(k) * comb(6, k - 1) for k in range(1, 8))
+    assert descd_dimension(7) == 2219 == int(descent_dim_series_closed()[7]) == trees
+    assert descd_class_dimension(7) == 2219
 
 
-def test_clear_caches_empties_every_cache():
-    # every cache in the package, found by its cache_info attribute, so a
-    # cache that clear_caches does not know about fails here
+def test_src_holds_no_memo_cache():
+    # every function and method of the package, found by module and class
+    # scan; a memo cache among them would show its cache_info attribute
     caches = {}
     for info in pkgutil.iter_modules(shufflealg.__path__):
         mod = importlib.import_module(f"shufflealg.{info.name}")
@@ -262,13 +257,8 @@ def test_clear_caches_empties_every_cache():
                 value = getattr(value, "__func__", value)
                 if callable(getattr(value, "cache_info", None)):
                     caches[f"{owner.__name__}.{name}"] = value
-    assert len({id(fn) for fn in caches.values()}) == 3  # modules re-export some by name
-    descd_dimension(3)
-    W.word_antipode(W.word((1, 0), (2, 1)))
-    # each cache holds entries, so the emptiness below is clear_caches' doing
-    assert [name for name, fn in caches.items() if not fn.cache_info().currsize] == []
-    clear_caches()
-    assert {name: fn.cache_info().currsize for name, fn in caches.items()} == dict.fromkeys(caches, 0)
+    assert caches == {}
+    assert not hasattr(shufflealg, "clear_caches") and not hasattr(shufflealg, "_CACHES")
 
 
 def test_class_dimension_matches_spanning_rank():
@@ -336,16 +326,16 @@ def test_class_membership_matches_elimination(n):
     assert True in verdicts and False in verdicts
 
 
-def test_class_route_builds_no_echelon():
-    clear_caches()
-    try:
-        report = dimension_report(6, include=("descd",))
-        assert [row.descd_rank for row in report.rows] == [1, 3, 10, 36, 137, 543]
-        assert descd_membership(p_n(5), 5)
-        assert prim_dend_dimension(5, "descd") == 1
-        assert D.descd_echelon.cache_info().misses == 0
-    finally:
-        clear_caches()
+def test_class_route_builds_no_echelon(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the class route reached the spanning set")
+
+    monkeypatch.setattr(D, "descd_echelon", refuse)
+    monkeypatch.setattr(D, "descd_spanning_set", refuse)
+    report = dimension_report(6, include=("descd",))
+    assert [row.descd_rank for row in report.rows] == [1, 3, 10, 36, 137, 543]
+    assert descd_membership(p_n(5), 5)
+    assert prim_dend_dimension(5, "descd") == 1
 
 
 def test_monomial_rendering():

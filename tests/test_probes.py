@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflealg import clear_caches
 from shufflealg import biwords as B
 from shufflealg import verify as V
 from shufflealg import words as W
@@ -171,14 +170,6 @@ def _expected(failing) -> dict:
     return {s: "fail" if s in failing else "pass" for s in CHANGED_SUITES}
 
 
-@pytest.fixture
-def cold_caches():
-    # the word products are memoized; a planted fault must not outlive its test
-    clear_caches()
-    yield
-    clear_caches()
-
-
 def test_probe_routes_agree_on_the_real_operations():
     for n in range(1, 6):
         verdicts = _verdicts(n)
@@ -218,7 +209,7 @@ def test_only_generic_probes_catch_a_degree_swap(monkeypatch):
     assert verdicts["exhaustive"] == _expected(())
 
 
-def test_probe_routes_flag_the_same_repeated_letter_fault(monkeypatch, cold_caches):
+def test_probe_routes_flag_the_same_repeated_letter_fault(monkeypatch):
     # a shuffle that counts each word once, so a1 sh a1 = a1.a1: wrong only on
     # words that repeat a letter, which the generic tuples never contain; on
     # the generic route the validation of the word presentation over two

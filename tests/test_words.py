@@ -1,8 +1,9 @@
+import itertools
 from math import comb
 
 import pytest
 
-from oracles import word_prec_by_descents, word_succ_by_descents
+from oracles import antipode_by_recursion, word_prec_by_descents, word_succ_by_descents
 from shufflealg.lincomb import LinComb
 from shufflealg.words import (
     EMPTY_WORD,
@@ -14,7 +15,6 @@ from shufflealg.words import (
     graded_tuples,
     nested_prec_form,
     parse_word,
-    signed_reversal,
     standard_alphabet,
     word,
     word_antipode,
@@ -141,7 +141,7 @@ def test_antipode_is_signed_reversal_up_to_weight_4():
     alphabet = standard_alphabet(4, 2)
     for weight in range(1, 5):
         for w in enumerate_words(weight, alphabet):
-            assert word_antipode(w) == signed_reversal(w)
+            assert word_antipode(w) == antipode_by_recursion(w)
 
 
 def test_antipode_convolution_identity():
@@ -207,6 +207,12 @@ def test_graded_tuples_order_and_unit():
     ]
     assert list(graded_tuples(0, 2, items)) == [()]
     assert list(graded_tuples(2, 1, items)) == []
+    # arity 3 with the unit, against a filter of all triples sorted by
+    # (weight, position) entry by entry; no item has weight 3
+    items_or_empty = lambda m: items(m) or ()
+    keyed = [(m, i, x) for m in range(4) for i, x in enumerate(items_or_empty(m))]
+    brute = sorted(t for t in itertools.product(keyed, repeat=3) if sum(m for m, _, _ in t) <= 3)
+    assert graded_tuples(3, 3, items_or_empty, unit=True) == [tuple(x for _, _, x in t) for t in brute]
 
 
 def test_descent_class_oracle_agrees():
