@@ -13,6 +13,11 @@ half-coproducts cut the biword in two and standardize the top rows; the
 column carrying top entry 1 stays left for the prec coproduct and right for
 the succ coproduct.
 
+Every riffle and every cut is computed by two kernels on plain ``(perm,
+deg)`` rows, :func:`riffle_rows` and :func:`cut_rows`; the products and
+coproducts on :class:`Biword` keys wrap them, and the Hopf suites of
+:mod:`shufflealg.verify` count their rows directly.
+
 The internal product is pinned to endomorphism composition (see
 :mod:`shufflealg.action`): ``internal_compose(a, b)`` is the biword whose
 action equals "apply b, then a".
@@ -43,18 +48,18 @@ class Biword:
             raise ValueError(f"top row is not a permutation of [{k}]: {perm}")
         if any(d < 1 for d in deg):
             raise ValueError(f"degrees must be positive: {deg}")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "deg", deg)
-        object.__setattr__(self, "weight", sum(deg))
+        _set_perm(self, perm)
+        _set_deg(self, deg)
+        _set_weight(self, sum(deg))
 
     @classmethod
     def trusted(cls, perm: tuple[int, ...], deg: tuple[int, ...], weight: int) -> "Biword":
         """Construction without validation, for rows that are valid by
         construction; ``weight`` must be ``sum(deg)``."""
         b = object.__new__(cls)
-        object.__setattr__(b, "perm", perm)
-        object.__setattr__(b, "deg", deg)
-        object.__setattr__(b, "weight", weight)
+        _set_perm(b, perm)
+        _set_deg(b, deg)
+        _set_weight(b, weight)
         return b
 
     def __eq__(self, other):
@@ -87,6 +92,9 @@ class Biword:
         return render_biword(self)
 
 
+# the slot setters, bound once: about twice as fast as object.__setattr__ by name
+_set_perm, _set_deg, _set_weight = Biword.perm.__set__, Biword.deg.__set__, Biword.weight.__set__
+
 UNIT_BIWORD = Biword()
 
 
@@ -111,50 +119,93 @@ def standardize(values) -> tuple[int, ...]:
     return tuple(ranks[v] for v in values)
 
 
-def _interleavings(a: Biword, b: Biword, first_from_left: bool):
-    """Riffle interleavings of a's columns with b's shifted columns."""
-    k, l = a.size, b.size
-    perm_a, deg_a = list(a.perm), list(a.deg)
-    cols_b = [(v + k, d) for v, d in zip(b.perm, b.deg)]
+# -- the row kernels: a row is the plain pair (perm, deg) of a biword ------------
+
+def riffle_rows(a: tuple, b: tuple, first_from_left: bool) -> list:
+    """The rows of a < b (``first_from_left``) or of a > b, for rows a and b.
+
+    These are the interleavings of a's columns with b's columns shifted by
+    len(a), each side keeping its order, with a's first column in front for
+    < and b's for >; the unit conventions are x < 1 = x, 1 < x = 0, x > 1 = 0
+    and 1 > x = x.
+    """
+    (perm_a, deg_a), (perm_b, deg_b) = a, b
+    k, l = len(perm_a), len(perm_b)
+    front, other = (k, l) if first_from_left else (l, k)
+    if not front:  # 1 < x = 0, x > 1 = 0
+        return []
+    if not other:  # x < 1 = x, 1 > x = x
+        return [a if first_from_left else b]
     n = k + l
-    weight = a.weight + b.weight
+    top_b = [v + k for v in perm_b]
     # choose the slots occupied by b's columns, preserving orders
     if first_from_left:
         slot_iter = itertools.combinations(range(1, n), l)
     else:
         slot_iter = ((0,) + rest for rest in itertools.combinations(range(1, n), l - 1))
+    rows = []
     for slots in slot_iter:
-        perm, deg = perm_a.copy(), deg_a.copy()
+        perm, deg = list(perm_a), list(deg_a)
         # ascending slots: each insertion lands at its final position
-        for pos, (v, d) in zip(slots, cols_b):
+        for pos, v, d in zip(slots, top_b, deg_b):
             perm.insert(pos, v)
             deg.insert(pos, d)
-        yield Biword.trusted(tuple(perm), tuple(deg), weight)
+        rows.append((tuple(perm), tuple(deg)))
+    return rows
+
+
+def star_rows(a: tuple, b: tuple) -> list:
+    """The rows of a * b, all riffles: those of a < b, then those of a > b;
+    the unit is two-sided."""
+    if not a[0] and not b[0]:
+        return [a]
+    return riffle_rows(a, b, True) + riffle_rows(a, b, False)
+
+
+def cut_rows(row: tuple, positions) -> list:
+    """The cuts of a row after each of the given column counts, as pairs
+    (first columns, the rest) of rows, each top row standardized."""
+    perm, deg = row
+    cuts = []
+    for k in positions:
+        left, right = standardized_halves(perm, k)
+        cuts.append(((left, deg[:k]), (right, deg[k:])))
+    return cuts
+
+
+def prec_cut_positions(perm: tuple[int, ...]) -> range:
+    """Where the prec coproduct cuts a nonempty top row: at and after the
+    column with top entry 1, which stays left."""
+    return range(perm.index(1) + 1, len(perm))
+
+
+def succ_cut_positions(perm: tuple[int, ...]) -> range:
+    """Where the succ coproduct cuts a nonempty top row: strictly before the
+    column with top entry 1, which lands right."""
+    return range(1, perm.index(1) + 1)
+
+
+# -- half-products -------------------------------------------------------------
+
+def _riffle_sum(rows: list, weight: int) -> LinComb:
+    """The combination of riffle rows of the given weight, each once."""
+    trusted = Biword.trusted
+    return LinComb._raw(dict.fromkeys([trusted(perm, deg, weight) for perm, deg in rows], 1))
 
 
 def biword_prec(a: Biword, b: Biword) -> LinComb:
     """Half-product keeping a's first column in front; 1 < x = 0."""
-    if a.is_unit():
-        return LinComb.zero()
-    if b.is_unit():
-        return LinComb.single(a)
-    return LinComb._raw(dict.fromkeys(_interleavings(a, b, first_from_left=True), 1))
+    return _riffle_sum(riffle_rows((a.perm, a.deg), (b.perm, b.deg), True), a.weight + b.weight)
 
 
 def biword_succ(a: Biword, b: Biword) -> LinComb:
     """Half-product keeping b's first (shifted) column in front; x > 1 = 0."""
-    if b.is_unit():
-        return LinComb.zero()
-    if a.is_unit():
-        return LinComb.single(b)
-    return LinComb._raw(dict.fromkeys(_interleavings(a, b, first_from_left=False), 1))
+    return _riffle_sum(riffle_rows((a.perm, a.deg), (b.perm, b.deg), False), a.weight + b.weight)
 
 
 def biword_star(a: Biword, b: Biword) -> LinComb:
     """Convolution product: all riffle interleavings; the unit is two-sided."""
-    if a.is_unit() and b.is_unit():
-        return LinComb.single(UNIT_BIWORD)
-    return biword_prec(a, b) + biword_succ(a, b)
+    return _riffle_sum(star_rows((a.perm, a.deg), (b.perm, b.deg)), a.weight + b.weight)
 
 
 def biword_prec_lc(x: LinComb, y: LinComb) -> LinComb:
@@ -175,14 +226,14 @@ def coproduct_prec(a: Biword) -> LinComb:
     """Cuts at and after the column with top entry 1 (that column stays left)."""
     if a.is_unit():
         raise ValueError("half-coproducts are defined on nonempty biwords")
-    return _cut_sum(a, range(a.inverse_position(1), a.size))
+    return _cut_sum(a, prec_cut_positions(a.perm))
 
 
 def coproduct_succ(a: Biword) -> LinComb:
     """Cuts strictly before the column with top entry 1 (it lands right)."""
     if a.is_unit():
         raise ValueError("half-coproducts are defined on nonempty biwords")
-    return _cut_sum(a, range(1, a.inverse_position(1)))
+    return _cut_sum(a, succ_cut_positions(a.perm))
 
 
 def _cut_sum(a: Biword, positions) -> LinComb:
@@ -192,11 +243,10 @@ def _cut_sum(a: Biword, positions) -> LinComb:
 
 def _cut(a: Biword, k: int) -> tuple[Biword, Biword]:
     """The first k columns and the rest, each top row standardized."""
-    left_perm, right_perm = standardized_halves(a.perm, k)
-    left_deg = a.deg[:k]
+    (((left_perm, left_deg), (right_perm, right_deg)),) = cut_rows((a.perm, a.deg), (k,))
     left_weight = sum(left_deg)
     left = Biword.trusted(left_perm, left_deg, left_weight)
-    return (left, Biword.trusted(right_perm, a.deg[k:], a.weight - left_weight))
+    return (left, Biword.trusted(right_perm, right_deg, a.weight - left_weight))
 
 
 def standardized_halves(perm: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -254,22 +254,6 @@ def tensor(x: LinComb, y: LinComb) -> LinComb:
     return LinComb._raw({(a, b): ca * cb for a, ca in x.terms().items() for b, cb in ys})
 
 
-def tensor_extend(left_op: Callable, right_op: Callable, x: LinComb, y: LinComb) -> LinComb:
-    """The sum of ``left_op(x1, y1) (x) right_op(x2, y2)`` over the pair
-    terms x1 (x) x2 of ``x`` and y1 (x) y2 of ``y``, weighted by their
-    coefficients; ``right_op`` is skipped where ``left_op`` vanishes."""
-
-    def scaled():
-        ys = y.terms().items()
-        for (x1, x2), cx in x.terms().items():
-            for (y1, y2), cy in ys:
-                left = left_op(x1, y1)
-                if left:
-                    yield tensor(left, right_op(x2, y2)), cx * cy
-
-    return LinComb.sum(scaled())
-
-
 def coassociativity_sides(cop: LinComb, coproduct: Callable) -> tuple[LinComb, LinComb]:
     """(Delta (x) id)(cop) and (id (x) Delta)(cop) as combinations of key
     triples, for ``cop`` a combination of key pairs and ``coproduct`` a map

@@ -33,7 +33,8 @@ from fractions import Fraction
 from math import prod
 
 from .lincomb import LinComb, accumulate, canonical_key, exact, exact_div, linear_extend
-from .words import compositions, enumerate_words, graded_tuples, word_prec
+from . import words as W
+from .words import compositions, enumerate_words, graded_tuples
 
 UNIT_LABEL = "1"
 
@@ -506,17 +507,28 @@ def biword_act(A: Presentation, b, label: str) -> LinComb:
 # -- the shuffle algebra of words as a presentation ----------------------------------
 
 def shuffle_presentation(alphabet: dict[int, int], max_weight: int) -> Presentation:
-    """Truncate the shuffle algebra of words over a finite graded alphabet."""
+    """Truncate the shuffle algebra of words over a finite graded alphabet.
+
+    The half-shuffle u < v = u1 . (rest(u) sh v) takes one shuffle per
+    distinct pair (rest(u), v), relabelled by prefixing the label of u1.
+    """
     words_by_weight = {w: enumerate_words(w, alphabet) for w in range(1, max_weight + 1)}
-    label_of = {word_: str(word_) for words_ in words_by_weight.values() for word_ in words_}
-    basis = {w: [label_of[word_] for word_ in words_] for w, words_ in words_by_weight.items()}
+    basis = {w: [str(word_) for word_ in words_] for w, words_ in words_by_weight.items()}
+    word_of = {label: word_ for w, words_ in words_by_weight.items() for label, word_ in zip(basis[w], words_)}
+    label_of = {word_.letters: label for label, word_ in word_of.items()}
     # relabelling merges no terms: the Presentation rejects a label shared by two words
+    shuffles = {}
     prec = {}
-    for u, v in graded_tuples(2, max_weight, words_by_weight.get):
-        terms = word_prec(u, v).terms().items()
-        prec[(label_of[u], label_of[v])] = LinComb._raw({label_of[k]: c for k, c in terms})
+    for u, v in graded_tuples(2, max_weight, basis.get):
+        head, _, rest = u.partition(".")
+        terms = shuffles.get((rest, v))
+        if terms is None:
+            shuffled = W.word_shuffle(word_of[rest] if rest else W.EMPTY_WORD, word_of[v]).terms().items()
+            terms = shuffles[(rest, v)] = [(label_of[k.letters], c) for k, c in shuffled]
+        head += "."
+        prec[(u, v)] = LinComb._raw({head + k: c for k, c in terms})
     coproduct = {}
-    for label in label_of.values():
+    for label in word_of:
         # deconcatenation, cut between the dot-separated letters of the label
         letters = label.split(".")
         cuts = (

@@ -18,6 +18,14 @@ decoration of those permutations.  Biword tuples are bounded by total size,
 which covers every tuple the same bound on weight covers, because size is at
 most weight.  :func:`~shufflealg.words.graded_tuples` enumerates both kinds.
 
+``dendriform`` and the coassociativity half of ``bialgebra`` compare
+combinations of :class:`~shufflealg.biwords.Biword` keys.  ``bidendriform``
+and the ``coproduct-star-morphism`` half of ``bialgebra`` take the rows of
+the probes and call the riffle and cut row kernels of
+:mod:`shufflealg.biwords` directly: every coefficient there is a count, so
+each side is counted once over (left row, right row) pairs, and biword keys
+are built only for a failure record.
+
 The action suites (``idempotents``, ``action-compat``) probe with one
 generic word per composition.  Unlike words over two symbols per weight, on
 which the antisymmetrizer of three weight-1 letters acts as zero, these tell
@@ -35,8 +43,9 @@ antipode recursion against the closed form on every label.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
-from .lincomb import LinComb, coassociativity_sides, tensor, tensor_extend
+from .lincomb import LinComb, coassociativity_sides, tensor
 from . import words as W
 from . import biwords as B
 from . import action as act
@@ -134,56 +143,86 @@ def check_biword_dendriform(max_weight: int) -> Report:
     return out
 
 
-def _tensor_map(left_op, right_op, cop: LinComb) -> LinComb:
-    """(left_op (x) right_op)(cop) for a combination of key pairs."""
-    return LinComb.sum(
-        (tensor(left_op(k1), right_op(k2)), c) for (k1, k2), c in cop.terms().items()
-    )
+def _count_products(pieces) -> Counter:
+    """The pairs of left x right, counted, over (left rows, right rows) pieces."""
+    return Counter(itertools.chain.from_iterable(itertools.starmap(itertools.product, pieces)))
+
+
+def _count_cuts(rows, cuts) -> Counter:
+    """The cut pairs ``cuts(row)`` of the given rows, counted."""
+    return Counter(itertools.chain.from_iterable(map(cuts, rows)))
+
+
+def _prec_cuts(row: tuple) -> list:
+    return B.cut_rows(row, B.prec_cut_positions(row[0]))
+
+
+def _succ_cuts(row: tuple) -> list:
+    return B.cut_rows(row, B.succ_cut_positions(row[0]))
+
+
+def _full_cuts(row: tuple) -> list:
+    """Every cut of a row, the two trivial ones included."""
+    return B.cut_rows(row, range(len(row[0]) + 1))
+
+
+def _pairs_lc(counts: Counter) -> LinComb:
+    """A counter of row pairs as a combination of biword pairs."""
+    trusted = B.Biword.trusted
+    return LinComb._raw({
+        (trusted(*left, sum(left[1])), trusted(*right, sum(right[1]))): c for (left, right), c in counts.items()
+    })
+
+
+def _expect_pairs(out: Report, identity: str, inputs: tuple, lhs: Counter, rhs: Counter) -> None:
+    """:meth:`Report.expect` for counted sides; biword keys are built only for a failure."""
+    # no count is zero, so dict equality decides, without Counter's Python-level loop
+    if dict.__eq__(lhs, rhs):
+        out.checked += 1
+    else:
+        out.expect(identity, inputs, _pairs_lc(lhs), _pairs_lc(rhs))
 
 
 def check_biword_bidendriform(max_weight: int) -> Report:
     """The four half-coproduct/half-product compatibilities on biword pairs."""
     out = Report()
-    single = LinComb.single
-    for x, y in _biword_probes(2, max_weight):
-        dp_x = B.coproduct_prec(x)
-        ds_x = B.coproduct_succ(x)
-        dt_y = B.coproduct_prec(y) + B.coproduct_succ(y)
-        xy = (x, y)
-        prec_y = lambda t: B.biword_prec(t, y)
-        succ_y = lambda t: B.biword_succ(t, y)
-        star_y = lambda t: B.biword_star(t, y)
+    riffles, star = B.riffle_rows, B.star_rows
+    for xy in _biword_probes(2, max_weight):
+        x, y = ((b.perm, b.deg) for b in xy)
+        dp_x, ds_x = _prec_cuts(x), _succ_cuts(x)
+        dt_y = _prec_cuts(y) + _succ_cuts(y)
+        x_prec_y, x_succ_y = riffles(x, y, True), riffles(x, y, False)
 
-        rhs = (
-            tensor_extend(B.biword_prec, B.biword_star, dp_x, dt_y)
-            + single(xy)
-            + _tensor_map(lambda t: B.biword_prec(x, t), single, dt_y)
-            + _tensor_map(single, star_y, dp_x)
-            + _tensor_map(prec_y, single, dp_x)
-        )
-        out.expect("prec-coproduct of x<y", xy, B.coproduct_prec_lc(B.biword_prec(x, y)), rhs)
+        rhs = _count_products(itertools.chain(
+            ((riffles(x1, y1, True), star(x2, y2)) for x1, x2 in dp_x for y1, y2 in dt_y),
+            [([x], [y])],
+            ((riffles(x, y1, True), [y2]) for y1, y2 in dt_y),
+            (([x1], star(x2, y)) for x1, x2 in dp_x),
+            ((riffles(x1, y, True), [x2]) for x1, x2 in dp_x),
+        ))
+        _expect_pairs(out, "prec-coproduct of x<y", xy, _count_cuts(x_prec_y, _prec_cuts), rhs)
 
-        rhs = (
-            tensor_extend(B.biword_prec, B.biword_star, ds_x, dt_y)
-            + _tensor_map(prec_y, single, ds_x)
-            + _tensor_map(single, star_y, ds_x)
-        )
-        out.expect("succ-coproduct of x<y", xy, B.coproduct_succ_lc(B.biword_prec(x, y)), rhs)
+        rhs = _count_products(itertools.chain(
+            ((riffles(x1, y1, True), star(x2, y2)) for x1, x2 in ds_x for y1, y2 in dt_y),
+            ((riffles(x1, y, True), [x2]) for x1, x2 in ds_x),
+            (([x1], star(x2, y)) for x1, x2 in ds_x),
+        ))
+        _expect_pairs(out, "succ-coproduct of x<y", xy, _count_cuts(x_prec_y, _succ_cuts), rhs)
 
-        rhs = (
-            tensor_extend(B.biword_succ, B.biword_star, dp_x, dt_y)
-            + _tensor_map(succ_y, single, dp_x)
-            + _tensor_map(lambda t: B.biword_succ(x, t), single, dt_y)
-        )
-        out.expect("prec-coproduct of x>y", xy, B.coproduct_prec_lc(B.biword_succ(x, y)), rhs)
+        rhs = _count_products(itertools.chain(
+            ((riffles(x1, y1, False), star(x2, y2)) for x1, x2 in dp_x for y1, y2 in dt_y),
+            ((riffles(x1, y, False), [x2]) for x1, x2 in dp_x),
+            ((riffles(x, y1, False), [y2]) for y1, y2 in dt_y),
+        ))
+        _expect_pairs(out, "prec-coproduct of x>y", xy, _count_cuts(x_succ_y, _prec_cuts), rhs)
 
-        rhs = (
-            tensor_extend(B.biword_succ, B.biword_star, ds_x, dt_y)
-            + single((y, x))
-            + _tensor_map(single, lambda t: B.biword_star(x, t), dt_y)
-            + _tensor_map(succ_y, single, ds_x)
-        )
-        out.expect("succ-coproduct of x>y", xy, B.coproduct_succ_lc(B.biword_succ(x, y)), rhs)
+        rhs = _count_products(itertools.chain(
+            ((riffles(x1, y1, False), star(x2, y2)) for x1, x2 in ds_x for y1, y2 in dt_y),
+            [([y], [x])],
+            (([y1], star(x, y2)) for y1, y2 in dt_y),
+            ((riffles(x1, y, False), [x2]) for x1, x2 in ds_x),
+        ))
+        _expect_pairs(out, "succ-coproduct of x>y", xy, _count_cuts(x_succ_y, _succ_cuts), rhs)
     return out
 
 
@@ -197,12 +236,12 @@ def check_biword_bialgebra(max_weight: int) -> Report:
     for (x,) in _biword_probes(1, max_weight, unit=True):
         lhs, rhs = coassociativity_sides(_hopf_coproduct_of(x), _hopf_coproduct_of)
         out.expect("hopf-coassociativity", (x,), lhs, rhs)
-    for x, y in _biword_probes(2, max_weight, unit=True):
-        out.expect(
-            "coproduct-star-morphism", (x, y),
-            B.hopf_coproduct(B.biword_star(x, y)),
-            tensor_extend(B.biword_star, B.biword_star, _hopf_coproduct_of(x), _hopf_coproduct_of(y)),
-        )
+    star = B.star_rows
+    for xy in _biword_probes(2, max_weight, unit=True):
+        x, y = ((b.perm, b.deg) for b in xy)
+        dt_y = _full_cuts(y)
+        rhs = _count_products((star(x1, y1), star(x2, y2)) for x1, x2 in _full_cuts(x) for y1, y2 in dt_y)
+        _expect_pairs(out, "coproduct-star-morphism", xy, _count_cuts(star(x, y), _full_cuts), rhs)
     return out
 
 

@@ -53,16 +53,16 @@ class Word:
         for let in letters:
             if let.weight < 1:
                 raise ValueError(f"letter weight must be positive: {let}")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "weight", sum(let.weight for let in letters))
+        _set_letters(self, letters)
+        _set_weight(self, sum(let.weight for let in letters))
 
     @classmethod
     def trusted(cls, letters: tuple[Letter, ...], weight: int) -> "Word":
         """Construction without validation, for letters taken from valid
         words; ``weight`` must be their total weight."""
         w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
-        object.__setattr__(w, "weight", weight)
+        _set_letters(w, letters)
+        _set_weight(w, weight)
         return w
 
     def __eq__(self, other):
@@ -108,6 +108,9 @@ class Word:
             return "1"
         return ".".join(str(let) for let in self.letters)
 
+
+# the slot setters, bound once: about twice as fast as object.__setattr__ by name
+_set_letters, _set_weight = Word.letters.__set__, Word.weight.__set__
 
 EMPTY_WORD = Word()
 

@@ -7,12 +7,14 @@ compare the route with the exhaustive oracle: every word over two symbols
 per weight and every biword with degrees in {1, 2}, bounded by weight.
 """
 
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_golden
 from shufflealg import biwords as B
 from shufflealg import verify as V
 from shufflealg import words as W
@@ -178,7 +180,37 @@ def test_probe_routes_agree_on_the_real_operations():
     assert verdicts["generic"] == _expected(())
 
 
+def _dropping_the_last_prec_row(riffles):
+    """The riffle row kernel ``riffles``, dropping the canonically last row of a < b."""
+    def kernel(a, b, first_from_left):
+        rows = riffles(a, b, first_from_left)
+        return sorted(rows)[:-1] if first_from_left and len(rows) > 1 else rows
+
+    return kernel
+
+
+def _swapping_size_5_degrees(riffles):
+    """The riffle row kernel ``riffles``, swapping the degrees of the first two
+    columns of every size-5 row of a < b."""
+    def kernel(a, b, first_from_left):
+        rows = riffles(a, b, first_from_left)
+        if not first_from_left or len(a[0]) + len(b[0]) < 5:
+            return rows
+        return [(perm, deg[1::-1] + deg[2:]) for perm, deg in rows]
+
+    return kernel
+
+
 def test_probe_routes_flag_the_same_dropped_riffle_term(monkeypatch):
+    monkeypatch.setattr(B, "riffle_rows", _dropping_the_last_prec_row(B.riffle_rows))
+    verdicts = _verdicts(5)
+    assert verdicts["generic"] == verdicts["exhaustive"]
+    assert verdicts["generic"] == _expected({"dendriform", "bidendriform", "bialgebra"})
+
+
+def test_a_dropped_term_at_the_biword_level_still_fails_dendriform(monkeypatch):
+    # the Hopf suites count riffle rows and never call biword_prec; the
+    # dendriform axioms, on Biword combinations, still flag a fault there
     real_prec = B.biword_prec
 
     def prec_missing_a_term(a, b):
@@ -186,27 +218,31 @@ def test_probe_routes_flag_the_same_dropped_riffle_term(monkeypatch):
         return out - LinComb.single(out.keys()[-1]) if len(out) > 1 else out
 
     monkeypatch.setattr(B, "biword_prec", prec_missing_a_term)
-    verdicts = _verdicts(5)
-    assert verdicts["generic"] == verdicts["exhaustive"]
-    assert verdicts["generic"] == _expected({"dendriform", "bidendriform", "bialgebra"})
+    assert _verdict(V.run_suite("dendriform", 5)) == "fail"
 
 
 def test_only_generic_probes_catch_a_degree_swap(monkeypatch):
-    # swaps the degrees of the first two columns of every size-5 term of a < b;
     # within weight 5 the exhaustive biwords of size 5 all have degree row
     # 11111, on which the swap is invisible
-    real_prec = B.biword_prec
-
-    def prec_swapping_degrees(a, b):
-        out = real_prec(a, b)
-        if a.size + b.size < 5:
-            return out
-        return out.map_keys(lambda x: Biword(x.perm, x.deg[1::-1] + x.deg[2:]))
-
-    monkeypatch.setattr(B, "biword_prec", prec_swapping_degrees)
+    monkeypatch.setattr(B, "riffle_rows", _swapping_size_5_degrees(B.riffle_rows))
     verdicts = _verdicts(5)
     assert verdicts["generic"] == _expected({"dendriform", "bidendriform", "bialgebra"})
     assert verdicts["exhaustive"] == _expected(())
+
+
+@pytest.mark.parametrize("fault, planted", [
+    ("drop-last-prec-row", _dropping_the_last_prec_row),
+    ("swap-size-5-degrees", _swapping_size_5_degrees),
+])
+def test_hopf_suite_failure_text_under_planted_faults(monkeypatch, fault, planted):
+    # pinned from the suites on Biword combinations, before they counted rows
+    golden = load_golden("planted_fault_reports.json")
+    monkeypatch.setattr(B, "riffle_rows", planted(B.riffle_rows))
+    for suite in ("bidendriform", "bialgebra"):
+        text = "\n".join(map(str, V.run_suite(suite, 4)))
+        assert text == golden["weight_4"][fault][suite], suite
+        digest = hashlib.sha256("\n".join(map(str, V.run_suite(suite, 5))).encode()).hexdigest()
+        assert digest == golden["weight_5_sha256"][fault][suite], suite
 
 
 def test_probe_routes_flag_the_same_repeated_letter_fault(monkeypatch):

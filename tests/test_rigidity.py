@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from shufflealg import words as W
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import Biword
 from oracles import antipode_by_recursion, perturbed_presentation, validate_by_lincomb
@@ -70,6 +73,24 @@ def test_word_model_checked_counts(weight, checked):
     report = validate_presentation(shuffle_presentation(standard_alphabet(weight, 2), weight))
     assert report == []
     assert report.checked == checked
+
+
+def test_word_model_takes_one_shuffle_per_rest_and_right_factor(monkeypatch):
+    # u < v = u1 . (rest(u) sh v): the 568 label pairs at weight 5 share 216
+    # shuffles, the empty rest included
+    calls = []
+    real_shuffle = W.word_shuffle
+    monkeypatch.setattr(W, "word_shuffle", lambda w, z: calls.append((w, z)) or real_shuffle(w, z))
+    A = shuffle_presentation(standard_alphabet(5, 2), 5)
+    assert len(A.prec_table) == 568
+    assert len(calls) == len(set(calls)) == 216
+
+
+@pytest.mark.parametrize("weight", range(1, 7))
+def test_word_model_json_matches_the_pinned_digest(golden, weight):
+    body = presentation_to_json(shuffle_presentation(standard_alphabet(weight, 2), weight))
+    digest = hashlib.sha256(json.dumps(body).encode()).hexdigest()
+    assert digest == golden("word_model_json.json")["sha256"][str(weight)]
 
 
 def test_validation_draws_label_tuples_by_weight(monkeypatch):
