@@ -8,15 +8,19 @@ The half-products interleave the columns of the left biword with the
 columns of the right biword after shifting its top row by k, keeping the
 relative order inside each biword: ``a < b`` keeps the first column of a in
 front, ``a > b`` the first (shifted) column of b, and the convolution
-``a * b = a < b + a > b`` runs over all riffle interleavings.  The two
-half-coproducts cut the biword in two and standardize the top rows; the
-column carrying top entry 1 stays left for the prec coproduct and right for
-the succ coproduct.
+``a * b = a < b + a > b`` runs over all riffle interleavings.  The full
+coproduct cuts the biword in two in every way and standardizes the top rows
+(deconcatenation, then standardization); the half-coproducts take the
+nontrivial cuts, split by where the column carrying top entry 1 lands: left
+for the prec coproduct, right for the succ coproduct.
 
 Every riffle and every cut is computed by two kernels on plain ``(perm,
-deg)`` rows, :func:`riffle_rows` and :func:`cut_rows`; the products and
-coproducts on :class:`Biword` keys wrap them, and the Hopf suites of
-:mod:`shufflealg.verify` count their rows directly.
+deg)`` rows, :func:`riffle_rows` and :func:`cut_rows`; ``cut_rows(row,
+side)`` is the one place that knows which cuts each coproduct takes.  The
+products and coproducts on :class:`Biword` keys wrap the kernels
+(:func:`biword_tuple` turns rows into keys); the Hopf suites of
+:mod:`shufflealg.verify` and the descd primitive kernel of
+:mod:`shufflealg.descent` use the rows directly.
 
 The internal product is pinned to endomorphism composition (see
 :mod:`shufflealg.action`): ``internal_compose(a, b)`` is the biword whose
@@ -80,10 +84,6 @@ class Biword:
 
     def is_unit(self) -> bool:
         return not self.perm
-
-    def inverse_position(self, value: int) -> int:
-        """1-based position of ``value`` in the top row."""
-        return self.perm.index(value) + 1
 
     def sort_key(self):
         return (self.weight, self.size, self.perm, self.deg)
@@ -162,10 +162,25 @@ def star_rows(a: tuple, b: tuple) -> list:
     return riffle_rows(a, b, True) + riffle_rows(a, b, False)
 
 
-def cut_rows(row: tuple, positions) -> list:
-    """The cuts of a row after each of the given column counts, as pairs
-    (first columns, the rest) of rows, each top row standardized."""
+def cut_rows(row: tuple, side: str) -> list:
+    """The cuts of a row taken by one coproduct, as pairs (first columns, the
+    rest) of rows, each top row standardized.
+
+    ``side`` "full" cuts after every column count, the two trivial cuts
+    included.  The half-coproducts are defined on nonempty rows: "prec" cuts
+    at and after the column with top entry 1, which stays left, and "succ"
+    strictly before it, so that it lands right.
+    """
     perm, deg = row
+    if side == "full":
+        positions = range(len(perm) + 1)
+    elif side != "prec" and side != "succ":
+        raise ValueError(f"unknown coproduct side {side!r}")
+    elif not perm:
+        raise ValueError("half-coproducts are defined on nonempty biwords")
+    else:
+        one = perm.index(1) + 1  # the column count through the column with top entry 1
+        positions = range(one, len(perm)) if side == "prec" else range(1, one)
     cuts = []
     for k in positions:
         left, right = standardized_halves(perm, k)
@@ -173,16 +188,10 @@ def cut_rows(row: tuple, positions) -> list:
     return cuts
 
 
-def prec_cut_positions(perm: tuple[int, ...]) -> range:
-    """Where the prec coproduct cuts a nonempty top row: at and after the
-    column with top entry 1, which stays left."""
-    return range(perm.index(1) + 1, len(perm))
-
-
-def succ_cut_positions(perm: tuple[int, ...]) -> range:
-    """Where the succ coproduct cuts a nonempty top row: strictly before the
-    column with top entry 1, which lands right."""
-    return range(1, perm.index(1) + 1)
+def biword_tuple(rows: tuple) -> tuple:
+    """A tuple of rows as the tuple of their biwords."""
+    trusted = Biword.trusted
+    return tuple([trusted(perm, deg, sum(deg)) for perm, deg in rows])
 
 
 # -- half-products -------------------------------------------------------------
@@ -224,29 +233,17 @@ def biword_star_lc(x: LinComb, y: LinComb) -> LinComb:
 
 def coproduct_prec(a: Biword) -> LinComb:
     """Cuts at and after the column with top entry 1 (that column stays left)."""
-    if a.is_unit():
-        raise ValueError("half-coproducts are defined on nonempty biwords")
-    return _cut_sum(a, prec_cut_positions(a.perm))
+    return _cut_sum(a, "prec")
 
 
 def coproduct_succ(a: Biword) -> LinComb:
     """Cuts strictly before the column with top entry 1 (it lands right)."""
-    if a.is_unit():
-        raise ValueError("half-coproducts are defined on nonempty biwords")
-    return _cut_sum(a, succ_cut_positions(a.perm))
+    return _cut_sum(a, "succ")
 
 
-def _cut_sum(a: Biword, positions) -> LinComb:
-    """Sum of the cuts of ``a`` after each of the given column counts."""
-    return LinComb._raw(dict.fromkeys((_cut(a, k) for k in positions), 1))
-
-
-def _cut(a: Biword, k: int) -> tuple[Biword, Biword]:
-    """The first k columns and the rest, each top row standardized."""
-    (((left_perm, left_deg), (right_perm, right_deg)),) = cut_rows((a.perm, a.deg), (k,))
-    left_weight = sum(left_deg)
-    left = Biword.trusted(left_perm, left_deg, left_weight)
-    return (left, Biword.trusted(right_perm, right_deg, a.weight - left_weight))
+def _cut_sum(a: Biword, side: str) -> LinComb:
+    """The sum of the cuts of ``a`` that the coproduct ``side`` takes."""
+    return LinComb._raw(dict.fromkeys(map(biword_tuple, cut_rows((a.perm, a.deg), side)), 1))
 
 
 def standardized_halves(perm: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -275,7 +272,7 @@ def coproduct_succ_lc(x: LinComb) -> LinComb:
 def hopf_coproduct(x: LinComb) -> LinComb:
     """Counital coproduct: x (x) 1 + 1 (x) x + both half-coproducts, i.e.
     every cut of each biword, the two trivial ones included."""
-    return linear_extend(lambda a: _cut_sum(a, range(a.size + 1)), x)
+    return linear_extend(lambda a: _cut_sum(a, "full"), x)
 
 
 # -- internal composition -----------------------------------------------------

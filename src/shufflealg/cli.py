@@ -285,6 +285,8 @@ def cmd_membership(args) -> int:
     (n,) = weights
     if args.weight is not None and args.weight != n:
         raise UsageError(f"combination has weight {n}, not {args.weight}")
+    if n == 0:
+        raise UsageError("the descent algebra starts at weight 1; the unit has weight 0")
     member = D.descd_membership(x, n)
     emit(args, {"member": member, "weight": n}, "true" if member else "false")
     return 0 if member else 1

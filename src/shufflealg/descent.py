@@ -33,8 +33,8 @@ from .biwords import (
     biword_prec_lc,
     biword_star_lc,
     biword_succ_lc,
+    cut_rows,
     enumerate_biwords,
-    standardized_halves,
 )
 from .linalg import RowEchelon, rank_of
 from .series import (
@@ -311,18 +311,16 @@ def _kernel_dimension(sums) -> int:
 
 
 def _cut_row(members) -> LinComb:
-    """Both half-coproducts of a sum of distinct biwords, as one row.  The cut
-    after column j is a prec term when the column with top entry 1 is among the
-    first j, and a succ term otherwise; its key (is prec, j, standardized prefix,
-    standardized suffix, degree row) determines the pair of biwords it gives."""
+    """Both half-coproducts of a sum of distinct biwords, as one row.  The key
+    (is prec, j, standardized prefix, standardized suffix, degree row) of the
+    cut after column j determines the pair of biwords it gives."""
     row: dict = {}
     for b in members:
-        perm, deg = b.perm, b.deg
-        first = perm.index(1) + 1
-        for j in range(1, len(perm)):
-            left, right = standardized_halves(perm, j)
-            key = (j >= first, j, *left, *right, *deg)
-            row[key] = row.get(key, 0) + 1
+        # the succ cuts, then the prec cuts: every cut in column order
+        for is_prec, side in ((False, "succ"), (True, "prec")):
+            for (left, _), (right, _) in cut_rows((b.perm, b.deg), side):
+                key = (is_prec, len(left), *left, *right, *b.deg)
+                row[key] = row.get(key, 0) + 1
     return LinComb._raw(row)
 
 

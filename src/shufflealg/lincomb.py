@@ -252,22 +252,3 @@ def tensor(x: LinComb, y: LinComb) -> LinComb:
     """x (x) y: key pairs (a, b) with coefficient x[a] * y[b]."""
     ys = y.terms().items()
     return LinComb._raw({(a, b): ca * cb for a, ca in x.terms().items() for b, cb in ys})
-
-
-def coassociativity_sides(cop: LinComb, coproduct: Callable) -> tuple[LinComb, LinComb]:
-    """(Delta (x) id)(cop) and (id (x) Delta)(cop) as combinations of key
-    triples, for ``cop`` a combination of key pairs and ``coproduct`` a map
-    from one key to its coproduct."""
-    items = cop.terms().items()
-    # products of exact nonzero coefficients: no check needed
-    lhs = accumulate({}, (
-        ((l1, l2, right), c * c2)
-        for (left, right), c in items
-        for (l1, l2), c2 in coproduct(left).terms().items()
-    ))
-    rhs = accumulate({}, (
-        ((left, r1, r2), c * c2)
-        for (left, right), c in items
-        for (r1, r2), c2 in coproduct(right).terms().items()
-    ))
-    return LinComb._raw(lhs), LinComb._raw(rhs)

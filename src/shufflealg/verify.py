@@ -18,13 +18,13 @@ decoration of those permutations.  Biword tuples are bounded by total size,
 which covers every tuple the same bound on weight covers, because size is at
 most weight.  :func:`~shufflealg.words.graded_tuples` enumerates both kinds.
 
-``dendriform`` and the coassociativity half of ``bialgebra`` compare
-combinations of :class:`~shufflealg.biwords.Biword` keys.  ``bidendriform``
-and the ``coproduct-star-morphism`` half of ``bialgebra`` take the rows of
-the probes and call the riffle and cut row kernels of
-:mod:`shufflealg.biwords` directly: every coefficient there is a count, so
-each side is counted once over (left row, right row) pairs, and biword keys
-are built only for a failure record.
+``dendriform`` compares combinations of
+:class:`~shufflealg.biwords.Biword` keys.  ``bidendriform`` and
+``bialgebra`` take the rows of the probes and call the riffle and cut row
+kernels of :mod:`shufflealg.biwords` directly, every cut through
+``cut_rows(row, side)``: every coefficient there is a count, so each side is
+counted once over tuples of rows (pairs, and triples for coassociativity),
+and biword keys are built only for a failure record.
 
 The action suites (``idempotents``, ``action-compat``) probe with one
 generic word per composition.  Unlike words over two symbols per weight, on
@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .lincomb import LinComb, coassociativity_sides, tensor
+from .lincomb import LinComb, tensor
 from . import words as W
 from . import biwords as B
 from . import action as act
@@ -148,49 +148,30 @@ def _count_products(pieces) -> Counter:
     return Counter(itertools.chain.from_iterable(itertools.starmap(itertools.product, pieces)))
 
 
-def _count_cuts(rows, cuts) -> Counter:
-    """The cut pairs ``cuts(row)`` of the given rows, counted."""
-    return Counter(itertools.chain.from_iterable(map(cuts, rows)))
-
-
-def _prec_cuts(row: tuple) -> list:
-    return B.cut_rows(row, B.prec_cut_positions(row[0]))
-
-
-def _succ_cuts(row: tuple) -> list:
-    return B.cut_rows(row, B.succ_cut_positions(row[0]))
-
-
-def _full_cuts(row: tuple) -> list:
-    """Every cut of a row, the two trivial ones included."""
-    return B.cut_rows(row, range(len(row[0]) + 1))
-
-
-def _pairs_lc(counts: Counter) -> LinComb:
-    """A counter of row pairs as a combination of biword pairs."""
-    trusted = B.Biword.trusted
-    return LinComb._raw({
-        (trusted(*left, sum(left[1])), trusted(*right, sum(right[1]))): c for (left, right), c in counts.items()
-    })
+def _count_cuts(rows, side: str) -> Counter:
+    """The cut pairs that the coproduct ``side`` takes of the given rows, counted."""
+    return Counter(itertools.chain.from_iterable(B.cut_rows(row, side) for row in rows))
 
 
 def _expect_pairs(out: Report, identity: str, inputs: tuple, lhs: Counter, rhs: Counter) -> None:
-    """:meth:`Report.expect` for counted sides; biword keys are built only for a failure."""
+    """:meth:`Report.expect` for sides counted over tuples of rows; biword keys
+    are built only for a failure."""
     # no count is zero, so dict equality decides, without Counter's Python-level loop
     if dict.__eq__(lhs, rhs):
         out.checked += 1
     else:
-        out.expect(identity, inputs, _pairs_lc(lhs), _pairs_lc(rhs))
+        lhs, rhs = ({B.biword_tuple(rows): c for rows, c in side.items()} for side in (lhs, rhs))
+        out.expect(identity, inputs, lhs, rhs)
 
 
 def check_biword_bidendriform(max_weight: int) -> Report:
     """The four half-coproduct/half-product compatibilities on biword pairs."""
     out = Report()
-    riffles, star = B.riffle_rows, B.star_rows
+    riffles, star, cuts = B.riffle_rows, B.star_rows, B.cut_rows
     for xy in _biword_probes(2, max_weight):
         x, y = ((b.perm, b.deg) for b in xy)
-        dp_x, ds_x = _prec_cuts(x), _succ_cuts(x)
-        dt_y = _prec_cuts(y) + _succ_cuts(y)
+        dp_x, ds_x = cuts(x, "prec"), cuts(x, "succ")
+        dt_y = cuts(y, "prec") + cuts(y, "succ")
         x_prec_y, x_succ_y = riffles(x, y, True), riffles(x, y, False)
 
         rhs = _count_products(itertools.chain(
@@ -200,21 +181,21 @@ def check_biword_bidendriform(max_weight: int) -> Report:
             (([x1], star(x2, y)) for x1, x2 in dp_x),
             ((riffles(x1, y, True), [x2]) for x1, x2 in dp_x),
         ))
-        _expect_pairs(out, "prec-coproduct of x<y", xy, _count_cuts(x_prec_y, _prec_cuts), rhs)
+        _expect_pairs(out, "prec-coproduct of x<y", xy, _count_cuts(x_prec_y, "prec"), rhs)
 
         rhs = _count_products(itertools.chain(
             ((riffles(x1, y1, True), star(x2, y2)) for x1, x2 in ds_x for y1, y2 in dt_y),
             ((riffles(x1, y, True), [x2]) for x1, x2 in ds_x),
             (([x1], star(x2, y)) for x1, x2 in ds_x),
         ))
-        _expect_pairs(out, "succ-coproduct of x<y", xy, _count_cuts(x_prec_y, _succ_cuts), rhs)
+        _expect_pairs(out, "succ-coproduct of x<y", xy, _count_cuts(x_prec_y, "succ"), rhs)
 
         rhs = _count_products(itertools.chain(
             ((riffles(x1, y1, False), star(x2, y2)) for x1, x2 in dp_x for y1, y2 in dt_y),
             ((riffles(x1, y, False), [x2]) for x1, x2 in dp_x),
             ((riffles(x, y1, False), [y2]) for y1, y2 in dt_y),
         ))
-        _expect_pairs(out, "prec-coproduct of x>y", xy, _count_cuts(x_succ_y, _prec_cuts), rhs)
+        _expect_pairs(out, "prec-coproduct of x>y", xy, _count_cuts(x_succ_y, "prec"), rhs)
 
         rhs = _count_products(itertools.chain(
             ((riffles(x1, y1, False), star(x2, y2)) for x1, x2 in ds_x for y1, y2 in dt_y),
@@ -222,26 +203,32 @@ def check_biword_bidendriform(max_weight: int) -> Report:
             (([y1], star(x, y2)) for y1, y2 in dt_y),
             ((riffles(x1, y, False), [x2]) for x1, x2 in ds_x),
         ))
-        _expect_pairs(out, "succ-coproduct of x>y", xy, _count_cuts(x_succ_y, _succ_cuts), rhs)
+        _expect_pairs(out, "succ-coproduct of x>y", xy, _count_cuts(x_succ_y, "succ"), rhs)
     return out
 
 
-def _hopf_coproduct_of(b: B.Biword) -> LinComb:
-    return B.hopf_coproduct(LinComb.single(b))
+def _coassociativity_counts(row: tuple) -> tuple[Counter, Counter]:
+    """(Delta (x) id) Delta and (id (x) Delta) Delta of a row for the full
+    coproduct, counted over triples of rows."""
+    cuts = B.cut_rows
+    dt = cuts(row, "full")
+    return (
+        Counter((x1, x2, right) for left, right in dt for x1, x2 in cuts(left, "full")),
+        Counter((left, x1, x2) for left, right in dt for x1, x2 in cuts(right, "full")),
+    )
 
 
 def check_biword_bialgebra(max_weight: int) -> Report:
     """Coassociativity of the full coproduct and the morphism property for star."""
     out = Report()
     for (x,) in _biword_probes(1, max_weight, unit=True):
-        lhs, rhs = coassociativity_sides(_hopf_coproduct_of(x), _hopf_coproduct_of)
-        out.expect("hopf-coassociativity", (x,), lhs, rhs)
-    star = B.star_rows
+        _expect_pairs(out, "hopf-coassociativity", (x,), *_coassociativity_counts((x.perm, x.deg)))
+    star, cuts = B.star_rows, B.cut_rows
     for xy in _biword_probes(2, max_weight, unit=True):
         x, y = ((b.perm, b.deg) for b in xy)
-        dt_y = _full_cuts(y)
-        rhs = _count_products((star(x1, y1), star(x2, y2)) for x1, x2 in _full_cuts(x) for y1, y2 in dt_y)
-        _expect_pairs(out, "coproduct-star-morphism", xy, _count_cuts(star(x, y), _full_cuts), rhs)
+        dt_y = cuts(y, "full")
+        rhs = _count_products((star(x1, y1), star(x2, y2)) for x1, x2 in cuts(x, "full") for y1, y2 in dt_y)
+        _expect_pairs(out, "coproduct-star-morphism", xy, _count_cuts(star(x, y), "full"), rhs)
     return out
 
 

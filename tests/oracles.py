@@ -9,6 +9,9 @@ g^k, in O(n^3) coefficient products; it checks the binomial transform
 Coproduct images.  ``coproduct_image(x)`` forms both half-coproducts of a
 combination through ``LinComb`` and tags them "P" and "S"; it checks the
 key-level cut rows of the primitive kernel in :mod:`shufflealg.descent`.
+``coassociativity_sides(cop, coproduct)`` applies a coproduct given on keys
+to either leg of a combination of key pairs; on ``hopf_coproduct`` it checks
+the counted coassociativity half of the ``bialgebra`` suite.
 
 Descent-class half-products.  w < z is the sum over permutations alpha of
 [k+l] with descent set inside {k} and alpha^{-1}(1) = 1 of the rearranged
@@ -38,9 +41,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Callable
 
 from shufflealg.biwords import Biword, coproduct_prec_lc, coproduct_succ_lc
-from shufflealg.lincomb import LinComb, accumulate, coassociativity_sides
+from shufflealg.lincomb import LinComb, accumulate
 from shufflealg.rigidity import UNIT_LABEL, Presentation, Report, _label_tuples, _validate_tables
 from shufflealg.series import PowerSeries
 from shufflealg.words import EMPTY_WORD, Word, _cuts, word_shuffle_lc
@@ -131,6 +135,25 @@ def coproduct_image(row: LinComb) -> LinComb:
     left = coproduct_prec_lc(row).map_keys(lambda t: ("P", t))
     right = coproduct_succ_lc(row).map_keys(lambda t: ("S", t))
     return left + right
+
+
+def coassociativity_sides(cop: LinComb, coproduct: Callable) -> tuple[LinComb, LinComb]:
+    """(Delta (x) id)(cop) and (id (x) Delta)(cop) as combinations of key
+    triples, for ``cop`` a combination of key pairs and ``coproduct`` a map
+    from one key to its coproduct."""
+    items = cop.terms().items()
+    # products of exact nonzero coefficients: no check needed
+    lhs = accumulate({}, (
+        ((l1, l2, right), c * c2)
+        for (left, right), c in items
+        for (l1, l2), c2 in coproduct(left).terms().items()
+    ))
+    rhs = accumulate({}, (
+        ((left, r1, r2), c * c2)
+        for (left, right), c in items
+        for (r1, r2), c2 in coproduct(right).terms().items()
+    ))
+    return LinComb._raw(lhs), LinComb._raw(rhs)
 
 
 def perturbed_presentation(

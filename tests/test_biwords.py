@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from conftest import biword_combination, load_golden
-from oracles import biword_prec_by_descents, biword_succ_by_descents
+from oracles import biword_prec_by_descents, biword_succ_by_descents, coassociativity_sides
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import (
     UNIT_BIWORD,
@@ -16,8 +16,10 @@ from shufflealg.biwords import (
     biword_star,
     biword_succ,
     biword_to_json,
+    biword_tuple,
     coproduct_prec,
     coproduct_succ,
+    cut_rows,
     enumerate_biwords,
     enumerate_biwords_by_size,
     generic_biword,
@@ -28,6 +30,7 @@ from shufflealg.biwords import (
     standardize,
 )
 from shufflealg.series import biword_count_series
+from shufflealg import verify as V
 from shufflealg.verify import check_biword_bialgebra, check_biword_bidendriform, check_biword_dendriform
 
 
@@ -235,6 +238,20 @@ def test_bialgebra_weight_5():
     assert check_biword_bialgebra(5) == []
 
 
+def test_counted_coassociativity_matches_the_lincomb_route():
+    # the bialgebra suite counts both sides over cut rows; the oracle applies
+    # hopf_coproduct to either leg of a combination of Biword pairs
+    def cop(b):
+        return hopf_coproduct(LinComb.single(b))
+
+    probes = V._biword_probes(1, 5, unit=True)
+    assert probes[0] == (UNIT_BIWORD,) and len(probes) == 1 + 1 + 2 + 6 + 24 + 120
+    for (x,) in probes:
+        counted = V._coassociativity_counts((x.perm, x.deg))
+        keyed = [{biword_tuple(rows): c for rows, c in side.items()} for side in counted]
+        assert keyed == [side.terms() for side in coassociativity_sides(cop(x), cop)], x
+
+
 def test_render_and_parse():
     x = biword((3, 1, 4, 2), (1, 2, 3, 4))
     assert render_biword(x) == "3142|1234"
@@ -264,13 +281,13 @@ def test_json_roundtrip():
 
 
 def test_cut_standardizes_both_halves():
-    from shufflealg.biwords import _cut
-
     for size in range(7):
         for perm in permutations(range(1, size + 1)):
             a = generic_biword(perm)
-            for k in range(size + 1):
-                left, right = _cut(a, k)
+            cuts = cut_rows((a.perm, a.deg), "full")
+            assert len(cuts) == size + 1
+            for k, rows in enumerate(cuts):
+                left, right = biword_tuple(rows)
                 assert left == Biword(standardize(perm[:k]), a.deg[:k]), (perm, k)
                 assert right == Biword(standardize(perm[k:]), a.deg[k:]), (perm, k)
                 assert (left.weight, right.weight) == (sum(a.deg[:k]), sum(a.deg[k:]))

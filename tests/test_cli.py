@@ -423,6 +423,11 @@ def test_membership_command(capsys):
     assert code == 2
     code, _, err = run(capsys, "membership", "213|111", "--weight", "4")
     assert code == 2
+    # the unit has weight 0, below the graded components: a usage error, not "non-member"
+    for combination in ("1", "2*1"):
+        code, out, err = run(capsys, "membership", combination)
+        assert (code, out) == (2, "")
+        assert "weight 0" in err and "Traceback" not in err
 
 
 def test_parse_biword_combination():

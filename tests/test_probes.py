@@ -245,6 +245,40 @@ def test_hopf_suite_failure_text_under_planted_faults(monkeypatch, fault, plante
         assert digest == golden["weight_5_sha256"][fault][suite], suite
 
 
+def _dropping_the_last_cut(cuts):
+    """The cut row kernel ``cuts``, dropping the last cut of every cut list
+    longer than 1; it wraps only the output, whatever says where to cut."""
+    def kernel(row, where):
+        rows = cuts(row, where)
+        return rows[:-1] if len(rows) > 1 else rows
+
+    return kernel
+
+
+def test_hopf_suite_failure_text_under_a_dropped_last_cut(monkeypatch):
+    # pinned when only the counted halves took whole cut lists from the
+    # kernel; coassociativity and the half-coproducts on Biword keys cut one
+    # position at a time, out of the fault's reach, and now flag it as well
+    golden = load_golden("planted_fault_reports.json")
+    monkeypatch.setattr(B, "cut_rows", _dropping_the_last_cut(B.cut_rows))
+    reached_now = ("hopf-coassociativity", "prec-coproduct of p_n")
+    for weight in (4, 5):
+        reports = {suite: V.run_suite(suite, weight) for suite in ("bialgebra", "bidendriform", "pn-coproduct")}
+        # without the cut (x, 1), the left side loses every triple (a, 1, c) with a, c nonempty
+        assert [f.inputs for f in reports["bialgebra"] if f.identity == reached_now[0]] == [
+            probe for probe in V._biword_probes(1, weight) if probe[0].size >= 2
+        ]
+        # the identity biwords of p_n lose a cut from size 3 on
+        assert [f.inputs for f in reports["pn-coproduct"]] == [(n,) for n in range(3, weight + 1)]
+        for suite, report in reports.items():
+            text = "\n".join(str(f) for f in report if f.identity not in reached_now)
+            if weight == 4:
+                assert text == golden["weight_4"]["drop-last-cut"][suite], suite
+            else:
+                digest = hashlib.sha256(text.encode()).hexdigest()
+                assert digest == golden["weight_5_sha256"]["drop-last-cut"][suite], suite
+
+
 def test_probe_routes_flag_the_same_repeated_letter_fault(monkeypatch):
     # a shuffle that counts each word once, so a1 sh a1 = a1.a1: wrong only on
     # words that repeat a letter, which the generic tuples never contain; on
