@@ -8,14 +8,24 @@ claim that the biword half-products realize the convolution half-products
 ``f op g = op . (f (x) g) . Delta`` on endomorphisms.
 
 Endomorphisms are handled extensionally as linear combinations of biwords,
-which keeps them comparable and serializable.
+which keeps them comparable and serializable.  :func:`phi_apply` is the
+one-biword definition.  A combination acts through its source-profile
+index: a biword (sigma, d) does not kill a word exactly when the word's
+letter-weight profile is its source profile src, with src[sigma(i) - 1] =
+d(i), so one dict lookup on a word's profile gives every term that acts on
+it.  The batch forms :func:`endo_apply_batch`,
+:func:`convolutions_via_action_batch` and :func:`compose_via_action_batch`
+prepare their biword arguments once for a whole list of words (or of left
+factors) and return plain zero-free ``{word: coefficient}`` maps; the
+one-word forms are their one-element calls.  A convolution takes only the
+cuts (w[:k], w[k:]) where f has a term of size k and g one of size n - k.
 """
 
 from __future__ import annotations
 
 from .lincomb import LinComb, accumulate
 from .biwords import Biword
-from .words import Word, deconcat, generic_word, word_prec, word_shuffle, word_succ
+from .words import Letter, Word, word_prec, word_shuffle, word_succ
 
 
 def _permuted(b: Biword, w: Word) -> Word | None:
@@ -36,16 +46,44 @@ def phi_apply(b: Biword, w: Word) -> LinComb:
     return LinComb.zero() if out is None else LinComb._raw({out: 1})
 
 
+def _by_source(f: LinComb) -> dict:
+    """The terms of f by source profile: ``{src: (weight, [(perm, coefficient), ...])}``."""
+    index = {}
+    for b, c in f.terms().items():
+        src = [0] * len(b.perm)
+        for v, d in zip(b.perm, b.deg):
+            src[v - 1] = d
+        index.setdefault(tuple(src), (b.weight, []))[1].append((b.perm, c))
+    return index
+
+
+def _images(entry: tuple, letters: tuple, scale=1) -> list:
+    """The (word, coefficient) images of the word of ``letters`` under the
+    terms of one index ``entry`` (its source profile's), scaled; equal images
+    are not merged yet."""
+    weight, terms = entry
+    return [(Word.trusted(tuple([letters[v - 1] for v in perm]), weight), c * scale) for perm, c in terms]
+
+
 def endo_apply(f: LinComb, x: LinComb) -> LinComb:
     """Bilinear extension of the action to combinations on both sides."""
-    return LinComb._raw(_act(f.terms().items(), x.terms().items()))
+    index, data = _by_source(f), {}
+    for w, cx in x.terms().items():
+        entry = index.get(w.profile())
+        if entry:
+            accumulate(data, _images(entry, w.letters, cx))
+    return LinComb._raw(data)
 
 
-def _act(fs, xs) -> dict:
-    """The action of (biword, coefficient) pairs on (word, coefficient) pairs, zeros dropped."""
-    return accumulate({}, (
-        (out, cf * cx) for b, cf in fs for w, cx in xs if (out := _permuted(b, w)) is not None
-    ))
+def endo_apply_batch(f: LinComb, words, profiles) -> list[dict]:
+    """The action of f on each of the words, as zero-free coefficient maps;
+    ``profiles[i]`` is ``words[i].profile()``, computed once by the caller
+    for every batch over the same words."""
+    get = _by_source(f).get
+    return [
+        accumulate({}, _images(entry, w.letters)) if (entry := get(p)) else {}
+        for w, p in zip(words, profiles)
+    ]
 
 
 def compose_via_action(a: Biword, b: Biword) -> LinComb:
@@ -55,19 +93,25 @@ def compose_via_action(a: Biword, b: Biword) -> LinComb:
     position) whose profile b accepts, so the permuted output identifies the
     composite uniquely; when the degree conditions collide it is zero.
     """
-    if a.size != b.size:
-        return LinComb.zero()
-    # the degree of the column with top entry j goes to position j
-    probe = generic_word(d for _, d in sorted(zip(b.perm, b.deg)))
-    mid = _permuted(b, probe)
-    assert mid is not None, "probe was built to survive b"
-    out = _permuted(a, mid)
-    if out is None:
-        return LinComb.zero()
-    # the probe's symbols are the positions 1..k, so the symbols form a permutation
-    perm = tuple([letter.symbol for letter in out.letters])
-    deg = tuple([letter.weight for letter in out.letters])
-    return LinComb._raw({Biword.trusted(perm, deg, out.weight): 1})
+    return compose_via_action_batch([a], b)[0]
+
+
+def compose_via_action_batch(lefts, b: Biword) -> list[LinComb]:
+    """``compose_via_action(a, b)`` for each a in ``lefts``, from one probe image of b."""
+    # b sends the generic probe of its source profile, whose letter at
+    # position j has symbol j, to the letters (deg(i), perm(i))
+    mid = Word.trusted(tuple([Letter(d, v) for v, d in zip(b.perm, b.deg)]), b.weight)
+    out = []
+    for a in lefts:
+        image = _permuted(a, mid)
+        if image is None:
+            out.append(LinComb.zero())
+            continue
+        # the probe's symbols are the positions 1..k, so the symbols form a permutation
+        perm = tuple([letter.symbol for letter in image.letters])
+        deg = tuple([letter.weight for letter in image.letters])
+        out.append(LinComb._raw({Biword.trusted(perm, deg, image.weight): 1}))
+    return out
 
 
 _WORD_OPS = {
@@ -81,15 +125,32 @@ def convolutions_via_action(f: LinComb, g: LinComb, probe: Word) -> dict[str, Li
     """Evaluate ``op . (f (x) g) . Delta`` on a probe word for each op
     (``prec``, ``succ``, ``star``), from one pass: the cuts of the probe and
     the actions of the biword combinations f and g are shared."""
-    sums = {op: {} for op in _WORD_OPS}
-    fs, gs = f.terms().items(), g.terms().items()
-    for (left, right), ccut in deconcat(probe).terms().items():
-        fl = _act(fs, ((left, ccut),)).items()
-        gr = _act(gs, ((right, 1),)).items() if fl else ()
-        if not gr:
-            continue
-        for op, combine in _WORD_OPS.items():
-            accumulate(sums[op], (
-                (key, cu * cv * c) for u, cu in fl for v, cv in gr for key, c in combine(u, v).terms().items()
-            ))
+    sums = convolutions_via_action_batch(f, g, [probe], [probe.profile()])[0]
     return {op: LinComb._raw(data) for op, data in sums.items()}
+
+
+def convolutions_via_action_batch(f: LinComb, g: LinComb, words, profiles) -> list[dict[str, dict]]:
+    """``convolutions_via_action(f, g, w)`` for each of the words, each op's
+    value as a zero-free coefficient map; ``profiles`` as for
+    :func:`endo_apply_batch`."""
+    f_index, g_index = _by_source(f), _by_source(g)
+    f_sizes = sorted({len(src) for src in f_index})
+    g_sizes = {len(src) for src in g_index}
+    out = []
+    for w, profile in zip(words, profiles):
+        letters, n = w.letters, len(profile)
+        sums = {op: {} for op in _WORD_OPS}
+        for k in f_sizes:
+            if n - k not in g_sizes:
+                continue
+            f_entry, g_entry = f_index.get(profile[:k]), g_index.get(profile[k:])
+            if not (f_entry and g_entry):
+                continue
+            fl = accumulate({}, _images(f_entry, letters[:k])).items()
+            gr = accumulate({}, _images(g_entry, letters[k:])).items()
+            for op, combine in _WORD_OPS.items():
+                accumulate(sums[op], (
+                    (key, cu * cv * c) for u, cu in fl for v, cv in gr for key, c in combine(u, v).terms().items()
+                ))
+        out.append(sums)
+    return out

@@ -208,7 +208,7 @@ class LinComb:
 
     def __str__(self):
         """Signed sum in canonical order, e.g. ``a - b + 3/2*c``; a tensor
-        pair of keys renders as ``left (x) right``."""
+        key, a tuple of two or more keys, renders as ``a (x) b (x) c``."""
         if not self._terms:
             return "0"
         chunks = []
@@ -228,8 +228,8 @@ class LinComb:
 
 
 def _key_text(key) -> str:
-    if isinstance(key, tuple) and len(key) == 2:
-        return f"{_key_text(key[0])} (x) {_key_text(key[1])}"
+    if isinstance(key, tuple) and len(key) >= 2:
+        return " (x) ".join(map(_key_text, key))
     return str(key)
 
 

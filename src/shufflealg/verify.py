@@ -29,9 +29,10 @@ and biword keys are built only for a failure record.
 The action suites (``idempotents``, ``action-compat``) probe with one
 generic word per composition.  Unlike words over two symbols per weight, on
 which the antisymmetrizer of three weight-1 letters acts as zero, these tell
-every two biword combinations apart.  The internal product reads degrees,
-so ``internal-compose-vs-action`` probes with the biwords of degrees in
-{1, 2} instead.
+every two biword combinations apart.  Each biword combination acts on all
+the probe words of one weight in one batch call of :mod:`shufflealg.action`.
+The internal product reads degrees, so ``internal-compose-vs-action`` probes
+with the biwords of degrees in {1, 2} instead.
 
 Deconcatenation coassociativity and the coproduct compatibility of the
 half-shuffle are checked by :func:`~shufflealg.rigidity.validate_presentation`
@@ -281,11 +282,10 @@ def _check_idempotents(max_weight: int, probes) -> Report:
         total = LinComb.sum((values[c], 1) for c in comps)
         out.expect("pi-completeness", (n,), total, D.p_n(n))
     words = [w for n in range(1, max_weight + 1) for w in probes(n)]
+    profiles = [w.profile() for w in words]
     for c, value in values.items():
-        for w in words:
-            got = act.endo_apply(value, LinComb.single(w))
-            expected = LinComb.single(w) if w.profile() == c else LinComb.zero()
-            out.expect("pi-projection-action", (c, w), got, expected)
+        for w, profile, got in zip(words, profiles, act.endo_apply_batch(value, words, profiles)):
+            out.expect("pi-projection-action", (c, w), got, {w: 1} if profile == c else {})
     return out
 
 
@@ -300,6 +300,7 @@ def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Repor
     out = Report()
     biwords = {m: B.enumerate_biwords(m) for m in range(max_weight)}
     probes_of = {n: probes(n) for n in range(1, max_weight + 1)}
+    profiles_of = {n: [w.profile() for w in words] for n, words in probes_of.items()}
     for a, b in W.graded_tuples(2, max_weight, lambda m: biwords.get(m, ()), unit=True):
         total = a.weight + b.weight
         if total == 0:
@@ -309,19 +310,18 @@ def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Repor
             "succ": B.biword_succ(a, b),
             "star": B.biword_star(a, b),
         }
-        fa, fb = LinComb.single(a), LinComb.single(b)
-        for probe in probes_of[total]:
-            lprobe = LinComb.single(probe)
-            convolutions = act.convolutions_via_action(fa, fb, probe)
-            for op, prod in products.items():
-                out.expect(f"action-{op}", (a, b, probe), act.endo_apply(prod, lprobe), convolutions[op])
+        words, profiles = probes_of[total], profiles_of[total]
+        convolutions = act.convolutions_via_action_batch(LinComb.single(a), LinComb.single(b), words, profiles)
+        images = {op: act.endo_apply_batch(prod, words, profiles) for op, prod in products.items()}
+        for i, probe in enumerate(words):
+            for op, image in images.items():
+                out.expect(f"action-{op}", (a, b, probe), image[i], convolutions[i][op])
     sized = [b for k in range(max_size + 1) for b in B.enumerate_biwords_by_size(k, TEST_DEGREES)]
-    for a in sized:
-        for b in sized:
-            out.expect(
-                "internal-compose-vs-action", (a, b),
-                B.internal_compose(a, b), act.compose_via_action(a, b),
-            )
+    # column j holds compose_via_action(a, sized[j]) for every a in sized
+    columns = [act.compose_via_action_batch(sized, b) for b in sized]
+    for i, a in enumerate(sized):
+        for b, column in zip(sized, columns):
+            out.expect("internal-compose-vs-action", (a, b), B.internal_compose(a, b), column[i])
     return out
 
 

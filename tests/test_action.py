@@ -9,7 +9,9 @@ from shufflealg import verify as V
 from shufflealg.action import (
     compose_via_action,
     convolutions_via_action,
+    convolutions_via_action_batch,
     endo_apply,
+    endo_apply_batch,
     phi_apply,
 )
 from shufflealg.biwords import (
@@ -112,18 +114,21 @@ def test_convolution_unit_is_scalar_projector():
         assert got == endo_apply(g, LinComb.single(w))
 
 
+_WORD_OPS = {"prec": word_prec, "succ": word_succ, "star": word_shuffle}
+
+
 def _convolution_fold(f, g, w, combine):
-    # op . (f (x) g) . Delta, one term at a time
+    # op . (f (x) g) . Delta, one term at a time, every cut and every biword
+    # through the one-biword action
     total = LinComb.zero()
     for (left, right), c in deconcat(w).terms().items():
-        for u, cu in endo_apply(f, LinComb.single(left)).terms().items():
-            for v, cv in endo_apply(g, LinComb.single(right)).terms().items():
+        for u, cu in bilinear_extend(phi_apply, f, LinComb.single(left)).terms().items():
+            for v, cv in bilinear_extend(phi_apply, g, LinComb.single(right)).terms().items():
                 total = total + combine(u, v) * (c * cu * cv)
     return total
 
 
 def test_convolutions_share_one_pass():
-    ops = {"prec": word_prec, "succ": word_succ, "star": word_shuffle}
     for n in range(1, 5):
         for k in range(n + 1):
             f = p_n(k) + LinComb.single(Biword(tuple(range(k, 0, -1)), (1,) * k), -2)
@@ -131,8 +136,8 @@ def test_convolutions_share_one_pass():
             for comp in compositions(n):
                 w = generic_word(comp)
                 got = convolutions_via_action(f, g, w)
-                assert list(got) == list(ops)
-                for op, combine in ops.items():
+                assert list(got) == list(_WORD_OPS)
+                for op, combine in _WORD_OPS.items():
                     assert got[op] == _convolution_fold(f, g, w, combine)
 
 
@@ -322,6 +327,26 @@ def test_endo_apply_is_the_bilinear_extension_of_phi(f, x):
 @given(biword_combinations, biword_combinations)
 def test_internal_compose_lc_is_the_bilinear_extension(x, y):
     assert B.internal_compose_lc(x, y) == bilinear_extend(B.internal_compose, x, y)
+
+
+# words that repeat letters, as the exhaustive probes do: two symbols per weight
+words_repeating_letters = st.lists(
+    st.builds(Letter, st.integers(1, 2), st.integers(0, 1)), max_size=4
+).map(lambda ls: Word(tuple(ls)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(biword_combinations, biword_combinations, st.lists(words_repeating_letters, min_size=1, max_size=4))
+def test_batch_forms_match_the_one_biword_action(f, g, words):
+    # f and g mix sizes 0-3, the unit included
+    profiles = [w.profile() for w in words]
+    images = endo_apply_batch(f, words, profiles)
+    convolutions = convolutions_via_action_batch(f, g, words, profiles)
+    for w, image, sums in zip(words, images, convolutions):
+        assert image == bilinear_extend(phi_apply, f, LinComb.single(w)).terms()
+        assert list(sums) == list(_WORD_OPS)
+        for op, combine in _WORD_OPS.items():
+            assert sums[op] == _convolution_fold(f, g, w, combine).terms()
 
 
 def test_endo_apply_drops_a_cancelled_word():

@@ -85,6 +85,7 @@ def test_tensor_pairs_render_with_x():
     assert str(LinComb({("a", "b"): 1, ("a", "c"): -2, ("b", "a"): Fraction(1, 2)})) == (
         "a (x) b - 2*a (x) c + 1/2*b (x) a"
     )
+    assert str(LinComb({("a", "b", "c"): -1, ("b", "a", "c"): 2})) == "-a (x) b (x) c + 2*b (x) a (x) c"
 
 
 def test_floats_are_rejected():

@@ -279,6 +279,20 @@ def test_hopf_suite_failure_text_under_a_dropped_last_cut(monkeypatch):
                 assert digest == golden["weight_5_sha256"]["drop-last-cut"][suite], suite
 
 
+def test_coassociativity_failures_render_triples_as_tensors(monkeypatch):
+    # the test above leaves these records out of its goldens; a triple key
+    # joins its legs with (x), as a pair does
+    monkeypatch.setattr(B, "cut_rows", _dropping_the_last_cut(B.cut_rows))
+    report = [f for f in V.run_suite("bialgebra", 4) if f.identity == "hopf-coassociativity"]
+    assert str(report[0]) == (
+        "hopf-coassociativity fails at (12|12):\n"
+        "  lhs = 1 (x) 1 (x) 12|12 + 1 (x) 1|1 (x) 1|2\n"
+        "  rhs = 1 (x) 1 (x) 12|12 + 1 (x) 1|1 (x) 1|2 + 1|1 (x) 1 (x) 1|2"
+    )
+    digest = hashlib.sha256("\n".join(map(str, report)).encode()).hexdigest()
+    assert digest == "80aa0dfa81bc16587938b1cc2bfde1a4cc229e2fa0630a9d944ff25b38195bda"
+
+
 def test_probe_routes_flag_the_same_repeated_letter_fault(monkeypatch):
     # a shuffle that counts each word once, so a1 sh a1 = a1.a1: wrong only on
     # words that repeat a letter, which the generic tuples never contain; on
