@@ -8,17 +8,21 @@ claim that the biword half-products realize the convolution half-products
 ``f op g = op . (f (x) g) . Delta`` on endomorphisms.
 
 Endomorphisms are handled extensionally as linear combinations of biwords,
-which keeps them comparable and serializable.  :func:`phi_apply` is the
-one-biword definition.  A combination acts through its source-profile
-index: a biword (sigma, d) does not kill a word exactly when the word's
-letter-weight profile is its source profile src, with src[sigma(i) - 1] =
-d(i), so one dict lookup on a word's profile gives every term that acts on
-it.  The batch forms :func:`endo_apply_batch`,
-:func:`convolutions_via_action_batch` and :func:`compose_via_action_batch`
-prepare their biword arguments once for a whole list of words (or of left
-factors) and return plain zero-free ``{word: coefficient}`` maps; the
-one-word forms are their one-element calls.  A convolution takes only the
-cuts (w[:k], w[k:]) where f has a term of size k and g one of size n - k.
+which keeps them comparable and serializable.  :func:`act_letters` is the
+one definition of the action, on a biword's two rows and a tuple of letters;
+every route below goes through it, and :func:`phi_apply` is the one-biword
+form.  A combination acts through its source-profile index: a biword
+(sigma, d) does not kill a word exactly when the word's letter-weight
+profile is its source profile src, with src[sigma(i) - 1] = d(i), so one
+dict lookup on a word's profile gives every term that acts on it.  The
+batch forms :func:`endo_apply_batch` and
+:func:`convolutions_via_action_batch` prepare their biword arguments once
+for a whole list of words and return plain zero-free ``{word: coefficient}``
+maps; the one-word forms are their one-element calls.  A convolution takes
+only the cuts (w[:k], w[k:]) where f has a term of size k and g one of size
+n - k.  :func:`compose_rows_via_action` reads the internal product off the
+action on rows: it builds b's image of one generic probe word and applies
+each left factor to it, with no ``Word`` or ``LinComb`` per pair.
 """
 
 from __future__ import annotations
@@ -28,32 +32,32 @@ from .biwords import Biword
 from .words import Letter, Word, word_prec, word_shuffle, word_succ
 
 
-def _permuted(b: Biword, w: Word) -> Word | None:
-    """The word b sends w to, or None where b kills w."""
-    letters = w.letters
-    if len(b.perm) != len(letters):
+def act_letters(perm: tuple, deg: tuple, letters: tuple) -> tuple | None:
+    """The letters the biword (perm, deg) sends ``letters`` to, or None where
+    it kills them: output letter i is letters[perm[i] - 1], and its weight
+    must be deg[i].  This is the one definition of the action."""
+    if len(perm) != len(letters):
         return None
-    permuted = tuple([letters[v - 1] for v in b.perm])
-    for letter, d in zip(permuted, b.deg):
-        if letter.weight != d:
+    for v, d in zip(perm, deg):
+        if letters[v - 1].weight != d:
             return None
-    return Word.trusted(permuted, w.weight)
+    return tuple([letters[v - 1] for v in perm])
 
 
 def phi_apply(b: Biword, w: Word) -> LinComb:
     """Apply one biword to one word: a single permuted word, or zero."""
-    out = _permuted(b, w)
-    return LinComb.zero() if out is None else LinComb._raw({out: 1})
+    permuted = act_letters(b.perm, b.deg, w.letters)
+    return LinComb.zero() if permuted is None else LinComb._raw({Word.trusted(permuted, w.weight): 1})
 
 
 def _by_source(f: LinComb) -> dict:
-    """The terms of f by source profile: ``{src: (weight, [(perm, coefficient), ...])}``."""
+    """The terms of f by source profile: ``{src: (weight, [(perm, deg, coefficient), ...])}``."""
     index = {}
     for b, c in f.terms().items():
         src = [0] * len(b.perm)
         for v, d in zip(b.perm, b.deg):
             src[v - 1] = d
-        index.setdefault(tuple(src), (b.weight, []))[1].append((b.perm, c))
+        index.setdefault(tuple(src), (b.weight, []))[1].append((b.perm, b.deg, c))
     return index
 
 
@@ -62,7 +66,7 @@ def _images(entry: tuple, letters: tuple, scale=1) -> list:
     terms of one index ``entry`` (its source profile's), scaled; equal images
     are not merged yet."""
     weight, terms = entry
-    return [(Word.trusted(tuple([letters[v - 1] for v in perm]), weight), c * scale) for perm, c in terms]
+    return [(Word.trusted(act_letters(perm, deg, letters), weight), c * scale) for perm, deg, c in terms]
 
 
 def endo_apply(f: LinComb, x: LinComb) -> LinComb:
@@ -87,30 +91,37 @@ def endo_apply_batch(f: LinComb, words, profiles) -> list[dict]:
 
 
 def compose_via_action(a: Biword, b: Biword) -> LinComb:
-    """The biword of "apply b, then a", read off from a generic probe word.
+    """The biword of "apply b, then a", read off from a generic probe word
+    (see :func:`compose_rows_via_action`)."""
+    (row,) = compose_rows_via_action([(a.perm, a.deg)], (b.perm, b.deg))
+    if row is None:
+        return LinComb.zero()
+    perm, deg = row
+    return LinComb._raw({Biword.trusted(perm, deg, sum(deg)): 1})
 
-    The probe is the generic word (pairwise distinct letters, symbol =
-    position) whose profile b accepts, so the permuted output identifies the
-    composite uniquely; when the degree conditions collide it is zero.
+
+def compose_rows_via_action(lefts, b: tuple) -> list:
+    """For each row a in ``lefts``, the row of "apply b, then a", or None
+    where it is zero, read off from the action on one probe word.
+
+    The probe is the generic word of b's source profile whose letter at
+    position j has symbol j, so b's image of it names the source position of
+    every letter, and a's image of that identifies the composite uniquely:
+    its symbols are the top row and its weights the degrees.
     """
-    return compose_via_action_batch([a], b)[0]
-
-
-def compose_via_action_batch(lefts, b: Biword) -> list[LinComb]:
-    """``compose_via_action(a, b)`` for each a in ``lefts``, from one probe image of b."""
-    # b sends the generic probe of its source profile, whose letter at
-    # position j has symbol j, to the letters (deg(i), perm(i))
-    mid = Word.trusted(tuple([Letter(d, v) for v, d in zip(b.perm, b.deg)]), b.weight)
+    perm_b, deg_b = b
+    probe = [None] * len(perm_b)
+    for v, d in zip(perm_b, deg_b):
+        probe[v - 1] = Letter(d, v)
+    mid = act_letters(perm_b, deg_b, tuple(probe))
     out = []
-    for a in lefts:
-        image = _permuted(a, mid)
+    for perm, deg in lefts:
+        image = act_letters(perm, deg, mid)
         if image is None:
-            out.append(LinComb.zero())
-            continue
-        # the probe's symbols are the positions 1..k, so the symbols form a permutation
-        perm = tuple([letter.symbol for letter in image.letters])
-        deg = tuple([letter.weight for letter in image.letters])
-        out.append(LinComb._raw({Biword.trusted(perm, deg, image.weight): 1}))
+            out.append(None)
+        else:
+            weights, symbols = zip(*image) if image else ((), ())
+            out.append((symbols, weights))
     return out
 
 

@@ -24,7 +24,9 @@ products and coproducts on :class:`Biword` keys wrap the kernels
 
 The internal product is pinned to endomorphism composition (see
 :mod:`shufflealg.action`): ``internal_compose(a, b)`` is the biword whose
-action equals "apply b, then a".
+action equals "apply b, then a".  Its rule lives in one row kernel,
+:func:`compose_row`, which ``internal_compose``, ``internal_compose_lc`` and
+the ``action-compat`` suite call.
 """
 
 from __future__ import annotations
@@ -277,33 +279,39 @@ def hopf_coproduct(x: LinComb) -> LinComb:
 
 # -- internal composition -----------------------------------------------------
 
-def internal_compose(a: Biword, b: Biword) -> LinComb:
-    """The biword acting as "apply b, then a", or 0 when the actions annihilate.
+def compose_row(a: tuple, b: tuple) -> tuple | None:
+    """The row of "apply b, then a" for rows a and b, or None when the actions
+    annihilate.
 
     Sizes must agree and a's degrees must match b's degrees read through a's
     top row (a.deg[i] == b.deg[a.perm[i]]); the composite permutes position i
-    to b.perm[a.perm[i]] and carries a's degrees.  Derived from, and tested
-    against, the endomorphism oracle in :mod:`shufflealg.action`.
+    to b.perm[a.perm[i]] and carries a's degrees.  This is the one place that
+    knows the composition rule; it is tested against the action route of
+    :mod:`shufflealg.action`.
     """
-    c = _composed(a, b)
-    return LinComb.zero() if c is None else LinComb._raw({c: 1})
-
-
-def _composed(a: Biword, b: Biword) -> Biword | None:
-    """The composite biword of :func:`internal_compose`, or None for 0."""
-    if a.size != b.size:
+    perm_a, deg_a = a
+    perm_b, deg_b = b
+    if len(perm_a) != len(perm_b):
         return None
-    b_perm, b_deg = b.perm, b.deg
-    for v, d in zip(a.perm, a.deg):
-        if d != b_deg[v - 1]:
+    for v, d in zip(perm_a, deg_a):
+        if d != deg_b[v - 1]:
             return None
-    return Biword.trusted(tuple([b_perm[v - 1] for v in a.perm]), a.deg, a.weight)
+    return tuple([perm_b[v - 1] for v in perm_a]), deg_a
+
+
+def internal_compose(a: Biword, b: Biword) -> LinComb:
+    """The biword acting as "apply b, then a", or 0 when the actions annihilate
+    (see :func:`compose_row`)."""
+    row = compose_row((a.perm, a.deg), (b.perm, b.deg))
+    return LinComb.zero() if row is None else LinComb._raw({Biword.trusted(*row, a.weight): 1})
 
 
 def internal_compose_lc(x: LinComb, y: LinComb) -> LinComb:
-    ys = y.terms().items()
+    xs = [((ka.perm, ka.deg), ka.weight, ca) for ka, ca in x.terms().items()]
+    ys = [((kb.perm, kb.deg), cb) for kb, cb in y.terms().items()]
     return LinComb._raw(accumulate({}, (
-        (c, ca * cb) for ka, ca in x.terms().items() for kb, cb in ys if (c := _composed(ka, kb)) is not None
+        (Biword.trusted(*row, weight), ca * cb)
+        for a, weight, ca in xs for b, cb in ys if (row := compose_row(a, b)) is not None
     )))
 
 

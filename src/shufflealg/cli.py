@@ -12,6 +12,10 @@ rational coefficients, e.g. ``213|111 + 231|111`` or ``2*12|11 - 1/2*21|11``.
 
 A JSON config file (``--config``) can pin default cutoffs: keys
 ``verify_weight``, ``rank_cutoff``, ``prim_cutoff``, ``series_cutoff``.
+
+:func:`main` builds the parser of the subcommand its first argument names,
+and no other; ``--help``, no arguments or an unknown command get the parser
+of all seven.  Both print the same help, usage and error texts.
 """
 
 from __future__ import annotations
@@ -335,7 +339,15 @@ def _decompose_failed(args, report, text: str) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("product", "coproduct", "pi", "dims", "verify", "membership", "decompose")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with ``command``'s alone.
+
+    The one-subcommand parser parses that command's argument lists as the
+    full one does, with the same help, usage and error texts.
+    """
     parser = argparse.ArgumentParser(
         prog="shufflealg",
         description="Exact computations in shuffle algebras, graded permutations, "
@@ -345,60 +357,70 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument("--config", metavar="FILE", help="JSON file with default cutoffs")
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the full parser's usage lists its choices; the one-subcommand parser names them all in the metavar
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("product", parents=[common], help="expand a product of two operands")
-    p.add_argument(
-        "kind",
-        choices=["word-prec", "word-succ", "shuffle", "biword-prec", "biword-succ", "star", "internal"],
-    )
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.set_defaults(fn=cmd_product)
+    def wanted(name: str) -> bool:
+        return command is None or command == name
 
-    p = sub.add_parser("coproduct", parents=[common], help="expand a coproduct")
-    p.add_argument("kind", choices=["prec", "succ", "full", "deconcat"])
-    p.add_argument("arg")
-    p.set_defaults(fn=cmd_coproduct)
+    if wanted("product"):
+        p = sub.add_parser("product", parents=[common], help="expand a product of two operands")
+        p.add_argument(
+            "kind",
+            choices=["word-prec", "word-succ", "shuffle", "biword-prec", "biword-succ", "star", "internal"],
+        )
+        p.add_argument("lhs")
+        p.add_argument("rhs")
+        p.set_defaults(fn=cmd_product)
 
-    p = sub.add_parser("pi", parents=[common], help="idempotent of a weight or composition")
-    p.add_argument("target", help="a weight like 3 or a composition like 1,2")
-    p.add_argument(
-        "--route",
-        choices=["closed", "alternating", "recursive"],
-        default="closed",
-        help="computation route for a single weight",
-    )
-    p.set_defaults(fn=cmd_pi)
+    if wanted("coproduct"):
+        p = sub.add_parser("coproduct", parents=[common], help="expand a coproduct")
+        p.add_argument("kind", choices=["prec", "succ", "full", "deconcat"])
+        p.add_argument("arg")
+        p.set_defaults(fn=cmd_coproduct)
 
-    p = sub.add_parser("dims", parents=[common], help="dimension table with cross-checks")
-    p.add_argument("max_n", type=int)
-    for flag in D.REPORT_COLUMNS:
-        p.add_argument(f"--{flag}", action="store_true", help=f"include the {flag} columns")
-    p.add_argument("--rank-cutoff", type=int, default=None)
-    p.add_argument("--prim-cutoff", type=int, default=None)
-    p.add_argument("--series-cutoff", type=int, default=None)
-    p.set_defaults(fn=cmd_dims)
+    if wanted("pi"):
+        p = sub.add_parser("pi", parents=[common], help="idempotent of a weight or composition")
+        p.add_argument("target", help="a weight like 3 or a composition like 1,2")
+        p.add_argument(
+            "--route",
+            choices=["closed", "alternating", "recursive"],
+            default="closed",
+            help="computation route for a single weight",
+        )
+        p.set_defaults(fn=cmd_pi)
 
-    p = sub.add_parser("verify", parents=[common], help="run an identity suite")
-    p.add_argument("suite", help=", ".join(sorted(V.SUITES)))
-    p.add_argument("max_weight", nargs="?", type=int, default=None)
-    p.set_defaults(fn=cmd_verify)
+    if wanted("dims"):
+        p = sub.add_parser("dims", parents=[common], help="dimension table with cross-checks")
+        p.add_argument("max_n", type=int)
+        for flag in D.REPORT_COLUMNS:
+            p.add_argument(f"--{flag}", action="store_true", help=f"include the {flag} columns")
+        p.add_argument("--rank-cutoff", type=int, default=None)
+        p.add_argument("--prim-cutoff", type=int, default=None)
+        p.add_argument("--series-cutoff", type=int, default=None)
+        p.set_defaults(fn=cmd_dims)
 
-    p = sub.add_parser(
-        "membership", parents=[common], help="test membership in the descent algebra"
-    )
-    p.add_argument("combination", help="e.g. '213|111 + 231|111'")
-    p.add_argument("--weight", type=int, default=None)
-    p.set_defaults(fn=cmd_membership)
+    if wanted("verify"):
+        p = sub.add_parser("verify", parents=[common], help="run an identity suite")
+        p.add_argument("suite", help=", ".join(sorted(V.SUITES)))
+        p.add_argument("max_weight", nargs="?", type=int, default=None)
+        p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser(
-        "decompose", parents=[common], help="primitive decomposition in a presentation file"
-    )
-    p.add_argument("file")
-    p.add_argument("label")
-    p.add_argument("--roundtrip", action="store_true", help="report the round trip that every decomposition passes")
-    p.set_defaults(fn=cmd_decompose)
+    if wanted("membership"):
+        p = sub.add_parser("membership", parents=[common], help="test membership in the descent algebra")
+        p.add_argument("combination", help="e.g. '213|111 + 231|111'")
+        p.add_argument("--weight", type=int, default=None)
+        p.set_defaults(fn=cmd_membership)
+
+    if wanted("decompose"):
+        p = sub.add_parser("decompose", parents=[common], help="primitive decomposition in a presentation file")
+        p.add_argument("file")
+        p.add_argument("label")
+        p.add_argument(
+            "--roundtrip", action="store_true", help="report the round trip that every decomposition passes"
+        )
+        p.set_defaults(fn=cmd_decompose)
 
     return parser
 
@@ -421,8 +443,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run names its subcommand first; --help, no arguments or an unknown
+    # command get the full parser, whose texts list every subcommand
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         args.config_values = _load_config(getattr(args, "config", None))
         return args.fn(args)

@@ -16,7 +16,10 @@ its column's degree: the graded sylvester congruence); it equals the tree
 monomial ``x(t_l) > pi_m < x(t_r)``.  Dimensions, membership and the descd
 row basis of the primitive kernel run on these classes without elimination;
 the spanning set and its exact rank (``descd_echelon``) are the independent
-route the tests compare against.  Primitive dimensions (the joint kernel of
+route the tests compare against.  One class is listed from its tree alone
+(:func:`tree_class`, the linear extensions of the tree), so membership walks
+only the classes its operand touches; ``descd_classes(n)`` groups every
+biword of weight n, for the ``dims`` class count and as the tests' oracle.  Primitive dimensions (the joint kernel of
 the two half-coproducts) eliminate exactly, one block per permutation size.
 """
 
@@ -251,9 +254,50 @@ def _bst(cols: tuple) -> tuple:
     return (left, d, _bst(tuple(c for c in rest if c[0] > root)))
 
 
+def tree_class(t: tuple) -> tuple[Biword, ...]:
+    """The biwords whose decorated search tree is t, in canonical order.
+
+    Number t's nodes 1..k in order; the members are the linear extensions of
+    t (parent before child) read as top rows, each column carrying its node's
+    degree.  Taking the smallest ready node first lists them in lexicographic
+    order of the top row, which is the canonical order within one class.
+    """
+    degree, children = {}, {}
+
+    def number(node) -> int:
+        """Number the subtree's nodes in order, after those numbered so far;
+        return its root's number, or 0 for the empty tree."""
+        if not node:
+            return 0
+        left, d, right = node
+        left_root = number(left)
+        v = len(degree) + 1
+        degree[v] = d
+        children[v] = [c for c in (left_root, number(right)) if c]
+        return v
+
+    root = number(t)
+    weight, out, top = sum(degree.values()), [], []
+
+    def extend(ready: list) -> None:
+        if not ready:
+            perm = tuple(top)
+            out.append(Biword.trusted(perm, tuple([degree[v] for v in perm]), weight))
+            return
+        for i, v in enumerate(ready):
+            top.append(v)
+            extend(sorted(ready[:i] + ready[i + 1:] + children[v]))
+            top.pop()
+
+    extend([root] if root else [])
+    return tuple(out)
+
+
 def descd_classes(n: int) -> dict[tuple, tuple[Biword, ...]]:
     """The biwords of weight n grouped by decorated tree, in canonical order;
-    each class sum is one basis vector of the weight-n descent component."""
+    each class sum is one basis vector of the weight-n descent component.
+    Only the ``dims`` class count and the tests use it; one class comes from
+    :func:`tree_class`."""
     if n < 1:
         raise ValueError("descent classes exist for positive weight only")
     out: dict[tuple, list[Biword]] = {}
@@ -268,14 +312,16 @@ def descd_class_dimension(n: int) -> int:
 
 def descd_membership(x: LinComb, n: int) -> bool:
     """Whether x lies in the weight-n component of the descent algebra: every
-    class that x touches is fully present, with one coefficient."""
+    class that x touches is fully present, with one coefficient.  Only the
+    touched classes are listed, each from its tree."""
     terms = x.terms()
     for key in terms:
         if key.weight != n:
             raise ValueError(f"expected weight {n}, found a biword of weight {key.weight}")
-    classes = descd_classes(n)
+    if n < 1:
+        raise ValueError("descent classes exist for positive weight only")
     touched = {bst_class(key): coeff for key, coeff in terms.items()}
-    return all(terms.get(b) == coeff for t, coeff in touched.items() for b in classes[t])
+    return all(terms.get(b) == coeff for t, coeff in touched.items() for b in tree_class(t))
 
 
 # -- primitive dimensions -------------------------------------------------------

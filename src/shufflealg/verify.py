@@ -32,7 +32,9 @@ which the antisymmetrizer of three weight-1 letters acts as zero, these tell
 every two biword combinations apart.  Each biword combination acts on all
 the probe words of one weight in one batch call of :mod:`shufflealg.action`.
 The internal product reads degrees, so ``internal-compose-vs-action`` probes
-with the biwords of degrees in {1, 2} instead.
+with the biwords of degrees in {1, 2} instead, on plain ``(perm, deg)`` rows:
+it compares :func:`~shufflealg.biwords.compose_row` with the action's row
+form pair by pair and builds biword combinations only for a failure record.
 
 Deconcatenation coassociativity and the coproduct compatibility of the
 half-shuffle are checked by :func:`~shufflealg.rigidity.validate_presentation`
@@ -317,12 +319,23 @@ def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Repor
             for op, image in images.items():
                 out.expect(f"action-{op}", (a, b, probe), image[i], convolutions[i][op])
     sized = [b for k in range(max_size + 1) for b in B.enumerate_biwords_by_size(k, TEST_DEGREES)]
-    # column j holds compose_via_action(a, sized[j]) for every a in sized
-    columns = [act.compose_via_action_batch(sized, b) for b in sized]
-    for i, a in enumerate(sized):
-        for b, column in zip(sized, columns):
-            out.expect("internal-compose-vs-action", (a, b), B.internal_compose(a, b), column[i])
+    rows = [(b.perm, b.deg) for b in sized]
+    # column j holds the action's row of "apply sized[j], then a" for every a in sized
+    columns = [act.compose_rows_via_action(rows, b) for b in rows]
+    compose = B.compose_row
+    for a, a_row, via_action in zip(sized, rows, zip(*columns)):
+        direct = tuple([compose(a_row, b_row) for b_row in rows])
+        if direct == via_action:
+            out.checked += len(rows)
+            continue
+        for b, got, want in zip(sized, direct, via_action):
+            out.expect("internal-compose-vs-action", (a, b), _row_map(got), _row_map(want))
     return out
+
+
+def _row_map(row) -> dict:
+    """A row, or None for zero, as a zero-free coefficient map on biwords."""
+    return {} if row is None else dict.fromkeys(B.biword_tuple((row,)), 1)
 
 
 def check_tau_on_words(max_weight: int) -> Report:

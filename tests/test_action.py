@@ -7,6 +7,7 @@ from shufflealg.lincomb import LinComb, bilinear_extend
 from shufflealg import biwords as B
 from shufflealg import verify as V
 from shufflealg.action import (
+    compose_rows_via_action,
     compose_via_action,
     convolutions_via_action,
     convolutions_via_action_batch,
@@ -180,6 +181,47 @@ def test_internal_compose_matches_action_size_3():
     for x in pool:
         for y in pool:
             assert internal_compose(x, y) == compose_via_action(x, y), (x, y)
+
+
+def test_composition_routes_agree_size_3():
+    # the row kernel, its Biword wrapper, the action route and its row form
+    pool = [b for k in (0, 1, 2, 3) for b in enumerate_biwords_by_size(k, (1, 2))]
+    rows = [(b.perm, b.deg) for b in pool]
+    nonzero = 0
+    for y, y_row in zip(pool, rows):
+        column = compose_rows_via_action(rows, y_row)
+        for x, x_row, via_action in zip(pool, rows, column):
+            row = B.compose_row(x_row, y_row)
+            assert row == via_action, (x, y)
+            expected = LinComb.zero() if row is None else LinComb.single(Biword(*row))
+            assert B.internal_compose(x, y) == compose_via_action(x, y) == expected, (x, y)
+            nonzero += row is not None
+    # size k with degrees in {1, 2}: 2^k * k! * k! pairs whose degrees agree
+    assert nonzero == 1 + 2 + 4 * 2 * 2 + 8 * 6 * 6
+
+
+def _reading_a_in_reverse(a, b):
+    """compose_row with a's top row read backwards: b's top row is read
+    through a in the wrong order, while the degree check stays right."""
+    (perm_a, deg_a), (perm_b, deg_b) = a, b
+    if len(perm_a) != len(perm_b) or any(d != deg_b[v - 1] for v, d in zip(perm_a, deg_a)):
+        return None
+    return tuple([perm_b[v - 1] for v in reversed(perm_a)]), deg_a
+
+
+def test_a_planted_compose_row_fault_fails_both_action_suites(monkeypatch):
+    monkeypatch.setattr(B, "compose_row", _reading_a_in_reverse)
+    action = check_action_compatibility(4)
+    assert (action.checked, len(action)) == (4609, 304)
+    assert {f.identity for f in action} == {"internal-compose-vs-action"}
+    first = action[0]
+    assert str(first) == "internal-compose-vs-action fails at (12|11, 12|11):\n  lhs = 21|11\n  rhs = 12|11"
+    idempotents = check_idempotents(4)
+    assert (idempotents.checked, len(idempotents)) == (314, 11)
+    assert {f.identity for f in idempotents} == {"pi-orthogonality"}
+    # the Biword-level product goes through the same kernel
+    identity = biword((1, 2), (1, 1))
+    assert B.internal_compose(identity, identity) == LinComb.single(biword((2, 1), (1, 1)))
 
 
 def test_composite_acts_as_composition_on_words():

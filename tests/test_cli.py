@@ -1,5 +1,8 @@
+import argparse
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -15,7 +18,8 @@ from shufflealg import descent as D
 from shufflealg import rigidity as R
 from shufflealg import verify as V
 from shufflealg import words as W
-from shufflealg.cli import DEFAULTS, main, parse_biword_combination
+from shufflealg import cli
+from shufflealg.cli import COMMANDS, DEFAULTS, build_parser, main, parse_biword_combination
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import biword, biword_from_json
 from oracles import perturbed_presentation
@@ -560,3 +564,63 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = loaded("import shufflealg.cli") - loaded("pass")
     assert "shufflealg.descent" in added
     assert not {"dataclasses", "inspect"} & added
+
+
+# argument lists per subcommand: a valid one, then usage errors of the
+# subparser and of the top-level parser (an unrecognized extra argument)
+_PARSER_CASES = {
+    "product": [["internal", "312|111", "132|111", "--json"], [], ["warble", "a", "b"], ["star", "1", "1", "x"]],
+    "coproduct": [["full", "21|12", "--config", "c.json"], ["sideways", "1"], ["prec"], ["prec", "1", "2"]],
+    "pi": [["3", "--route", "recursive"], [], ["3", "--route", "nope"], ["3", "--bogus"]],
+    "dims": [["5", "--descd", "--rank-cutoff", "4"], ["five"], [], ["5", "6"]],
+    "verify": [["tau", "3", "--json"], ["tau"], [], ["tau", "x"], ["tau", "3", "4"]],
+    "membership": [["213|111 + 231|111", "--weight", "3"], [], ["1", "--weight", "x"], ["1", "2"]],
+    "decompose": [["f.json", "a1", "--roundtrip"], ["f.json"], ["f.json", "a1", "b1"]],
+}
+
+
+def _parse(parser, argv):
+    """(namespace or None, exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv)), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+def test_full_parser_has_every_command():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == COMMANDS == tuple(_PARSER_CASES)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_subcommand_parser_matches_the_full_parser(command):
+    full, alone = build_parser(), build_parser(command)
+    for rest in [*_PARSER_CASES[command], ["--help"], ["-h", "x"]]:
+        argv = [command, *rest]
+        got, want = _parse(alone, argv), _parse(full, argv)
+        assert got == want, argv
+    namespace, code, _, _ = _parse(alone, [command, *_PARSER_CASES[command][0]])
+    assert code is None and namespace["command"] == command
+    _, code, help_text, _ = _parse(alone, [command, "--help"])
+    assert code == 0 and help_text.startswith(f"usage: shufflealg {command} [-h] [--json] [--config FILE]")
+    _, code, _, error = _parse(alone, [command, *_PARSER_CASES[command][-1]])
+    assert code == 2 and error.startswith("usage: shufflealg [-h]\n") and "unrecognized arguments" in error
+
+
+def test_main_builds_the_named_subcommand_alone(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert main(["pi", "3"]) == 0
+    for argv in ([], ["--help"], ["-h", "pi"], ["warble"], ["--json", "pi", "3"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == ["pi", None, None, None, None, None]

@@ -1,4 +1,5 @@
 import importlib
+import json
 import pkgutil
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from shufflealg.biwords import (
     internal_compose_lc,
 )
 from shufflealg import descent as D
+from shufflealg.cli import main
 from shufflealg.descent import (
     DendMonomial,
     biword_count,
@@ -40,6 +42,7 @@ from shufflealg.descent import (
     pi_n,
     prec_logarithm,
     prim_dend_dimension,
+    tree_class,
 )
 from shufflealg.linalg import rank_of
 from shufflealg.series import descent_dim_series_closed
@@ -360,6 +363,35 @@ def test_membership():
     assert not descd_membership(LinComb.single(biword((2, 1, 3), (1, 1, 1))), 3)
     pair = biword_combination([["213|111", 1], ["231|111", 1]])
     assert descd_membership(pair, 3)
+
+
+def test_tree_class_lists_each_class_from_its_tree():
+    # the linear extensions of each decorated tree against the grouping oracle
+    for n in range(1, 7):
+        for tree, members in descd_classes(n).items():
+            assert tree_class(tree) == members, tree
+    classes = descd_classes(7)
+    for tree in random.Random(7).sample(list(classes), 200):
+        assert tree_class(tree) == classes[tree], tree
+    assert tree_class(()) == (UNIT_BIWORD,)
+
+
+def test_membership_at_weight_10_builds_no_weight_wide_structure(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("membership enumerated a whole weight")
+
+    monkeypatch.setattr(D, "enumerate_biwords", refuse)
+    monkeypatch.setattr(D, "descd_classes", refuse)
+    # 213|433 and 231|433 make up the class of their decorated tree
+    member = biword_combination([["213|433", 1], ["231|433", 1]])
+    assert descd_membership(member, 10)
+    assert not descd_membership(LinComb.single(biword((2, 1, 3), (4, 3, 3))), 10)
+    assert main(["membership", "213|433 + 231|433", "--json"]) == 0
+    assert main(["membership", "213|433", "--json"]) == 1
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == [
+        {"member": True, "weight": 10},
+        {"member": False, "weight": 10},
+    ]
 
 
 def test_membership_rejects_weight_mismatch():
