@@ -171,22 +171,32 @@ def cut_rows(row: tuple, side: str) -> list:
     ``side`` "full" cuts after every column count, the two trivial cuts
     included.  The half-coproducts are defined on nonempty rows: "prec" cuts
     at and after the column with top entry 1, which stays left, and "succ"
-    strictly before it, so that it lands right.
+    strictly before it, so that it lands right.  One left-to-right sweep
+    standardizes every cut: an entry v ranks ``below[v] + 1`` on the left and
+    ``v - below[v]`` on the right.
     """
     perm, deg = row
+    n = len(perm)
     if side == "full":
-        positions = range(len(perm) + 1)
+        first, last = 0, n
     elif side != "prec" and side != "succ":
         raise ValueError(f"unknown coproduct side {side!r}")
     elif not perm:
         raise ValueError("half-coproducts are defined on nonempty biwords")
     else:
         one = perm.index(1) + 1  # the column count through the column with top entry 1
-        positions = range(one, len(perm)) if side == "prec" else range(1, one)
+        first, last = (one, n - 1) if side == "prec" else (1, one - 1)
+    below = [0] * (n + 1)  # below[v]: the entries left of the cut that are smaller than v
     cuts = []
-    for k in positions:
-        left, right = standardized_halves(perm, k)
-        cuts.append(((left, deg[:k]), (right, deg[k:])))
+    for k in range(last + 1):
+        if k >= first:
+            cuts.append((
+                (tuple([below[v] + 1 for v in perm[:k]]), deg[:k]),
+                (tuple([v - below[v] for v in perm[k:]]), deg[k:]),
+            ))
+        if k < last:
+            for v in range(perm[k] + 1, n + 1):
+                below[v] += 1
     return cuts
 
 
@@ -246,21 +256,6 @@ def coproduct_succ(a: Biword) -> LinComb:
 def _cut_sum(a: Biword, side: str) -> LinComb:
     """The sum of the cuts of ``a`` that the coproduct ``side`` takes."""
     return LinComb._raw(dict.fromkeys(map(biword_tuple, cut_rows((a.perm, a.deg), side)), 1))
-
-
-def standardized_halves(perm: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The first k entries of a permutation of [n] and the rest, each standardized."""
-    n = len(perm)
-    # mark the prefix values with 1, then rank the values 1..n in one pass
-    rank = [0] * (n + 1)
-    for v in perm[:k]:
-        rank[v] = 1
-    seen = [0, 0]  # the values ranked so far in the suffix and in the prefix
-    for v in range(1, n + 1):
-        half = rank[v]
-        seen[half] += 1
-        rank[v] = seen[half]
-    return tuple([rank[v] for v in perm[:k]]), tuple([rank[v] for v in perm[k:]])
 
 
 def coproduct_prec_lc(x: LinComb) -> LinComb:

@@ -75,8 +75,10 @@ def emit(args, payload_json, payload_text: str) -> None:
 # -- operand parsing ------------------------------------------------------------
 
 def parse_biword_combination(text: str) -> LinComb:
-    """Signed sum of optionally weighted biword terms."""
+    """Signed sum of optionally weighted biword terms.  A parse error gives
+    its position in ``text`` as typed, spaces included."""
     stripped = text.replace(" ", "")
+    typed = [i for i, ch in enumerate(text) if ch != " "] + [len(text)]  # stripped index -> typed
     if not stripped:
         raise B.BiwordParseError("empty combination", 0)
     pos = 0
@@ -88,25 +90,29 @@ def parse_biword_combination(text: str) -> LinComb:
     terms = []
     for ch in stripped[pos:]:
         if ch in "+-":
-            terms.append((sign, term, pos))
+            terms.append((sign, term, pos - len(term)))
             sign = -1 if ch == "-" else 1
             term = ""
         else:
             term += ch
         pos += 1
-    terms.append((sign, term, pos))
+    terms.append((sign, term, pos - len(term)))
     pairs = []
     for sgn, chunk, at in terms:
         if not chunk:
-            raise B.BiwordParseError("empty term in combination", at)
+            raise B.BiwordParseError("empty term in combination", typed[at])
         coeff = 1
         if "*" in chunk:
             coeff_text, chunk = chunk.split("*", 1)
             try:
                 coeff = Fraction(coeff_text)
             except (ValueError, ZeroDivisionError):
-                raise B.BiwordParseError(f"bad coefficient {coeff_text!r}", at) from None
-        pairs.append((B.parse_biword(chunk), coeff * sgn))
+                raise B.BiwordParseError(f"bad coefficient {coeff_text!r}", typed[at]) from None
+            at += len(coeff_text) + 1
+        try:
+            pairs.append((B.parse_biword(chunk), coeff * sgn))
+        except B.BiwordParseError as exc:
+            raise B.BiwordParseError(str(exc), typed[at + exc.position]) from None
     return LinComb(pairs)
 
 

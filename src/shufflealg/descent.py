@@ -328,8 +328,8 @@ def descd_membership(x: LinComb, n: int) -> bool:
 
 def prim_dend_dimension(n: int, space: str = "full_S") -> int:
     """dim of Ker(prec coproduct) intersect Ker(succ coproduct) at weight n."""
-    if n < 1 or n > DEFAULT_PRIM_CUTOFF:
-        raise ValueError(f"weight {n} is outside the configured cutoff {DEFAULT_PRIM_CUTOFF}")
+    if n < 1:
+        raise ValueError(f"primitive dimensions start at weight 1, got {n}")
     if space == "full_S":
         return next(islice(_full_S_dimensions(), n - 1, None))
     if space == "descd":

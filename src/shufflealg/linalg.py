@@ -5,22 +5,20 @@ denominators and kept as a primitive integer vector, and elimination uses
 fraction-free updates (g = gcd(c, pivot_lead); row = (lead/g) row - (c/g)
 pivot) with periodic content stripping, so coefficients stay small without
 leaving exact arithmetic.  Pivoting is first-nonzero in the canonical key
-order, which makes ranks and stored pivot rows deterministic.
+order, which makes ranks and stored pivot rows deterministic.  Each step
+leads with the smallest key left in the row; a pivot row holds no key below
+its lead, so the leads rise step by step.
 """
 
 from __future__ import annotations
 
-import heapq
-from math import gcd
+from math import gcd, lcm
 
 from .lincomb import LinComb, canonical_key
 
 
 def _to_int_row(lc: LinComb, sort_keys: dict) -> dict:
-    denom_lcm = 1
-    for coeff in lc.terms().values():
-        d = coeff.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
+    denom_lcm = lcm(*[coeff.denominator for coeff in lc.terms().values()])
     row = {}
     for key, coeff in lc.terms().items():
         sk = sort_keys.get(key)
@@ -31,11 +29,7 @@ def _to_int_row(lc: LinComb, sort_keys: dict) -> dict:
 
 
 def _strip_content(row: dict) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
+    g = gcd(*row.values())
     if g > 1:
         for k in row:
             row[k] //= g
@@ -53,45 +47,34 @@ class RowEchelon:
         return len(self._pivots)
 
     def _reduce(self, row: dict) -> dict:
-        """Eliminate against stored pivots, sweeping keys in ascending order.
+        """Eliminate against stored pivots, each step at the smallest key left.
 
         Stops at the first lead without a pivot: for insertion that lead is
         the new pivot position, for membership any unmatched lead already
         means a nonzero remainder.
         """
-        heap = list(row)
-        heapq.heapify(heap)
         steps = 0
-        while heap:
-            lead = heapq.heappop(heap)
-            while heap and heap[0] == lead:
-                heapq.heappop(heap)
-            c = row.get(lead, 0)
-            if not c:
-                row.pop(lead, None)
-                continue
+        while row:
+            lead = min(row)
             pivot = self._pivots.get(lead)
             if pivot is None:
-                return row
-            plead = pivot[lead]
+                break
+            c, plead = row[lead], pivot[lead]
             g = gcd(c, plead)
-            scale_row = plead // g
-            scale_piv = c // g
+            scale_row, scale_piv = plead // g, c // g
             if scale_row != 1:
                 for k in row:
                     row[k] *= scale_row
             for k, v in pivot.items():
                 nv = row.get(k, 0) - scale_piv * v
                 if nv:
-                    if k not in row:
-                        heapq.heappush(heap, k)
                     row[k] = nv
                 else:
-                    row.pop(k, None)
+                    del row[k]
             steps += 1
             if steps % 16 == 0:
                 _strip_content(row)
-        return {k: v for k, v in row.items() if v}
+        return row
 
     def add(self, lc: LinComb) -> bool:
         """Insert a vector; True when it enlarged the span."""

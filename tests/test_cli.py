@@ -441,6 +441,70 @@ def test_parse_biword_combination():
     )
 
 
+@pytest.mark.parametrize("operand, position", [
+    ("12|11 + 1|x", 10),  # the bad character, counted in the operand as typed
+    ("x*12|11", 0),  # a bad coefficient at its start
+    ("1/0*12|11", 0),
+    ("12|11 + 21|1", 11),  # the degree row of the second term
+    ("12|11 +", 7),  # an empty term at its start, here the end of the operand
+])
+def test_combination_parse_errors_give_the_typed_position(capsys, operand, position):
+    code, out, err = run(capsys, "membership", operand)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error at position {position}: ")
+    assert "Traceback" not in err
+
+
+def test_zero_combination_and_a_half_coproduct_of_the_unit_exit_2(capsys):
+    assert run(capsys, "membership", "12|11 - 12|11") == (2, "", "error: the zero combination has no defined weight")
+    assert run(capsys, "coproduct", "prec", "1") == (2, "", "error: half-coproducts need a nonempty biword")
+
+
+def _off_by_one_at_3(values):
+    """A dimension series (called with no argument) whose coefficient 3 is one too large."""
+    return lambda: [values()[n] + (n == 3) for n in range(4)]
+
+
+@pytest.mark.parametrize("attr, planted, flag", [
+    ("biword_count", lambda n, real=D.biword_count: real(n) + (n == 3),
+     "n=3: biword count 12 != R coefficient 11"),
+    ("descd_class_dimension", lambda n, real=D.descd_class_dimension: real(n) + (n == 3),
+     "n=3: descd rank 11 != closed-form coefficient 10"),
+    ("descent_dim_series_catalan", _off_by_one_at_3(D.descent_dim_series_catalan),
+     "n=3: closed-form coefficient 10 != catalan-compose coefficient 11"),
+    ("primitive_dim_series", _off_by_one_at_3(D.primitive_dim_series),
+     "n=3: primitive kernel 2 != primitive series 3"),
+])
+def test_dims_prints_a_planted_disagreement_as_a_flag(capsys, monkeypatch, attr, planted, flag):
+    monkeypatch.setattr(D, attr, planted)
+    code, out, _ = run(capsys, "dims", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == f"FLAG: {flag}"
+    assert "flags: none" not in out
+    code, out, _ = run(capsys, "dims", "3", "--json")
+    assert code == 1
+    assert json.loads(out)["flags"] == [flag]
+
+
+def test_decompose_names_primitives_on_a_saved_presentation(tmp_path, capsys, half_coordinates):
+    path = tmp_path / "half.json"
+    save_presentation(half_coordinates, path)
+    assert run(capsys, "decompose", str(path), "p") == (0, "1/2*P2.0 - 1/2*q", "")
+    assert run(capsys, "decompose", str(path), "s") == (0, "u<(u) + P2.0", "")
+    code, out, _ = run(capsys, "decompose", "--json", str(path), "p")
+    assert code == 0
+    assert json.loads(out) == {"label": "p", "terms": [
+        {"coeff_num": 1, "coeff_den": 2, "word": ["P2.0"]},
+        {"coeff_num": -1, "coeff_den": 2, "word": ["q"]},
+    ]}
+    code, out, _ = run(capsys, "decompose", "--json", str(path), "s")
+    assert code == 0
+    assert json.loads(out) == {"label": "s", "terms": [
+        {"coeff_num": 1, "coeff_den": 1, "word": ["u", "u"]},
+        {"coeff_num": 1, "coeff_den": 1, "word": ["P2.0"]},
+    ]}
+
+
 def test_decompose_command(tmp_path, capsys):
     A = shuffle_presentation({1: 1, 2: 1, 3: 1}, 3)
     good = tmp_path / "shx.json"

@@ -45,7 +45,7 @@ from shufflealg.descent import (
     tree_class,
 )
 from shufflealg.linalg import rank_of
-from shufflealg.series import descent_dim_series_closed
+from shufflealg.series import descent_dim_series_closed, primitive_dim_series
 from shufflealg.verify import check_idempotents, check_pi_primitive, check_pn_coproducts
 from shufflealg.words import compositions
 
@@ -468,9 +468,15 @@ def test_prim_dimensions_descd():
     assert [prim_dend_dimension(n, "descd") for n in range(1, 7)] == [1] * 6
 
 
+def test_prim_dimension_has_no_library_cap():
+    # DEFAULT_PRIM_CUTOFF bounds the CLI and dimension_report defaults only
+    assert D.DEFAULT_PRIM_CUTOFF == 6
+    assert prim_dend_dimension(7) == 4730 == int(primitive_dim_series()[7])
+
+
 def test_prim_dimension_cutoff():
     with pytest.raises(ValueError):
-        prim_dend_dimension(9, "full_S")
+        prim_dend_dimension(0, "full_S")
     with pytest.raises(ValueError):
         prim_dend_dimension(2, "everything")
 

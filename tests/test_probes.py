@@ -18,6 +18,7 @@ from conftest import load_golden
 from shufflealg import biwords as B
 from shufflealg import verify as V
 from shufflealg import words as W
+from shufflealg.cli import main
 from shufflealg.biwords import (
     UNIT_BIWORD,
     Biword,
@@ -243,6 +244,17 @@ def test_hopf_suite_failure_text_under_planted_faults(monkeypatch, fault, plante
         assert text == golden["weight_4"][fault][suite], suite
         digest = hashlib.sha256("\n".join(map(str, V.run_suite(suite, 5))).encode()).hexdigest()
         assert digest == golden["weight_5_sha256"][fault][suite], suite
+
+
+def test_verify_text_reports_a_planted_fault_with_five_records(monkeypatch, capsys):
+    monkeypatch.setattr(B, "riffle_rows", _dropping_the_last_prec_row(B.riffle_rows))
+    failures = V.run_suite("bidendriform", 4)
+    assert len(failures) > 5
+    assert main(["verify", "bidendriform", "4"]) == 1
+    out = capsys.readouterr().out
+    assert out == "\n".join([
+        f"FAIL: bidendriform up to weight 4: {len(failures)} violation(s)", *map(str, failures[:5])
+    ]) + "\n"
 
 
 def _dropping_the_last_cut(cuts):

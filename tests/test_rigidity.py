@@ -396,6 +396,14 @@ def test_decomposition_with_non_integer_coordinates_is_exact():
     }
 
 
+def test_decomposition_text_names_the_primitives(half_coordinates):
+    # a primitive row with one term under coefficient 1 is named by its label,
+    # any other as P<weight>.<index>; words nest as right-nested <
+    assert primitive_basis(half_coordinates)[2] == [LinComb({"p": 2, "q": 1}), LinComb({"q": 1})]
+    assert str(primitive_decomposition(half_coordinates, "p")) == "1/2*P2.0 - 1/2*q"
+    assert str(primitive_decomposition(half_coordinates, "s")) == "u<(u) + P2.0"
+
+
 def test_perturbed_prec_failure_text(shx3):
     bad = perturbed_presentation(shx3, "a1", "a1", LinComb.single("a2"))
     assert [str(v) for v in validate_presentation(bad)] == [
