@@ -112,15 +112,6 @@ def generic_biword(perm, first_degree: int = 1) -> Biword:
     return Biword(perm, tuple(range(first_degree, first_degree + len(perm))))
 
 
-def standardize(values) -> tuple[int, ...]:
-    """Order-isomorphic relabeling of distinct integers to a permutation of [k]."""
-    values = tuple(values)
-    if len(set(values)) != len(values):
-        raise ValueError(f"cannot standardize a sequence with repeats: {values}")
-    ranks = {v: i + 1 for i, v in enumerate(sorted(values))}
-    return tuple(ranks[v] for v in values)
-
-
 # -- the row kernels: a row is the plain pair (perm, deg) of a biword ------------
 
 def riffle_rows(a: tuple, b: tuple, first_from_left: bool) -> list:
@@ -389,23 +380,25 @@ def _parse_row(text: str, offset: int, letters_ok: bool) -> tuple[int, ...]:
 
 def parse_biword(text: str) -> Biword:
     """Parse ``perm|deg``: digit strings (or comma lists); degree letters a..i
-    are read as 1..9.  ``1``, ``|`` or the empty string is the unit."""
+    are read as 1..9.  ``1``, ``|`` or the empty string is the unit.  A parse
+    error gives its position in ``text`` as typed, leading spaces included."""
+    at = len(text) - len(text.lstrip())
     text = text.strip()
     if text in ("", "|", "1"):
         return UNIT_BIWORD
     if "|" not in text:
-        raise BiwordParseError("missing '|' between permutation and degrees", len(text))
+        raise BiwordParseError("missing '|' between permutation and degrees", at + len(text))
     top, bottom = text.split("|", 1)
-    perm = _parse_row(top, 0, letters_ok=False)
-    deg = _parse_row(bottom, len(top) + 1, letters_ok=True)
+    perm = _parse_row(top, at, letters_ok=False)
+    deg = _parse_row(bottom, at + len(top) + 1, letters_ok=True)
     if len(perm) != len(deg):
         raise BiwordParseError(
-            f"rows have different lengths ({len(perm)} vs {len(deg)})", len(top) + 1
+            f"rows have different lengths ({len(perm)} vs {len(deg)})", at + len(top) + 1
         )
     try:
         return Biword(perm, deg)
     except ValueError as exc:
-        raise BiwordParseError(str(exc), 0) from None
+        raise BiwordParseError(str(exc), at) from None
 
 
 def biword_to_json(b: Biword) -> dict:

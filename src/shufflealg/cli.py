@@ -129,27 +129,23 @@ def _setting(args, attr: str, key: str, label: str) -> int:
     return value
 
 
+def _products() -> dict:
+    """Each ``product`` kind's (operand parser, product).  The table is built
+    at each call, so a rebound module function is the one that runs."""
+    return {
+        "word-prec": (W.parse_word, W.word_prec),
+        "word-succ": (W.parse_word, W.word_succ),
+        "shuffle": (W.parse_word, W.word_shuffle),
+        "biword-prec": (B.parse_biword, B.biword_prec),
+        "biword-succ": (B.parse_biword, B.biword_succ),
+        "star": (B.parse_biword, B.biword_star),
+        "internal": (B.parse_biword, B.internal_compose),
+    }
+
+
 def cmd_product(args) -> int:
-    kind = args.kind
-    if kind in ("word-prec", "word-succ", "shuffle"):
-        lhs = W.parse_word(args.lhs)
-        rhs = W.parse_word(args.rhs)
-        fn = {
-            "word-prec": W.word_prec,
-            "word-succ": W.word_succ,
-            "shuffle": W.word_shuffle,
-        }[kind]
-        result = fn(lhs, rhs)
-    else:
-        lhs = B.parse_biword(args.lhs)
-        rhs = B.parse_biword(args.rhs)
-        fn = {
-            "biword-prec": B.biword_prec,
-            "biword-succ": B.biword_succ,
-            "star": B.biword_star,
-            "internal": B.internal_compose,
-        }[kind]
-        result = fn(lhs, rhs)
+    parse, fn = _products()[args.kind]
+    result = fn(parse(args.lhs), parse(args.rhs))
     emit(args, lincomb_to_json(result), str(result))
     return 0
 
@@ -203,51 +199,38 @@ def cmd_dims(args) -> int:
         raise UsageError(
             f"max weight {args.max_n} exceeds the series cutoff {series_cutoff}"
         )
-    report = D.dimension_report(
+    rows, flags = D.dimension_report(
         args.max_n, include=include, rank_cutoff=rank_cutoff, prim_cutoff=prim_cutoff
     )
     if args.json:
-        payload = {
-            "rows": [
-                {k: v for k, v in vars(row).items() if v is not None}
-                for row in report.rows
-            ],
-            "flags": report.flags,
-        }
-        print(json.dumps(payload))
+        print(json.dumps({"rows": rows, "flags": flags}))
     else:
-        _print_dims_table(report)
-    return 0 if report.ok else 1
+        _print_dims_table(rows, flags)
+    return 1 if flags else 0
 
 
-_DIM_COLUMNS = [
-    ("n", "n"),
-    ("biwords", "biword_count"),
-    ("R(x)", "biword_series"),
-    ("descd", "descd_rank"),
-    ("closed", "descd_closed"),
-    ("catalan", "descd_catalan"),
-    ("prim", "prim_kernel"),
-    ("P(x)", "prim_series"),
-]
+# the title of each column of a dims row, in column order
+_DIM_TITLES = {
+    "n": "n",
+    "biword_count": "biwords",
+    "biword_series": "R(x)",
+    "descd_rank": "descd",
+    "descd_closed": "closed",
+    "descd_catalan": "catalan",
+    "prim_kernel": "prim",
+    "prim_series": "P(x)",
+}
 
 
-def _print_dims_table(report) -> None:
-    used = [
-        (title, attr)
-        for title, attr in _DIM_COLUMNS
-        if any(getattr(row, attr) is not None for row in report.rows)
-    ]
-    table = [[title for title, _ in used]]
-    for row in report.rows:
-        table.append(
-            ["" if getattr(row, attr) is None else str(getattr(row, attr)) for _, attr in used]
-        )
+def _print_dims_table(rows: list[dict], flags: list[str]) -> None:
+    used = [key for key in _DIM_TITLES if any(key in row for row in rows)]
+    table = [[_DIM_TITLES[key] for key in used]]
+    table += [[str(row.get(key, "")) for key in used] for row in rows]
     widths = [max(len(line[i]) for line in table) for i in range(len(used))]
     for line in table:
         print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
-    if report.flags:
-        for flag in report.flags:
+    if flags:
+        for flag in flags:
             print(f"FLAG: {flag}")
     else:
         print("flags: none")
@@ -372,10 +355,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if wanted("product"):
         p = sub.add_parser("product", parents=[common], help="expand a product of two operands")
-        p.add_argument(
-            "kind",
-            choices=["word-prec", "word-succ", "shuffle", "biword-prec", "biword-succ", "star", "internal"],
-        )
+        p.add_argument("kind", choices=list(_products()))
         p.add_argument("lhs")
         p.add_argument("rhs")
         p.set_defaults(fn=cmd_product)

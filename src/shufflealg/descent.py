@@ -19,8 +19,11 @@ the spanning set and its exact rank (``descd_echelon``) are the independent
 route the tests compare against.  One class is listed from its tree alone
 (:func:`tree_class`, the linear extensions of the tree), so membership walks
 only the classes its operand touches; ``descd_classes(n)`` groups every
-biword of weight n, for the ``dims`` class count and as the tests' oracle.  Primitive dimensions (the joint kernel of
-the two half-coproducts) eliminate exactly, one block per permutation size.
+biword of weight n, for the ``dims`` class count and as the tests' oracle.
+Primitive dimensions (the joint kernel of the two half-coproducts) eliminate
+exactly, one block per permutation size.  :func:`dimension_report` tabulates
+these counts beside the series coefficients as plain dict rows, holding only
+the computed columns, and cross-checks each pair of columns that must agree.
 """
 
 from __future__ import annotations
@@ -379,25 +382,17 @@ def biword_count(n: int) -> int:
     return sum(factorial(k) * comb(n - 1, k - 1) for k in range(1, n + 1))
 
 
-class DimensionRow:
-    def __init__(self, n: int):
-        # assigned in the key order of a `dims --json` row; the columns start empty
-        self.n = n
-        self.biword_count = self.biword_series = self.descd_rank = self.descd_closed = None
-        self.descd_catalan = self.prim_kernel = self.prim_series = None
-
-
-class DimensionReport:
-    def __init__(self):
-        self.rows: list[DimensionRow] = []
-        self.flags: list[str] = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.flags
-
-
 REPORT_COLUMNS = ("biwords", "descd", "prim", "series")
+
+
+# the cross-checks: (column, its name in a flag, column, its name) for the
+# pairs of columns that must agree wherever both are computed
+_CROSS_CHECKS = (
+    ("biword_count", "biword count", "biword_series", "R coefficient"),
+    ("descd_rank", "descd rank", "descd_closed", "closed-form coefficient"),
+    ("descd_closed", "closed-form coefficient", "descd_catalan", "catalan-compose coefficient"),
+    ("prim_kernel", "primitive kernel", "prim_series", "primitive series"),
+)
 
 
 def dimension_report(
@@ -405,11 +400,14 @@ def dimension_report(
     include: Iterable[str] = REPORT_COLUMNS,
     rank_cutoff: int = DEFAULT_RANK_CUTOFF,
     prim_cutoff: int = DEFAULT_PRIM_CUTOFF,
-) -> DimensionReport:
+) -> tuple[list[dict], list[str]]:
     """Tabulate the dimension data up to max_n and flag any disagreement.
 
-    Series columns are exact coefficients evaluated on demand; the descd
-    class-count and kernel columns are computed only up to their cutoffs.
+    Returns ``(rows, flags)``: one dict per weight n holding only the computed
+    columns, in the key order of a ``dims --json`` row, and one line per
+    failed cross-check.  Series columns are exact coefficients evaluated on
+    demand; the descd class-count and kernel columns are computed only up to
+    their cutoffs.
     """
     include = set(include)
     unknown = include - set(REPORT_COLUMNS)
@@ -420,36 +418,29 @@ def dimension_report(
     catalan = descent_dim_series_catalan()
     p_series = primitive_dim_series()
     prim_kernels = _full_S_dimensions()  # advanced once per row up to the cutoff
-    report = DimensionReport()
+    rows, flags = [], []
     for n in range(1, max_n + 1):
-        row = DimensionRow(n=n)
+        row = {"n": n}
         if "biwords" in include:
-            row.biword_count = biword_count(n) if n <= BIWORD_COUNT_CUTOFF else None
+            if n <= BIWORD_COUNT_CUTOFF:
+                row["biword_count"] = biword_count(n)
             if "series" in include:
-                row.biword_series = int(r_series[n])
+                row["biword_series"] = int(r_series[n])
         if "descd" in include:
             if n <= rank_cutoff:
-                row.descd_rank = descd_class_dimension(n)
+                row["descd_rank"] = descd_class_dimension(n)
             if "series" in include:
-                row.descd_closed = int(closed[n])
-                row.descd_catalan = int(catalan[n])
+                row["descd_closed"] = int(closed[n])
+                row["descd_catalan"] = int(catalan[n])
         if "prim" in include:
             if n <= prim_cutoff:
-                row.prim_kernel = next(prim_kernels)
+                row["prim_kernel"] = next(prim_kernels)
             if "series" in include:
-                row.prim_series = int(p_series[n])
-        report.rows.append(row)
-        _flag_row(report, row)
-    return report
-
-
-def _flag_row(report: DimensionReport, row: DimensionRow) -> None:
-    pairs = [
-        ("biword count", row.biword_count, "R coefficient", row.biword_series),
-        ("descd rank", row.descd_rank, "closed-form coefficient", row.descd_closed),
-        ("closed-form coefficient", row.descd_closed, "catalan-compose coefficient", row.descd_catalan),
-        ("primitive kernel", row.prim_kernel, "primitive series", row.prim_series),
-    ]
-    for name_a, a, name_b, b in pairs:
-        if a is not None and b is not None and a != b:
-            report.flags.append(f"n={row.n}: {name_a} {a} != {name_b} {b}")
+                row["prim_series"] = int(p_series[n])
+        rows.append(row)
+        flags += [
+            f"n={n}: {name_a} {row[a]} != {name_b} {row[b]}"
+            for a, name_a, b, name_b in _CROSS_CHECKS
+            if a in row and b in row and row[a] != row[b]
+        ]
+    return rows, flags

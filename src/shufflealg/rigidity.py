@@ -21,10 +21,17 @@ Invalid presentations surface as :class:`RigidityError` (a tau image that
 fails primitivity, or a decomposition that does not evaluate back to its
 label) or as explicit axiom violations from the validator.
 
+By rigidity the bialgebra is the shuffle algebra on its primitives, so a
+decomposition is a combination of words over the primitive alphabet: the
+letter ``Letter(w, i)`` stands for row i of the weight-w primitive basis, and
+a biword acts on these words by :func:`~shufflealg.action.act_letters`, the
+one action rule (:func:`biword_act`).
+
 The kernels read item tables, tuples of (key, coefficient) pairs that a
 :class:`Presentation` derives from its ``LinComb`` tables (unit rows included;
 the shuffle per unordered label pair once needed), and add terms into plain
-dicts: a ``LinComb`` is built only for a failure record or a public result.
+dicts through :func:`~shufflealg.lincomb.accumulate`: a ``LinComb`` is built
+only for a failure record or a public result.
 """
 
 from __future__ import annotations
@@ -32,9 +39,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
+from .action import act_letters
+from .linalg import RowEchelon
 from .lincomb import LinComb, accumulate, canonical_key, exact, exact_div, linear_extend
 from . import words as W
-from .words import compositions, enumerate_words, graded_tuples
+from .words import Letter, compositions, enumerate_words, graded_tuples
 
 UNIT_LABEL = "1"
 
@@ -242,26 +251,12 @@ def _validate_coassociativity(A: Presentation, out: Report) -> None:
         out.expect("coassociativity", (label,), lhs, rhs)
 
 
-def _add_scaled(acc: dict, scale, row) -> None:
-    """acc += scale * row in place, dropping a key whose coefficient cancels."""
-    get = acc.get
-    for key, c in row:
-        c = get(key, 0) + scale * c
-        if c:
-            acc[key] = c
-        else:
-            del acc[key]
-
-
 def _validate_shuffle_axiom(A: Presentation, out: Report) -> None:
     # (a < b) < c = a < (b sh c) on basis triples within the weight bound
     prec, shuffle = A._prec_rows, A._shuffle_row
     for a, b, c in _label_tuples(A, 3):
-        lhs, rhs = {}, {}
-        for ab, c1 in prec[a, b]:
-            _add_scaled(lhs, c1, prec[ab, c])
-        for bc, c1 in shuffle(b, c):
-            _add_scaled(rhs, c1, prec[a, bc])
+        lhs = accumulate({}, ((k, c1 * c2) for ab, c1 in prec[a, b] for k, c2 in prec[ab, c]))
+        rhs = accumulate({}, ((k, c1 * c2) for bc, c1 in shuffle(b, c) for k, c2 in prec[a, bc]))
         out.expect("shuffle-axiom", (a, b, c), lhs, rhs)
 
 
@@ -270,24 +265,14 @@ def _validate_left_compatibility(A: Presentation, out: Report) -> None:
     prec, cop, shuffle = A._prec_rows, A._coproduct_rows, A._shuffle_row
     for x, y in _label_tuples(A, 2):
         xy = prec[x, y]
-        lhs = {}
-        for key, c in xy:
-            _add_scaled(lhs, c, cop[key])
-        rhs = {(UNIT_LABEL, key): c for key, c in xy}
-        get, cop_y = rhs.get, cop[y]
-        for (x1, x2), cx in cop[x]:
-            for (y1, y2), cy in cop_y:
-                left = prec[x1, y1]
-                if left:
-                    right = shuffle(x2, y2)
-                    for l, cl in left:
-                        c = cx * cy * cl
-                        for r, cr in right:
-                            v = get((l, r), 0) + c * cr
-                            if v:
-                                rhs[l, r] = v
-                            else:
-                                del rhs[l, r]
+        lhs = accumulate({}, ((pair, c * c2) for key, c in xy for pair, c2 in cop[key]))
+        rhs = accumulate({(UNIT_LABEL, key): c for key, c in xy}, (
+            ((l, r), cx * cy * cl * cr)
+            for (x1, x2), cx in cop[x]
+            for (y1, y2), cy in cop[y]
+            for l, cl in prec[x1, y1]
+            for r, cr in shuffle(x2, y2)
+        ))
         out.expect("left-compatibility", (x, y), lhs, rhs)
 
 
@@ -306,11 +291,13 @@ def _antipode_label(A: Presentation, label: str) -> LinComb:
     cached = A._antipode_cache.get(label)
     if cached is None:
         # S(x) = -x - sum over proper cuts of S(x') sh x''
-        acc = {label: -1}
-        for (left, right), c in A._coproduct_row(label):
-            if left != UNIT_LABEL and right != UNIT_LABEL:
-                for key, ck in _antipode_label(A, left).terms().items():
-                    _add_scaled(acc, -c * ck, A._shuffle_row(key, right))
+        acc = accumulate({label: -1}, (
+            (k, -c * ck * cs)
+            for (left, right), c in A._coproduct_row(label)
+            if left != UNIT_LABEL and right != UNIT_LABEL
+            for key, ck in _antipode_label(A, left).terms().items()
+            for k, cs in A._shuffle_row(key, right)
+        ))
         cached = A._antipode_cache[label] = LinComb._raw(acc)
     return cached
 
@@ -328,11 +315,13 @@ def _tau_label(A: Presentation, label: str) -> LinComb:
         return LinComb.zero()
     cached = A._tau_cache.get(label)
     if cached is None:
-        acc = {}
-        for (left, right), c in A._coproduct_row(label):
-            if left != UNIT_LABEL:
-                for key, ck in _antipode_label(A, right).terms().items():
-                    _add_scaled(acc, c * ck, A._prec_row(left, key))
+        acc = accumulate({}, (
+            (k, c * ck * cp)
+            for (left, right), c in A._coproduct_row(label)
+            if left != UNIT_LABEL
+            for key, ck in _antipode_label(A, right).terms().items()
+            for k, cp in A._prec_row(left, key)
+        ))
         cached = A._tau_cache[label] = LinComb._raw(acc)
     return cached
 
@@ -347,8 +336,6 @@ def primitive_basis(A: Presentation) -> dict[int, list[LinComb]]:
     """
     if A._primitive_basis is not None:
         return A._primitive_basis
-    from .linalg import RowEchelon
-
     out: dict[int, list[LinComb]] = {}
     for w in sorted(A.basis):
         ech = RowEchelon()
@@ -402,7 +389,8 @@ def _decompose_label(A: Presentation, basis, label: str) -> LinComb:
 
 
 def _expand_primitive(A: Presentation, basis, v: LinComb) -> dict:
-    """A primitive vector as length-1 nested words: its coordinates in the echelon rows."""
+    """A primitive vector as one-letter words over the primitive alphabet: its
+    coordinates in the echelon rows."""
     remainder, out = dict(v.terms()), {}
     weights = {A.weight_of(k) for k in remainder}
     if len(weights) > 1:
@@ -417,51 +405,49 @@ def _expand_primitive(A: Presentation, basis, v: LinComb) -> dict:
         if i is None:
             raise RigidityError(f"vector {v} does not lie in the primitive span")
         row = rows[i].terms()
-        c = out[(("P", w, i),)] = exact_div(remainder[lead], row[lead])
-        _add_scaled(remainder, -c, row.items())
+        c = out[(Letter(w, i),)] = exact_div(remainder[lead], row[lead])
+        accumulate(remainder, ((k, -c * ck) for k, ck in row.items()))
     return out
 
 
 class PrimitiveDecomposition:
     """A label expanded over right-nested half-products of primitives.
 
-    Keys of ``terms`` are tuples of primitive ids ("P", weight, index) into
-    the presentation's primitive basis; the tuple (p1, ..., pk) denotes
-    p1 < (p2 < (... < pk)).
+    Keys of ``terms`` are words over the primitive alphabet: tuples of
+    letters ``Letter(w, i)``, each standing for row i of the weight-w
+    primitive basis, and the word (p1, ..., pk) denotes p1 < (p2 < (... < pk)).
     """
 
     def __init__(self, label: str, terms: LinComb, presentation: Presentation):
         self.label, self.terms, self.presentation = label, terms, presentation
 
-    def primitive_vector(self, pid) -> LinComb:
-        _, w, i = pid
-        return primitive_basis(self.presentation)[w][i]
+    def primitive_vector(self, letter: Letter) -> LinComb:
+        return primitive_basis(self.presentation)[letter.weight][letter.symbol]
 
     def evaluate(self) -> LinComb:
         return linear_extend(self.evaluate_word, self.terms)
 
-    def evaluate_word(self, pid_word) -> LinComb:
-        """p1 < (p2 < (... < pk)) for the primitive ids (p1, ..., pk)."""
-        value = self.primitive_vector(pid_word[-1]).terms()
-        for pid in reversed(pid_word[:-1]):
-            value = self.presentation._prec_terms(self.primitive_vector(pid).terms(), value)
+    def evaluate_word(self, letters) -> LinComb:
+        """p1 < (p2 < (... < pk)) for the primitive letters (p1, ..., pk)."""
+        value = self.primitive_vector(letters[-1]).terms()
+        for letter in reversed(letters[:-1]):
+            value = self.presentation._prec_terms(self.primitive_vector(letter).terms(), value)
         return LinComb._raw(value)
 
-    def primitive_name(self, pid) -> str:
-        vec = self.primitive_vector(pid)
+    def primitive_name(self, letter: Letter) -> str:
+        vec = self.primitive_vector(letter)
         if len(vec) == 1:
             ((key, coeff),) = vec.items()
             if coeff == 1:
                 return key
-        _, w, i = pid
-        return f"P{w}.{i}"
+        return f"P{letter.weight}.{letter.symbol}"
 
     def __str__(self):
         if self.terms.is_zero():
             return "0"
         chunks = []
-        for pid_word, c in self.terms.items():
-            names = [self.primitive_name(p) for p in pid_word]
+        for letters, c in self.terms.items():
+            names = [self.primitive_name(p) for p in letters]
             nested = names[-1]
             for name in reversed(names[:-1]):
                 nested = f"{name}<({nested})"
@@ -486,20 +472,16 @@ def nested_word_count(prim_dims: dict[int, int], weight: int) -> int:
 def biword_act(A: Presentation, b, label: str) -> LinComb:
     """Act with a biword on a basis label through the primitive realization.
 
-    The label is decomposed into nested words of primitives; the biword
-    permutes a nested word like a word whose letters are the primitives
-    (weights must match the degree row), and the permuted nested words are
-    evaluated back through the product table.
+    The label is decomposed into words over the primitive alphabet; the
+    biword acts on each by :func:`~shufflealg.action.act_letters`, the one
+    action rule, and the permuted words are evaluated back through the
+    product table.
     """
     decomp = primitive_decomposition(A, label)
 
-    def act(pid_word) -> LinComb:
-        if b.size != len(pid_word):
-            return LinComb.zero()
-        permuted = tuple(pid_word[v - 1] for v in b.perm)
-        if any(pid[1] != d for pid, d in zip(permuted, b.deg)):
-            return LinComb.zero()
-        return decomp.evaluate_word(permuted)
+    def act(letters) -> LinComb:
+        permuted = act_letters(b.perm, b.deg, letters)
+        return LinComb.zero() if permuted is None else decomp.evaluate_word(permuted)
 
     return linear_extend(act, decomp.terms)
 

@@ -293,12 +293,14 @@ def parse_word(text: str) -> Word:
 
     Each letter is a lowercase symbol character followed by its weight in
     digits (weight 1 when omitted); ``1`` or the empty string is the unit.
+    A parse error gives its position in ``text`` as typed, leading spaces
+    included.
     """
+    pos = len(text) - len(text.lstrip())
     text = text.strip()
     if text in ("", "1"):
         return EMPTY_WORD
     letters = []
-    pos = 0
     for chunk in text.split("."):
         if not chunk:
             raise WordParseError("empty letter", pos)

@@ -23,6 +23,10 @@ The word antipode.  ``antipode_by_recursion(w)`` is the graded-connected
 recursion S(w) = -w - sum over proper cuts of S(w') sh w'', with no cache;
 it checks the closed form :func:`~shufflealg.words.word_antipode`.
 
+Standardization.  ``standardize(values)`` relabels distinct integers by
+their ranks, sorting them; it checks the one-sweep standardization of every
+cut in :func:`~shufflealg.biwords.cut_rows`.
+
 Planted faults.  ``perturbed_presentation`` shifts one half-product entry of
 a presentation, so the validator and the decomposition have a known defect
 to report.
@@ -48,6 +52,15 @@ from shufflealg.lincomb import LinComb, accumulate
 from shufflealg.rigidity import UNIT_LABEL, Presentation, Report, _label_tuples, _validate_tables
 from shufflealg.series import PowerSeries
 from shufflealg.words import EMPTY_WORD, Word, _cuts, word_shuffle_lc
+
+
+def standardize(values) -> tuple[int, ...]:
+    """Order-isomorphic relabeling of distinct integers to a permutation of [k]."""
+    values = tuple(values)
+    if len(set(values)) != len(values):
+        raise ValueError(f"cannot standardize a sequence with repeats: {values}")
+    ranks = {v: i + 1 for i, v in enumerate(sorted(values))}
+    return tuple(ranks[v] for v in values)
 
 
 def descent_class_rearrangements(left: tuple, right: tuple, first: int):

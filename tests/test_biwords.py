@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from conftest import biword_combination, load_golden
-from oracles import biword_prec_by_descents, biword_succ_by_descents, coassociativity_sides
+from oracles import biword_prec_by_descents, biword_succ_by_descents, coassociativity_sides, standardize
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import (
     UNIT_BIWORD,
@@ -27,7 +27,6 @@ from shufflealg.biwords import (
     internal_compose,
     parse_biword,
     render_biword,
-    standardize,
 )
 from shufflealg.series import biword_count_series
 from shufflealg import verify as V

@@ -20,7 +20,7 @@ from shufflealg import verify as V
 from shufflealg import words as W
 from shufflealg import cli
 from shufflealg.cli import COMMANDS, DEFAULTS, build_parser, main, parse_biword_combination
-from shufflealg.lincomb import LinComb
+from shufflealg.lincomb import LinComb, accumulate
 from shufflealg.biwords import biword, biword_from_json
 from oracles import perturbed_presentation
 from shufflealg.rigidity import (
@@ -199,7 +199,7 @@ def test_dims_json(capsys):
 
 
 def test_dims_json_row_key_order(capsys):
-    # the keys follow the DimensionRow fields; their order is part of the output
+    # the keys follow the column order of dimension_report; their order is part of the output
     code, out, _ = run(capsys, "dims", "2", "--json")
     assert code == 0
     keys = ["n", "biword_count", "biword_series", "descd_rank", "descd_closed", "descd_catalan",
@@ -379,7 +379,7 @@ def test_tau_flags_an_antipode_that_drops_its_last_proper_cut(capsys, monkeypatc
         proper = [(pair, c) for pair, c in A._coproduct_row(label) if R.UNIT_LABEL not in pair]
         for (left, right), c in proper[:-1]:
             for key, ck in antipode_label(A, left).terms().items():
-                R._add_scaled(acc, -c * ck, A._shuffle_row(key, right))
+                accumulate(acc, ((k, -c * ck * cs) for k, cs in A._shuffle_row(key, right)))
         return LinComb._raw(acc)
 
     monkeypatch.setattr(R, "_antipode_label", antipode_label)
@@ -447,9 +447,23 @@ def test_parse_biword_combination():
     ("1/0*12|11", 0),
     ("12|11 + 21|1", 11),  # the degree row of the second term
     ("12|11 +", 7),  # an empty term at its start, here the end of the operand
+    ("  12|1z", 6),  # leading spaces count
 ])
 def test_combination_parse_errors_give_the_typed_position(capsys, operand, position):
     code, out, err = run(capsys, "membership", operand)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error at position {position}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, position", [
+    (("product", "biword-prec", "  12|1z", "1|1"), 6),  # leading spaces count
+    (("coproduct", "prec", "  3,1,2|1,x,1"), 10),
+    (("product", "shuffle", "  a1.B2", "c1"), 5),
+    (("coproduct", "deconcat", "   a1..b2"), 6),
+])
+def test_single_operand_parse_errors_give_the_typed_position(capsys, argv, position):
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"parse error at position {position}: ")
     assert "Traceback" not in err

@@ -335,8 +335,8 @@ def test_class_route_builds_no_echelon(monkeypatch):
 
     monkeypatch.setattr(D, "descd_echelon", refuse)
     monkeypatch.setattr(D, "descd_spanning_set", refuse)
-    report = dimension_report(6, include=("descd",))
-    assert [row.descd_rank for row in report.rows] == [1, 3, 10, 36, 137, 543]
+    rows, _ = dimension_report(6, include=("descd",))
+    assert [row["descd_rank"] for row in rows] == [1, 3, 10, 36, 137, 543]
     assert descd_membership(p_n(5), 5)
     assert prim_dend_dimension(5, "descd") == 1
 
@@ -501,16 +501,16 @@ def test_biword_count_formula():
 
 
 def test_dimension_report_values_and_flags():
-    report = dimension_report(6, rank_cutoff=4, prim_cutoff=3)
-    assert report.ok
-    by_n = {row.n: row for row in report.rows}
-    assert [by_n[n].descd_closed for n in range(1, 7)] == [1, 3, 10, 36, 137, 543]
-    assert [by_n[n].biword_series for n in range(1, 7)] == [1, 3, 11, 49, 261, 1631]
-    assert by_n[4].descd_rank == 36
-    assert by_n[5].descd_rank is None
-    assert by_n[3].prim_kernel == 2
-    assert by_n[4].prim_kernel is None
-    assert [by_n[n].prim_series for n in range(1, 6)] == [1, 1, 2, 10, 70]
+    rows, flags = dimension_report(6, rank_cutoff=4, prim_cutoff=3)
+    assert flags == []
+    by_n = {row["n"]: row for row in rows}
+    assert [by_n[n]["descd_closed"] for n in range(1, 7)] == [1, 3, 10, 36, 137, 543]
+    assert [by_n[n]["biword_series"] for n in range(1, 7)] == [1, 3, 11, 49, 261, 1631]
+    assert by_n[4]["descd_rank"] == 36
+    assert "descd_rank" not in by_n[5]
+    assert by_n[3]["prim_kernel"] == 2
+    assert "prim_kernel" not in by_n[4]
+    assert [by_n[n]["prim_series"] for n in range(1, 6)] == [1, 1, 2, 10, 70]
 
 
 def test_dimension_report_eliminates_each_block_once(monkeypatch):
@@ -524,20 +524,20 @@ def test_dimension_report_eliminates_each_block_once(monkeypatch):
         return rank_of(rows)
 
     monkeypatch.setattr(D, "rank_of", counting_rank_of)
-    report = dimension_report(40, rank_cutoff=6, prim_cutoff=6)
+    rows, _ = dimension_report(40, rank_cutoff=6, prim_cutoff=6)
     assert sizes == [1, 2, 6, 24, 120, 720]
-    assert [row.prim_kernel for row in report.rows[:7]] == [1, 1, 2, 10, 70, 550, None]
+    assert [row.get("prim_kernel") for row in rows[:7]] == [1, 1, 2, 10, 70, 550, None]
 
 
 def test_dimension_report_series_extension():
-    report = dimension_report(9, include=("descd", "series"), rank_cutoff=3)
-    by_n = {row.n: row for row in report.rows}
-    assert report.ok
+    rows, flags = dimension_report(9, include=("descd", "series"), rank_cutoff=3)
+    by_n = {row["n"]: row for row in rows}
+    assert flags == []
     for n in range(1, 10):
-        assert by_n[n].descd_closed == by_n[n].descd_catalan
+        assert by_n[n]["descd_closed"] == by_n[n]["descd_catalan"]
     # A002212 three-term recurrence: (n+1) a_n = 3(2n-1) a_{n-1} - 5(n-2) a_{n-2}
     values = {0: 1}
-    values.update({n: by_n[n].descd_closed for n in range(1, 10)})
+    values.update({n: by_n[n]["descd_closed"] for n in range(1, 10)})
     for n in range(2, 10):
         assert (n + 1) * values[n] == 3 * (2 * n - 1) * values[n - 1] - 5 * (n - 2) * values[n - 2]
 

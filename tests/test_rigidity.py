@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from shufflealg import rigidity as R
 from shufflealg import words as W
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import Biword
@@ -29,6 +30,7 @@ from shufflealg.rigidity import (
     validate_presentation,
 )
 from shufflealg.words import (
+    Letter,
     enumerate_words,
     nested_prec_form,
     standard_alphabet,
@@ -357,6 +359,45 @@ def test_biword_action_transport(shx3):
     assert biword_act(shx3, Biword((1,), (2,)), "a1.b1").is_zero()
 
 
+def _transport_failures(A):
+    """The labels of A on which pi_n, acting through the primitive
+    realization, is not the primitive projector, and those on which the
+    terms of p_n do not sum to the identity (n the label's weight)."""
+    not_tau, not_identity = [], []
+    for label in A.labels():
+        n = A.weight_of(label)
+        if biword_act(A, Biword((1,), (n,)), label) != tau(A, label):
+            not_tau.append(label)
+        acted = LinComb.sum((biword_act(A, b, label), c) for b, c in p_n(n).items())
+        if acted != LinComb.single(label):
+            not_identity.append(label)
+    return not_tau, not_identity
+
+
+@pytest.fixture(scope="module")
+def transport_models(shx4):
+    return [shx4, shuffle_presentation({1: 3, 2: 1}, 4)]
+
+
+def test_transported_action_on_every_label(transport_models, half_coordinates):
+    models = [*transport_models, half_coordinates]
+    assert sum(len(A.labels()) for A in models) == 239
+    for A in models:
+        assert _transport_failures(A) == ([], [])
+
+
+def test_transported_action_goes_through_the_one_action_rule(transport_models, monkeypatch):
+    # without its weight check, every identity biword of p_n acts on every
+    # word of its size, so a word of k primitive letters is counted once per
+    # composition of n into k parts
+    def act_letters_without_weights(perm, deg, letters):
+        return tuple(letters[v - 1] for v in perm) if len(perm) == len(letters) else None
+
+    monkeypatch.setattr(R, "act_letters", act_letters_without_weights)
+    for A in transport_models:
+        assert _transport_failures(A)[1]
+
+
 def test_json_roundtrip(tmp_path, shx3):
     path = tmp_path / "shx.json"
     save_presentation(shx3, path)
@@ -387,12 +428,13 @@ def test_decomposition_with_non_integer_coordinates_is_exact():
     assert primitive_basis(A)[2] == [LinComb({"p": 2, "q": 1}), LinComb({"q": 1})]
     decomp = primitive_decomposition(A, "p")
     coords = dict(decomp.terms.items())
-    assert coords == {(("P", 2, 0),): Fraction(1, 2), (("P", 2, 1),): Fraction(-1, 2)}
+    assert coords == {(Letter(2, 0),): Fraction(1, 2), (Letter(2, 1),): Fraction(-1, 2)}
+    assert {type(p) for word in coords for p in word} == {Letter}
     assert all(type(c) is Fraction for c in coords.values())
     assert decomp.evaluate() == LinComb.single("p")
     assert dict(primitive_decomposition(A, "s").terms.items()) == {
-        (("P", 2, 0),): 1,
-        (("P", 1, 0), ("P", 1, 0)): 1,
+        (Letter(2, 0),): 1,
+        (Letter(1, 0), Letter(1, 0)): 1,
     }
 
 
