@@ -27,11 +27,11 @@ letter ``Letter(w, i)`` stands for row i of the weight-w primitive basis, and
 a biword acts on these words by :func:`~shufflealg.action.act_letters`, the
 one action rule (:func:`biword_act`).
 
-The kernels read item tables, tuples of (key, coefficient) pairs that a
-:class:`Presentation` derives from its ``LinComb`` tables (unit rows included;
-the shuffle per unordered label pair once needed), and add terms into plain
-dicts through :func:`~shufflealg.lincomb.accumulate`: a ``LinComb`` is built
-only for a failure record or a public result.
+The item tables, tuples of (key, coefficient) pairs with the unit rows, are
+the one stored copy of a :class:`Presentation`'s structure constants; ``prec``
+and ``coproduct`` view one row as a ``LinComb``.  The kernels add terms into
+plain dicts through :func:`~shufflealg.lincomb.accumulate`: a ``LinComb`` is
+built only for a failure record or a public result.
 """
 
 from __future__ import annotations
@@ -99,18 +99,17 @@ class Presentation:
                 if label in self._weight:
                     raise PresentationError(f"duplicate basis label {label!r}")
                 self._weight[label] = w
-        self.prec_table: dict[tuple[str, str], LinComb] = dict(prec)
-        self.coproduct_table: dict[str, LinComb] = dict(coproduct)
-        # item tables with the unit rows: a < 1 = a, 1 < b = 0, Delta(1) = 1 (x) 1
+        # the item tables, unit rows first: a < 1 = a, 1 < b = 0, Delta(1) = 1 (x) 1
         self._prec_rows = prec_rows = {(a, UNIT_LABEL): ((a, 1),) for a in self._weight}
         prec_rows.update(((UNIT_LABEL, b), ()) for b in [UNIT_LABEL, *self._weight])
         self._coproduct_rows = coproduct_rows = {UNIT_LABEL: (((UNIT_LABEL, UNIT_LABEL), 1),)}
-        labels, legs = set(self.coproduct_table), set()
-        for pair, out in self.prec_table.items():
+        coproduct = dict(coproduct)
+        labels, legs = set(coproduct), set()
+        for pair, out in dict(prec).items():
             terms = out.terms()
             prec_rows[pair] = tuple(terms.items())
             labels.update(pair, terms)
-        for label, cop in self.coproduct_table.items():
+        for label, cop in coproduct.items():
             terms = cop.terms()
             coproduct_rows[label] = tuple(terms.items())
             legs.update(*terms)
@@ -119,7 +118,7 @@ class Presentation:
         self._shuffle_rows = {(UNIT_LABEL, UNIT_LABEL): ((UNIT_LABEL, 1),)}  # 1 * 1 = 1, but 1 < 1 = 0
         self._antipode_cache: dict[str, LinComb] = {}
         self._tau_cache: dict[str, LinComb] = {}
-        self._primitive_basis = None
+        self._primitive_basis = self._primitive_leads = None
         self._decomp_cache: dict[str, LinComb] = {}
 
     def _require_labels(self, labels, unit_ok: bool = False):
@@ -144,36 +143,28 @@ class Presentation:
     # -- products and coproducts ------------------------------------------
 
     def prec(self, a: str, b: str) -> LinComb:
-        """Left half-product on labels with the unit conventions."""
-        if a == UNIT_LABEL:
-            return LinComb.zero()
-        if b == UNIT_LABEL:
-            return LinComb.single(a)
-        entry = self.prec_table.get((a, b))
-        if entry is None:
-            raise PresentationError(f"missing half-product entry ({a!r}, {b!r})")
-        return entry
+        """Left half-product on labels, unit included."""
+        return LinComb._raw(dict(self._prec_row(a, b)))
 
     def prec_lc(self, x: LinComb, y: LinComb) -> LinComb:
         return LinComb._raw(self._prec_terms(x.terms(), y.terms()))
 
     def coproduct(self, label: str) -> LinComb:
-        if label == UNIT_LABEL:
-            return LinComb.single((UNIT_LABEL, UNIT_LABEL))
-        entry = self.coproduct_table.get(label)
-        if entry is None:
-            raise PresentationError(f"missing coproduct entry for {label!r}")
-        return entry
+        return LinComb._raw(dict(self._coproduct_row(label)))
 
     def _prec_row(self, a: str, b: str):
         """The (label, coefficient) terms of a < b."""
-        row = self._prec_rows.get((a, b))
-        return self.prec(a, b).terms().items() if row is None else row
+        try:
+            return self._prec_rows[a, b]
+        except KeyError:
+            raise PresentationError(f"missing half-product entry ({a!r}, {b!r})") from None
 
     def _coproduct_row(self, label: str):
         """The ((left, right), coefficient) terms of the coproduct of a label."""
-        row = self._coproduct_rows.get(label)
-        return self.coproduct(label).terms().items() if row is None else row
+        try:
+            return self._coproduct_rows[label]
+        except KeyError:
+            raise PresentationError(f"missing coproduct entry for {label!r}") from None
 
     def _shuffle_row(self, a: str, b: str) -> tuple:
         """The terms of a * b, kept per unordered pair (the shuffle commutes)."""
@@ -214,24 +205,24 @@ def _label_tuples(A: Presentation, arity: int):
 
 def _validate_tables(A: Presentation, out: Report) -> None:
     for a, b in _label_tuples(A, 2):
-        entry = A.prec_table.get((a, b))
-        if entry is None:
+        row = A._prec_rows.get((a, b))
+        if row is None:
             out.append(Failure("prec-completeness", (a, b), "missing entry", ""))
             continue
         wsum = A.weight_of(a) + A.weight_of(b)
-        for key, _ in entry.terms().items():
+        for key, _ in row:
             if A.weight_of(key) != wsum:
-                out.append(Failure("prec-grading", (a, b), entry, f"weight {wsum}"))
+                out.append(Failure("prec-grading", (a, b), A.prec(a, b), f"weight {wsum}"))
                 break
     for label in A.labels():
-        entry = A.coproduct_table.get(label)
-        if entry is None:
+        row = A._coproduct_rows.get(label)
+        if row is None:
             out.append(Failure("coproduct-completeness", (label,), "missing entry", ""))
             continue
         w = A.weight_of(label)
-        for (left, right), _ in entry.terms().items():
+        for (left, right), _ in row:
             if A.weight_of(left) + A.weight_of(right) != w:
-                out.append(Failure("coproduct-grading", (label,), entry, f"weight {w}"))
+                out.append(Failure("coproduct-grading", (label,), A.coproduct(label), f"weight {w}"))
                 break
 
 
@@ -337,6 +328,7 @@ def primitive_basis(A: Presentation) -> dict[int, list[LinComb]]:
     if A._primitive_basis is not None:
         return A._primitive_basis
     out: dict[int, list[LinComb]] = {}
+    leads: dict[int, dict] = {}  # per weight, the leading key of each row -> its index
     for w in sorted(A.basis):
         ech = RowEchelon()
         for label in A.basis[w]:
@@ -351,7 +343,8 @@ def primitive_basis(A: Presentation) -> dict[int, list[LinComb]]:
                     f"reduced coproduct {LinComb._raw(bad)}"
                 )
         out[w] = rows
-    A._primitive_basis = out
+        leads[w] = {min(row.terms(), key=canonical_key): i for i, row in enumerate(rows)}
+    A._primitive_basis, A._primitive_leads = out, leads
     return out
 
 
@@ -363,8 +356,8 @@ def primitive_decomposition(A: Presentation, label: str) -> "PrimitiveDecomposit
     label exactly, otherwise a :class:`RigidityError` is raised.
     """
     A._require_labels((label,))
-    basis = primitive_basis(A)
-    terms = _decompose_label(A, basis, label)
+    primitive_basis(A)
+    terms = _decompose_label(A, label)
     decomp = PrimitiveDecomposition(label=label, terms=terms, presentation=A)
     value = decomp.evaluate()
     if value != LinComb.single(label):
@@ -375,29 +368,28 @@ def primitive_decomposition(A: Presentation, label: str) -> "PrimitiveDecomposit
     return decomp
 
 
-def _decompose_label(A: Presentation, basis, label: str) -> LinComb:
+def _decompose_label(A: Presentation, label: str) -> LinComb:
     cached = A._decomp_cache.get(label)
     if cached is None:
-        acc = _expand_primitive(A, basis, _tau_label(A, label))
+        acc = _expand_primitive(A, _tau_label(A, label))
         for (left, right), c in A._coproduct_row(label):
             if left != UNIT_LABEL and right != UNIT_LABEL:
-                tails = _decompose_label(A, basis, right).terms().items()
-                for head, ch in _expand_primitive(A, basis, _tau_label(A, left)).items():
+                tails = _decompose_label(A, right).terms().items()
+                for head, ch in _expand_primitive(A, _tau_label(A, left)).items():
                     accumulate(acc, ((head + tail, c * ch * ct) for tail, ct in tails))
         cached = A._decomp_cache[label] = LinComb._raw(acc)
     return cached
 
 
-def _expand_primitive(A: Presentation, basis, v: LinComb) -> dict:
+def _expand_primitive(A: Presentation, v: LinComb) -> dict:
     """A primitive vector as one-letter words over the primitive alphabet: its
-    coordinates in the echelon rows."""
+    coordinates in the echelon rows (:func:`primitive_basis` has run)."""
     remainder, out = dict(v.terms()), {}
     weights = {A.weight_of(k) for k in remainder}
     if len(weights) > 1:
         raise RigidityError(f"tau image {v} is not weight-homogeneous")
     w = weights.pop() if weights else 0
-    rows = basis.get(w, [])
-    by_lead = {min(row.terms(), key=canonical_key): i for i, row in enumerate(rows)}
+    rows, by_lead = A._primitive_basis.get(w, []), A._primitive_leads.get(w, {})
     while remainder:
         # the leading key rises at every step, so each row is used at most once
         lead = min(remainder, key=canonical_key)
@@ -527,12 +519,12 @@ def presentation_to_json(A: Presentation) -> dict:
     return {
         "basis": {str(w): list(labels) for w, labels in A.basis.items()},
         "prec": [
-            [a, b, [[key, str(c)] for key, c in entry.items()]]
-            for (a, b), entry in sorted(A.prec_table.items())
+            [a, b, [[key, str(c)] for key, c in sorted(row)]]
+            for (a, b), row in sorted(A._prec_rows.items()) if UNIT_LABEL not in (a, b)
         ],
         "coproduct": [
-            [label, [[left, right, str(c)] for (left, right), c in entry.items()]]
-            for label, entry in sorted(A.coproduct_table.items())
+            [label, [[left, right, str(c)] for (left, right), c in sorted(row)]]
+            for label, row in sorted(A._coproduct_rows.items()) if label != UNIT_LABEL
         ],
     }
 

@@ -27,6 +27,11 @@ Standardization.  ``standardize(values)`` relabels distinct integers by
 their ranks, sorting them; it checks the one-sweep standardization of every
 cut in :func:`~shufflealg.biwords.cut_rows`.
 
+Presentation entries.  ``tables(A)`` reads the half-product entry of every
+label pair within the weight bound and the coproduct of every label through
+the public ``prec`` and ``coproduct``, as dicts of ``LinComb``; the tests
+copy, count and compare presentations through it.
+
 Planted faults.  ``perturbed_presentation`` shifts one half-product entry of
 a presentation, so the validator and the decomposition have a known defect
 to report.
@@ -35,8 +40,8 @@ The presentation validator through ``LinComb``.  ``validate_by_lincomb``
 runs the table checks of :func:`~shufflealg.rigidity.validate_presentation`,
 then its counit, coassociativity, shuffle-axiom and left-compatibility checks
 the way they were first written: every lookup goes through the public
-``prec`` and ``coproduct`` of the presentation, which read its ``LinComb``
-tables (the shuffle of two labels is their two half-products), and every sum
+``prec`` and ``coproduct`` of the presentation, ``LinComb`` views of its
+item tables (the shuffle of two labels is their two half-products), and every sum
 through ``accumulate`` or ``coassociativity_sides``.  It checks the
 item-table kernels of :mod:`shufflealg.rigidity`.
 """
@@ -169,14 +174,21 @@ def coassociativity_sides(cop: LinComb, coproduct: Callable) -> tuple[LinComb, L
     return LinComb._raw(lhs), LinComb._raw(rhs)
 
 
+def tables(A: Presentation) -> tuple[dict, dict]:
+    """The half-product entries of the label pairs within the weight bound and
+    the coproduct of every label, read through ``prec`` and ``coproduct``."""
+    prec = {(a, b): A.prec(a, b) for a, b in _label_tuples(A, 2)}
+    return prec, {label: A.coproduct(label) for label in A.labels()}
+
+
 def perturbed_presentation(
     A: Presentation, left: str, right: str, delta: LinComb
 ) -> Presentation:
     """Copy of the presentation with one half-product entry shifted by delta."""
-    prec = dict(A.prec_table)
+    prec, coproduct = tables(A)
     key = (left, right)
     prec[key] = prec.get(key, LinComb.zero()) + delta
-    return Presentation(A.basis, prec, A.coproduct_table)
+    return Presentation(A.basis, prec, coproduct)
 
 
 def _shuffle(A: Presentation, a: str, b: str) -> LinComb:

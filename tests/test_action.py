@@ -1,5 +1,6 @@
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,6 +223,43 @@ def test_a_planted_compose_row_fault_fails_both_action_suites(monkeypatch):
     # the Biword-level product goes through the same kernel
     identity = biword((1, 2), (1, 1))
     assert B.internal_compose(identity, identity) == LinComb.single(biword((2, 1), (1, 1)))
+
+
+def _composing_through_b(a, b):
+    """compose_row with the top row read as a through b: perm_a[perm_b[i] - 1]."""
+    (perm_a, deg_a), (perm_b, deg_b) = a, b
+    if len(perm_a) != len(perm_b) or any(d != deg_b[v - 1] for v, d in zip(perm_a, deg_a)):
+        return None
+    return tuple([perm_a[v - 1] for v in perm_b]), deg_a
+
+
+def _carrying_b_degrees(a, b):
+    """compose_row giving the composite b's degrees."""
+    (perm_a, deg_a), (perm_b, deg_b) = a, b
+    if len(perm_a) != len(perm_b) or any(d != deg_b[v - 1] for v, d in zip(perm_a, deg_a)):
+        return None
+    return tuple([perm_b[v - 1] for v in perm_a]), deg_b
+
+
+def _matching_degrees_by_position(a, b):
+    """compose_row comparing the degrees position by position, not through a."""
+    (perm_a, deg_a), (perm_b, deg_b) = a, b
+    if len(perm_a) != len(perm_b) or deg_a != deg_b:
+        return None
+    return tuple([perm_b[v - 1] for v in perm_a]), deg_a
+
+
+@pytest.mark.parametrize("fault, failures, first", [
+    (_composing_through_b, 144, "(132|111, 213|111)"),
+    (_carrying_b_degrees, 148, "(21|12, 12|21)"),
+    (_matching_degrees_by_position, 296, "(21|12, 12|12)"),
+])
+def test_action_compat_catches_each_planted_compose_row_fault(monkeypatch, fault, failures, first):
+    monkeypatch.setattr(B, "compose_row", fault)
+    action = check_action_compatibility(4)
+    assert (action.checked, len(action)) == (4609, failures)
+    assert {f.identity for f in action} == {"internal-compose-vs-action"}
+    assert str(action[0]).startswith(f"internal-compose-vs-action fails at {first}:")
 
 
 def test_composite_acts_as_composition_on_words():

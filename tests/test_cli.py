@@ -139,6 +139,11 @@ def test_pi_rejects_an_empty_part(capsys, target):
     assert err == f"error: bad composition {target!r}"
 
 
+@pytest.mark.parametrize("target", ["0", "0,1"])
+def test_pi_needs_a_positive_weight(capsys, target):
+    assert run(capsys, "pi", target) == (2, "", "error: pi needs a positive weight or composition")
+
+
 def test_pi_alternating_route_at_weight_10_in_a_fresh_process():
     env = {**os.environ, "PYTHONPATH": str(Path(shufflealg.__file__).parents[1])}
     done = subprocess.run(
@@ -427,6 +432,9 @@ def test_membership_command(capsys):
     assert code == 2
     code, _, err = run(capsys, "membership", "213|111", "--weight", "4")
     assert code == 2
+    # a leading sign belongs to the first term
+    for combination in ("-12|11 - 21|11", "+ 2*12|11"):
+        assert run(capsys, "membership", combination, "--json") == (0, '{"member": true, "weight": 2}', "")
     # the unit has weight 0, below the graded components: a usage error, not "non-member"
     for combination in ("1", "2*1"):
         code, out, err = run(capsys, "membership", combination)
@@ -448,6 +456,7 @@ def test_parse_biword_combination():
     ("12|11 + 21|1", 11),  # the degree row of the second term
     ("12|11 +", 7),  # an empty term at its start, here the end of the operand
     ("  12|1z", 6),  # leading spaces count
+    ("", 0),  # empty combination
 ])
 def test_combination_parse_errors_give_the_typed_position(capsys, operand, position):
     code, out, err = run(capsys, "membership", operand)
@@ -461,6 +470,8 @@ def test_combination_parse_errors_give_the_typed_position(capsys, operand, posit
     (("coproduct", "prec", "  3,1,2|1,x,1"), 10),
     (("product", "shuffle", "  a1.B2", "c1"), 5),
     (("coproduct", "deconcat", "   a1..b2"), 6),
+    (("product", "shuffle", "a1.bx", "c1"), 4),  # expected a weight, got 'x'
+    (("product", "shuffle", "a0", "b1"), 1),  # letter weight must be positive
 ])
 def test_single_operand_parse_errors_give_the_typed_position(capsys, argv, position):
     code, out, err = run(capsys, *argv)

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from shufflealg import rigidity as R
+from shufflealg import verify as V
 from shufflealg import words as W
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import Biword
-from oracles import antipode_by_recursion, perturbed_presentation, validate_by_lincomb
+from oracles import antipode_by_recursion, perturbed_presentation, tables, validate_by_lincomb
 from shufflealg.descent import p_n
 from shufflealg.rigidity import (
     Presentation,
@@ -84,7 +85,7 @@ def test_word_model_takes_one_shuffle_per_rest_and_right_factor(monkeypatch):
     real_shuffle = W.word_shuffle
     monkeypatch.setattr(W, "word_shuffle", lambda w, z: calls.append((w, z)) or real_shuffle(w, z))
     A = shuffle_presentation(standard_alphabet(5, 2), 5)
-    assert len(A.prec_table) == 568
+    assert len(tables(A)[0]) == 568
     assert len(calls) == len(set(calls)) == 216
 
 
@@ -142,7 +143,7 @@ def _faulted_copy(A, rng):
     by minus an existing term (which cancels it), by minus twice one (which
     flips its sign, so that sums over the entry cancel to zero at some keys),
     or by a multiple of a term of the right weight."""
-    prec, coproduct = dict(A.prec_table), dict(A.coproduct_table)
+    prec, coproduct = tables(A)
     for _ in range(rng.randint(1, 2)):
         table = rng.choice((prec, coproduct))
         key = rng.choice(sorted(table))
@@ -178,7 +179,8 @@ def test_validator_matches_the_lincomb_oracle_on_faulted_copies():
 def _one_letter_model(prec, coproduct):
     """The words a1, a1.a1, a1.a1.a1 with some table entries replaced."""
     A = shuffle_presentation({1: 1}, 3)
-    return Presentation(A.basis, {**A.prec_table, **prec}, {**A.coproduct_table, **coproduct})
+    base_prec, base_coproduct = tables(A)
+    return Presentation(A.basis, {**base_prec, **prec}, {**base_coproduct, **coproduct})
 
 
 def _cuts(*pairs):
@@ -226,6 +228,37 @@ def test_structural_errors_rejected():
         Presentation({1: ["a"], 2: ["a"]}, {}, {})
     with pytest.raises(PresentationError):
         Presentation({0: ["a"]}, {}, {})
+
+
+@pytest.mark.parametrize("prec, coproduct", [
+    ({("a", UNIT_LABEL): LinComb.single("a")}, {}),
+    ({("a", "a"): LinComb.single(UNIT_LABEL)}, {}),
+    ({}, {UNIT_LABEL: LinComb.single((UNIT_LABEL, UNIT_LABEL))}),
+])
+def test_an_entry_naming_the_unit_is_rejected(prec, coproduct):
+    # the unit rows are the presentation's own; a given entry may not name the unit
+    with pytest.raises(PresentationError) as err:
+        Presentation({1: ["a"], 2: ["m"]}, prec, coproduct)
+    assert str(err.value) == "the unit cannot appear here"
+
+
+def test_the_unit_rows_answer_through_prec_and_coproduct(shx3):
+    assert shx3.prec("a1", UNIT_LABEL) == LinComb.single("a1")
+    assert shx3.prec(UNIT_LABEL, "a1").is_zero() and shx3.prec(UNIT_LABEL, UNIT_LABEL).is_zero()
+    assert shx3.coproduct(UNIT_LABEL) == LinComb.single((UNIT_LABEL, UNIT_LABEL))
+
+
+@pytest.mark.parametrize("read, message", [
+    (lambda A: A.prec("a1", "zz"), "missing half-product entry ('a1', 'zz')"),
+    (lambda A: A.coproduct("zz"), "missing coproduct entry for 'zz'"),
+    # a label outside the basis has no unit row either
+    (lambda A: A.prec("zz", UNIT_LABEL), "missing half-product entry ('zz', '1')"),
+    (lambda A: A.prec(UNIT_LABEL, "zz"), "missing half-product entry ('1', 'zz')"),
+])
+def test_a_missing_entry_is_named(shx3, read, message):
+    with pytest.raises(PresentationError) as err:
+        read(shx3)
+    assert str(err.value) == message
 
 
 def test_missing_entries_flagged():
@@ -398,15 +431,29 @@ def test_transported_action_goes_through_the_one_action_rule(transport_models, m
         assert _transport_failures(A)[1]
 
 
+def test_the_rigidity_roundtrip_evaluates_every_decomposition(monkeypatch):
+    # a decomposition that does not evaluate back to its label is a failure:
+    # with every word of three or more primitives evaluating to 0, the 48
+    # labels of three or more letters fail
+    real = R.PrimitiveDecomposition.evaluate_word
+    monkeypatch.setattr(
+        R.PrimitiveDecomposition, "evaluate_word",
+        lambda self, letters: LinComb.zero() if len(letters) >= 3 else real(self, letters),
+    )
+    report = V.check_rigidity(4)
+    assert (report.checked, len(report)) == (540, 48)
+    assert {f.identity for f in report} == {"decomposition-roundtrip"}
+    assert report[0].inputs == ("a1.a1.a1",)
+
+
 def test_json_roundtrip(tmp_path, shx3):
     path = tmp_path / "shx.json"
     save_presentation(shx3, path)
     loaded = load_presentation(path)
     assert loaded.basis == shx3.basis
-    assert loaded.prec_table == shx3.prec_table
-    assert loaded.coproduct_table == shx3.coproduct_table
+    assert tables(loaded) == tables(shx3)
     again = presentation_from_json(presentation_to_json(shx3))
-    assert again.prec_table == shx3.prec_table
+    assert tables(again)[0] == tables(shx3)[0]
 
 
 def test_decomposition_with_non_integer_coordinates_is_exact():
@@ -486,7 +533,7 @@ def _one_coefficient(text):
 @pytest.mark.parametrize("text", ["3", "-1", "+2", " 3 ", "1_0", "3/4", "1.5", "1e3", 7])
 def test_loaded_coefficient_is_the_exact_number(text):
     A = presentation_from_json(_one_coefficient(text))
-    (coeff,) = A.coproduct_table["a"].terms().values()
+    (coeff,) = A.coproduct("a").terms().values()
     assert coeff == Fraction(text)
     assert type(coeff) is (int if Fraction(text).denominator == 1 else Fraction)
 

@@ -107,6 +107,8 @@ def test_biword_series_equals_composition_count():
     r = biword_count_series()
     for n in range(1, 9):
         assert r[n] == sum(factorial(k) * comb(n - 1, k - 1) for k in range(1, n + 1))
+    with pytest.raises(IndexError, match="non-negative"):
+        r[-1]
 
 
 small = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=6)
