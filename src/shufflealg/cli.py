@@ -23,9 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .lincomb import LinComb
+from .lincomb import LinComb, parse_coefficient
 from . import words as W
 from . import biwords as B
 from . import descent as D
@@ -105,7 +104,7 @@ def parse_biword_combination(text: str) -> LinComb:
         if "*" in chunk:
             coeff_text, chunk = chunk.split("*", 1)
             try:
-                coeff = Fraction(coeff_text)
+                coeff = parse_coefficient(coeff_text)
             except (ValueError, ZeroDivisionError):
                 raise B.BiwordParseError(f"bad coefficient {coeff_text!r}", typed[at]) from None
             at += len(coeff_text) + 1

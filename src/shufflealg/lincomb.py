@@ -22,6 +22,7 @@ linear in the number of terms it adds.  :meth:`LinComb.sum`,
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from numbers import Integral, Rational
 from typing import Callable, Iterable
@@ -52,6 +53,25 @@ def exact(coeff):
             raise TypeError(f"coefficients must be int or Fraction, not {kind.__name__}")
         coeff = Fraction(coeff)
     return coeff.numerator if coeff.denominator == 1 else coeff
+
+
+def parse_coefficient(text):
+    """The exact number a coefficient's text names, as ``Fraction`` reads it
+    (``3``, ``+2``, ``1_0``, ``3/4``, ``1.5``, ``1e3``), ``int`` when integral.
+
+    Malformed text raises ``ValueError`` or ``ZeroDivisionError``.  So does an
+    exponent larger in magnitude than the integer-text digit limit, which
+    ``int`` applies to written-out digits, before its power is computed.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    _, e, exponent = text.lower().partition("e")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    if e and limit and abs(int(exponent)) > limit:
+        raise ValueError(f"the exponent of {text!r} is larger than {limit}")
+    return exact(Fraction(text))
 
 
 def exact_div(a, b):

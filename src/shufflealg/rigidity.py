@@ -36,12 +36,11 @@ built only for a failure record or a public result.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 
 from .action import act_letters
 from .linalg import RowEchelon
-from .lincomb import LinComb, accumulate, canonical_key, exact, exact_div, linear_extend
+from .lincomb import LinComb, accumulate, canonical_key, exact_div, linear_extend, parse_coefficient
 from . import words as W
 from .words import Letter, compositions, enumerate_words, graded_tuples
 
@@ -437,20 +436,19 @@ class PrimitiveDecomposition:
     def __str__(self):
         if self.terms.is_zero():
             return "0"
-        chunks = []
+        text = ""
         for letters, c in self.terms.items():
             names = [self.primitive_name(p) for p in letters]
             nested = names[-1]
             for name in reversed(names[:-1]):
                 nested = f"{name}<({nested})"
-            if c == 1:
-                text = nested
-            elif c == -1:
-                text = f"-{nested}"
+            # the sign comes from the coefficient, so a label's own text is never rewritten
+            term = nested if abs(c) == 1 else f"{abs(c)}*{nested}"
+            if text:
+                text += (" - " if c < 0 else " + ") + term
             else:
-                text = f"{c}*{nested}"
-            chunks.append(text)
-        return " + ".join(chunks).replace("+ -", "- ")
+                text = ("-" if c < 0 else "") + term
+        return text
 
 
 def nested_word_count(prim_dims: dict[int, int], weight: int) -> int:
@@ -551,7 +549,8 @@ def presentation_from_json(obj) -> Presentation:
 
 def _exact_terms(pairs) -> LinComb:
     # the parsed coefficients are exact already: drop zeros, add up repeated keys
-    return LinComb._raw(accumulate({}, ((key, c) for key, text in pairs if (c := _number(_exact, text)))))
+    parsed = ((key, _number(parse_coefficient, text)) for key, text in pairs)
+    return LinComb._raw(accumulate({}, ((key, c) for key, c in parsed if c)))
 
 
 def _rows(value, width: int, what: str) -> list:
@@ -572,14 +571,6 @@ def _number(parse, text):
     except (ValueError, ZeroDivisionError):
         pass
     raise PresentationError(f"{text!r} is not an exact number")
-
-
-def _exact(text):
-    # most coefficients are integers, which int parses faster than Fraction
-    try:
-        return int(text)
-    except ValueError:
-        return exact(Fraction(text))
 
 
 def save_presentation(A: Presentation, path) -> None:

@@ -31,10 +31,15 @@ generic word per composition.  Unlike words over two symbols per weight, on
 which the antisymmetrizer of three weight-1 letters acts as zero, these tell
 every two biword combinations apart.  Each biword combination acts on all
 the probe words of one weight in one batch call of :mod:`shufflealg.action`.
-The internal product reads degrees, so ``internal-compose-vs-action`` probes
-with the biwords of degrees in {1, 2} instead, on plain ``(perm, deg)`` rows:
-it compares :func:`~shufflealg.biwords.compose_row` with the action's row
-form pair by pair and builds biword combinations only for a failure record.
+``action-compat`` compares each half-product of a pair (a, b) acting on a
+probe w with the convolution side, built apart from it: a acts on the cut
+w[:k], k its size, and b on w[k:], each by
+:func:`~shufflealg.action.act_letters`, and the word product of the two
+images is taken directly.  The internal product reads degrees, so
+``internal-compose-vs-action`` probes with the biwords of degrees in {1, 2}
+instead, on plain ``(perm, deg)`` rows: it compares
+:func:`~shufflealg.biwords.compose_row` with the action's row form pair by
+pair and builds biword combinations only for a failure record.
 
 Deconcatenation coassociativity and the coproduct compatibility of the
 half-shuffle are checked by :func:`~shufflealg.rigidity.validate_presentation`
@@ -57,6 +62,8 @@ from . import rigidity as R
 from .rigidity import Report
 
 TEST_DEGREES = (1, 2)
+
+_WORD_OPS = {"prec": W.word_prec, "succ": W.word_succ, "star": W.word_shuffle}
 
 
 # -- generic probes ------------------------------------------------------------
@@ -313,11 +320,16 @@ def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Repor
             "star": B.biword_star(a, b),
         }
         words, profiles = probes_of[total], profiles_of[total]
-        convolutions = act.convolutions_via_action_batch(LinComb.single(a), LinComb.single(b), words, profiles)
         images = {op: act.endo_apply_batch(prod, words, profiles) for op, prod in products.items()}
+        k = len(a.perm)
         for i, probe in enumerate(words):
+            # op . (a (x) b) . Delta on the probe: only the cut at a's size survives
+            u = act.act_letters(a.perm, a.deg, probe.letters[:k])
+            v = act.act_letters(b.perm, b.deg, probe.letters[k:])
+            pair = None if u is None or v is None else (W.Word(u), W.Word(v))
             for op, image in images.items():
-                out.expect(f"action-{op}", (a, b, probe), image[i], convolutions[i][op])
+                convolution = _WORD_OPS[op](*pair).terms() if pair else {}
+                out.expect(f"action-{op}", (a, b, probe), image[i], convolution)
     sized = [b for k in range(max_size + 1) for b in B.enumerate_biwords_by_size(k, TEST_DEGREES)]
     rows = [(b.perm, b.deg) for b in sized]
     # column j holds the action's row of "apply sized[j], then a" for every a in sized

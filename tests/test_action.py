@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -7,15 +8,7 @@ from hypothesis import strategies as st
 from shufflealg.lincomb import LinComb, bilinear_extend
 from shufflealg import biwords as B
 from shufflealg import verify as V
-from shufflealg.action import (
-    compose_rows_via_action,
-    compose_via_action,
-    convolutions_via_action,
-    convolutions_via_action_batch,
-    endo_apply,
-    endo_apply_batch,
-    phi_apply,
-)
+from shufflealg.action import act_letters, compose_rows_via_action, endo_apply_batch
 from shufflealg.biwords import (
     UNIT_BIWORD,
     Biword,
@@ -43,68 +36,93 @@ a1 = Letter(1, 0)
 b2 = Letter(2, 1)
 
 
+def _act(b: Biword, w: Word):
+    return act_letters(b.perm, b.deg, w.letters)
+
+
+def _apply(f: LinComb, *words: Word) -> list[dict]:
+    return endo_apply_batch(f, words, [w.profile() for w in words])
+
+
+def _compose(a: Biword, b: Biword):
+    """The row of "apply b, then a" read off the action, or None for zero."""
+    return compose_rows_via_action([(a.perm, a.deg)], (b.perm, b.deg))[0]
+
+
 def test_phi_permutes_when_weights_match():
     w = Word((a1, b2))
-    out = phi_apply(biword((2, 1), (2, 1)), w)
-    assert out == LinComb.single(Word((b2, a1)))
+    assert _act(biword((2, 1), (2, 1)), w) == (b2, a1)
 
 
 def test_phi_kills_weight_mismatch():
     w = Word((a1, b2))
-    assert phi_apply(biword((2, 1), (1, 1)), w).is_zero()
+    assert _act(biword((2, 1), (1, 1)), w) is None
 
 
 def test_phi_identity_biword():
     w = Word((a1, b2))
-    assert phi_apply(biword((1, 2), (1, 2)), w) == LinComb.single(w)
+    assert _act(biword((1, 2), (1, 2)), w) == w.letters
 
 
 def test_phi_length_mismatch():
-    assert phi_apply(biword((1,), (1,)), Word((a1, b2))).is_zero()
+    assert _act(biword((1,), (1,)), Word((a1, b2))) is None
 
 
 def test_unit_biword_projects_to_scalars():
-    assert phi_apply(UNIT_BIWORD, EMPTY_WORD) == LinComb.single(EMPTY_WORD)
-    assert phi_apply(UNIT_BIWORD, Word((a1,))).is_zero()
+    assert _act(UNIT_BIWORD, EMPTY_WORD) == ()
+    assert _act(UNIT_BIWORD, Word((a1,))) is None
 
 
 def test_endo_apply_zero_and_linearity():
-    w = LinComb.single(Word((a1, b2)))
-    assert endo_apply(LinComb.zero(), w).is_zero()
+    w = Word((a1, b2))
+    assert _apply(LinComb.zero(), w) == [{}]
     f = LinComb.single(biword((1, 2), (1, 2))) + LinComb.single(biword((2, 1), (2, 1)))
-    assert endo_apply(f, w) == LinComb.single(Word((a1, b2))) + LinComb.single(Word((b2, a1)))
+    assert _apply(f, w) == [{Word((a1, b2)): 1, Word((b2, a1)): 1}]
 
 
 def test_p2_fixes_weight_two_words():
     alphabet = standard_alphabet(2, 2)
-    for w in enumerate_words(2, alphabet):
-        assert endo_apply(p_n(2), LinComb.single(w)) == LinComb.single(w)
-    for w in enumerate_words(1, alphabet):
-        assert endo_apply(p_n(2), LinComb.single(w)).is_zero()
+    words = enumerate_words(2, alphabet)
+    assert _apply(p_n(2), *words) == [{w: 1} for w in words]
+    words = enumerate_words(1, alphabet)
+    assert _apply(p_n(2), *words) == [{}] * len(words)
 
 
 def test_compose_via_action_worked_example():
-    out = compose_via_action(biword((3, 1, 2), (1, 1, 1)), biword((1, 3, 2), (1, 1, 1)))
-    assert out == LinComb.single(biword((2, 1, 3), (1, 1, 1)))
+    out = _compose(biword((3, 1, 2), (1, 1, 1)), biword((1, 3, 2), (1, 1, 1)))
+    assert out == ((2, 1, 3), (1, 1, 1))
 
 
 def test_compose_via_action_identity():
     x = biword((2, 3, 1), (1, 2, 1))
     ident = biword((1, 2, 3), x.deg)
-    assert compose_via_action(ident, x) == LinComb.single(x)
-    assert compose_via_action(UNIT_BIWORD, UNIT_BIWORD) == LinComb.single(UNIT_BIWORD)
+    assert _compose(ident, x) == (x.perm, x.deg)
+    assert _compose(UNIT_BIWORD, UNIT_BIWORD) == ((), ())
 
 
 def test_compose_via_action_annihilates():
-    assert compose_via_action(biword((2, 1), (1, 2)), biword((1, 2), (1, 1))).is_zero()
-    assert compose_via_action(biword((1,), (1,)), biword((1, 2), (1, 1))).is_zero()
+    assert _compose(biword((2, 1), (1, 2)), biword((1, 2), (1, 1))) is None
+    assert _compose(biword((1,), (1,)), biword((1, 2), (1, 1))) is None
+
+
+def _convolution_fold(f, g, w, combine):
+    # op . (f (x) g) . Delta, one term at a time, every cut and every pair of
+    # biwords through act_letters
+    total = LinComb.zero()
+    for (left, right), c in deconcat(w).terms().items():
+        for x, cx in f.terms().items():
+            for y, cy in g.terms().items():
+                u, v = _act(x, left), _act(y, right)
+                if u is not None and v is not None:
+                    total = total + combine(Word(u), Word(v)) * (c * cx * cy)
+    return total
 
 
 def test_convolution_prec_of_weight_projectors():
     # pi_1 < pi_1 on the probe a.b keeps only the cut (a)(x)(b)
     pi1 = pi_n(1)
     probe = Word((a1, Letter(1, 1)))
-    out = convolutions_via_action(pi1, pi1, probe)["prec"]
+    out = _convolution_fold(pi1, pi1, probe, word_prec)
     assert out == LinComb.single(probe)
 
 
@@ -112,35 +130,8 @@ def test_convolution_unit_is_scalar_projector():
     unit = LinComb.single(UNIT_BIWORD)
     g = p_n(2)
     for w in enumerate_words(2, standard_alphabet(2, 2)):
-        got = convolutions_via_action(unit, g, w)["star"]
-        assert got == endo_apply(g, LinComb.single(w))
-
-
-_WORD_OPS = {"prec": word_prec, "succ": word_succ, "star": word_shuffle}
-
-
-def _convolution_fold(f, g, w, combine):
-    # op . (f (x) g) . Delta, one term at a time, every cut and every biword
-    # through the one-biword action
-    total = LinComb.zero()
-    for (left, right), c in deconcat(w).terms().items():
-        for u, cu in bilinear_extend(phi_apply, f, LinComb.single(left)).terms().items():
-            for v, cv in bilinear_extend(phi_apply, g, LinComb.single(right)).terms().items():
-                total = total + combine(u, v) * (c * cu * cv)
-    return total
-
-
-def test_convolutions_share_one_pass():
-    for n in range(1, 5):
-        for k in range(n + 1):
-            f = p_n(k) + LinComb.single(Biword(tuple(range(k, 0, -1)), (1,) * k), -2)
-            g = p_n(n - k) + LinComb.single(Biword((1,), (n - k,)) if k < n else UNIT_BIWORD, 3)
-            for comp in compositions(n):
-                w = generic_word(comp)
-                got = convolutions_via_action(f, g, w)
-                assert list(got) == list(_WORD_OPS)
-                for op, combine in _WORD_OPS.items():
-                    assert got[op] == _convolution_fold(f, g, w, combine)
+        got = _convolution_fold(unit, g, w, word_shuffle)
+        assert [got.terms()] == _apply(g, w)
 
 
 def test_identity_convolved_with_antipode_vanishes():
@@ -149,8 +140,6 @@ def test_identity_convolved_with_antipode_vanishes():
     ident = identity_series(cutoff)
     inverse = convolution_inverse(ident)
     assert len(inverse) == cutoff + 1
-    from shufflealg.words import compositions
-
     for n in range(1, cutoff + 1):
         expected = LinComb.zero()
         for comp in compositions(n):
@@ -165,7 +154,7 @@ def test_identity_convolved_with_antipode_vanishes():
             # nonzero cuts pair weights (i, n-i); sum over all components
             total = LinComb.zero()
             for i in range(0, n + 1):
-                total = total + convolutions_via_action(ident[i], inverse[n - i], probe)["star"]
+                total = total + _convolution_fold(ident[i], inverse[n - i], probe, word_shuffle)
             assert total.is_zero(), probe
 
 
@@ -181,11 +170,13 @@ def test_internal_compose_matches_action_size_3():
 
     for x in pool:
         for y in pool:
-            assert internal_compose(x, y) == compose_via_action(x, y), (x, y)
+            row = _compose(x, y)
+            expected = LinComb.zero() if row is None else LinComb.single(Biword(*row))
+            assert internal_compose(x, y) == expected, (x, y)
 
 
 def test_composition_routes_agree_size_3():
-    # the row kernel, its Biword wrapper, the action route and its row form
+    # the row kernel, its Biword wrapper and the action's row form
     pool = [b for k in (0, 1, 2, 3) for b in enumerate_biwords_by_size(k, (1, 2))]
     rows = [(b.perm, b.deg) for b in pool]
     nonzero = 0
@@ -195,7 +186,7 @@ def test_composition_routes_agree_size_3():
             row = B.compose_row(x_row, y_row)
             assert row == via_action, (x, y)
             expected = LinComb.zero() if row is None else LinComb.single(Biword(*row))
-            assert B.internal_compose(x, y) == compose_via_action(x, y) == expected, (x, y)
+            assert B.internal_compose(x, y) == expected, (x, y)
             nonzero += row is not None
     # size k with degrees in {1, 2}: 2^k * k! * k! pairs whose degrees agree
     assert nonzero == 1 + 2 + 4 * 2 * 2 + 8 * 6 * 6
@@ -262,9 +253,19 @@ def test_action_compat_catches_each_planted_compose_row_fault(monkeypatch, fault
     assert str(action[0]).startswith(f"internal-compose-vs-action fails at {first}:")
 
 
+def test_action_compat_catches_swapped_convolution_halves(monkeypatch):
+    # the suite's convolution side takes its word products from one op table
+    monkeypatch.setitem(V._WORD_OPS, "prec", word_succ)
+    monkeypatch.setitem(V._WORD_OPS, "succ", word_prec)
+    action = check_action_compatibility(4)
+    assert (action.checked, len(action)) == (4609, 136)
+    assert Counter(f.identity for f in action) == {"action-prec": 68, "action-succ": 68}
+    assert str(action[0]).startswith("action-prec fails at (1, 1|1, b1):")
+
+
 def test_composite_acts_as_composition_on_words():
-    # phi of the composite equals applying the factors in sequence, on every
-    # word, including the ones the right factor annihilates
+    # the composite acts as applying the factors in sequence, on every word,
+    # including the ones the right factor annihilates
     from shufflealg.biwords import internal_compose
 
     pool = []
@@ -276,10 +277,9 @@ def test_composite_acts_as_composition_on_words():
         words.extend(enumerate_words(weight, alphabet))
     for x in pool:
         for y in pool:
-            composite = internal_compose(x, y)
-            for w in words:
-                lhs = endo_apply(composite, LinComb.single(w))
-                rhs = endo_apply(LinComb.single(x), phi_apply(y, w))
+            for w, lhs in zip(words, _apply(internal_compose(x, y), *words)):
+                mid = _act(y, w)
+                rhs = {} if mid is None else _apply(LinComb.single(x), Word(mid))[0]
                 assert lhs == rhs, (x, y, w)
 
 
@@ -380,12 +380,12 @@ def test_action_commutes_with_letter_substitution(w, data):
     generic = generic_word(w.profile())
     sigma = _substitution(w)
     f = _combination(data.draw, w.weight)
-    assert endo_apply(f, LinComb.single(w)) == sigma(endo_apply(f, LinComb.single(generic)))
+    got, got_generic = _apply(f, w, generic)
+    assert LinComb(got) == sigma(LinComb(got_generic))
     k = data.draw(st.integers(0, w.weight))
     f, g = _combination(data.draw, k), _combination(data.draw, w.weight - k)
-    got, got_generic = convolutions_via_action(f, g, w), convolutions_via_action(f, g, generic)
-    for op in ("prec", "succ", "star"):
-        assert got[op] == sigma(got_generic[op])
+    for combine in (word_prec, word_succ, word_shuffle):
+        assert _convolution_fold(f, g, w, combine) == sigma(_convolution_fold(f, g, generic, combine))
 
 
 # -- key-level kernels against their bilinear extensions -----------------------
@@ -393,14 +393,7 @@ def test_action_commutes_with_letter_substitution(w, data):
 biwords_of_small_size = st.integers(0, 3).flatmap(
     lambda k: st.sampled_from(enumerate_biwords_by_size(k, (1, 2)))
 )
-word_combinations = st.lists(st.tuples(words_of_small_weight, coefficients), max_size=5).map(LinComb)
 biword_combinations = st.lists(st.tuples(biwords_of_small_size, coefficients), max_size=6).map(LinComb)
-
-
-@settings(max_examples=80, deadline=None)
-@given(biword_combinations, word_combinations)
-def test_endo_apply_is_the_bilinear_extension_of_phi(f, x):
-    assert endo_apply(f, x) == bilinear_extend(phi_apply, f, x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -416,22 +409,15 @@ words_repeating_letters = st.lists(
 
 
 @settings(max_examples=80, deadline=None)
-@given(biword_combinations, biword_combinations, st.lists(words_repeating_letters, min_size=1, max_size=4))
-def test_batch_forms_match_the_one_biword_action(f, g, words):
-    # f and g mix sizes 0-3, the unit included
-    profiles = [w.profile() for w in words]
-    images = endo_apply_batch(f, words, profiles)
-    convolutions = convolutions_via_action_batch(f, g, words, profiles)
-    for w, image, sums in zip(words, images, convolutions):
-        assert image == bilinear_extend(phi_apply, f, LinComb.single(w)).terms()
-        assert list(sums) == list(_WORD_OPS)
-        for op, combine in _WORD_OPS.items():
-            assert sums[op] == _convolution_fold(f, g, w, combine).terms()
+@given(biword_combinations, st.lists(words_repeating_letters, min_size=1, max_size=4))
+def test_batch_forms_match_the_one_biword_action(f, words):
+    # f mixes sizes 0-3, the unit included
+    for w, image in zip(words, _apply(f, *words)):
+        expected = LinComb((Word(u), c) for b, c in f.terms().items() if (u := _act(b, w)) is not None)
+        assert image == expected.terms()
 
 
 def test_endo_apply_drops_a_cancelled_word():
     # both biwords send a1.a1 to a1.a1, so their difference acts as zero
     f = LinComb({biword((1, 2), (1, 1)): 1, biword((2, 1), (1, 1)): -1})
-    out = endo_apply(f, LinComb.single(Word((a1, a1))))
-    assert out.is_zero()
-    assert out.terms() == {}
+    assert _apply(f, Word((a1, a1))) == [{}]

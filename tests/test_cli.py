@@ -453,6 +453,7 @@ def test_parse_biword_combination():
     ("12|11 + 1|x", 10),  # the bad character, counted in the operand as typed
     ("x*12|11", 0),  # a bad coefficient at its start
     ("1/0*12|11", 0),
+    ("12|11 + 1e100000000*21|11", 8),  # an exponent past the integer-text digit limit
     ("12|11 + 21|1", 11),  # the degree row of the second term
     ("12|11 +", 7),  # an empty term at its start, here the end of the operand
     ("  12|1z", 6),  # leading spaces count

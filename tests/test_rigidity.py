@@ -493,6 +493,16 @@ def test_decomposition_text_names_the_primitives(half_coordinates):
     assert str(primitive_decomposition(half_coordinates, "s")) == "u<(u) + P2.0"
 
 
+def test_decomposition_text_keeps_a_label_with_a_sign_in_it():
+    label = "p+ -q"
+    A = presentation_from_json({
+        "basis": {"1": [label]},
+        "prec": [[label, label, []]],
+        "coproduct": [[label, [["1", label, "1"], [label, "1", "1"]]]],
+    })
+    assert str(primitive_decomposition(A, label)) == label
+
+
 def test_perturbed_prec_failure_text(shx3):
     bad = perturbed_presentation(shx3, "a1", "a1", LinComb.single("a2"))
     assert [str(v) for v in validate_presentation(bad)] == [
@@ -538,7 +548,7 @@ def test_loaded_coefficient_is_the_exact_number(text):
     assert type(coeff) is (int if Fraction(text).denominator == 1 else Fraction)
 
 
-@pytest.mark.parametrize("text", ["1/0", "x", "1/2/3", 0.5, 2.0])
+@pytest.mark.parametrize("text", ["1/0", "x", "1/2/3", 0.5, 2.0, "1e100000000", "1e-100000000"])
 def test_inexact_or_malformed_coefficient_fails_to_load(text):
     with pytest.raises(PresentationError, match="not an exact number"):
         presentation_from_json(_one_coefficient(text))
