@@ -403,7 +403,3 @@ def parse_biword(text: str) -> Biword:
 
 def biword_to_json(b: Biword) -> dict:
     return {"perm": list(b.perm), "deg": list(b.deg)}
-
-
-def biword_from_json(obj: dict) -> Biword:
-    return Biword(tuple(obj["perm"]), tuple(obj["deg"]))

@@ -11,7 +11,8 @@ the unit on both sides.  Combinations accept signed terms with optional
 rational coefficients, e.g. ``213|111 + 231|111`` or ``2*12|11 - 1/2*21|11``.
 
 A JSON config file (``--config``) can pin default cutoffs: keys
-``verify_weight``, ``rank_cutoff``, ``prim_cutoff``, ``series_cutoff``.
+``verify_weight``, ``rank_cutoff``, ``prim_cutoff``, ``series_cutoff``, whose
+defaults are :data:`DEFAULTS`, the one table of them.
 
 :func:`main` builds the parser of the subcommand its first argument names,
 and no other; ``--help``, no arguments or an unknown command get the parser
@@ -32,10 +33,10 @@ from . import rigidity as R
 from . import verify as V
 
 DEFAULTS = {
-    "verify_weight": V.DEFAULT_SUITE_WEIGHT,
-    "rank_cutoff": D.DEFAULT_RANK_CUTOFF,
-    "prim_cutoff": D.DEFAULT_PRIM_CUTOFF,
-    "series_cutoff": D.DEFAULT_SERIES_CUTOFF,
+    "verify_weight": 5,
+    "rank_cutoff": 6,
+    "prim_cutoff": 6,
+    "series_cutoff": 12,
 }
 
 
@@ -80,22 +81,16 @@ def parse_biword_combination(text: str) -> LinComb:
     typed = [i for i, ch in enumerate(text) if ch != " "] + [len(text)]  # stripped index -> typed
     if not stripped:
         raise B.BiwordParseError("empty combination", 0)
-    pos = 0
-    sign = 1
-    if stripped[0] in "+-":
-        sign = -1 if stripped[0] == "-" else 1
-        pos = 1
-    term = ""
-    terms = []
-    for ch in stripped[pos:]:
-        if ch in "+-":
-            terms.append((sign, term, pos - len(term)))
-            sign = -1 if ch == "-" else 1
-            term = ""
+    sign, term, terms = 1, "", []
+    for pos, ch in enumerate(stripped):
+        # a sign after the exponent mark of a coefficient (no '|' or '*' yet) continues the term
+        if ch in "+-" and not (term[-1:] in ("e", "E") and "|" not in term and "*" not in term):
+            if pos:  # a leading sign belongs to the first term
+                terms.append((sign, term, pos - len(term)))
+            sign, term = (-1 if ch == "-" else 1), ""
         else:
             term += ch
-        pos += 1
-    terms.append((sign, term, pos - len(term)))
+    terms.append((sign, term, len(stripped) - len(term)))
     pairs = []
     for sgn, chunk, at in terms:
         if not chunk:
@@ -241,7 +236,7 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"unknown suite {args.suite!r}; available: {', '.join(sorted(V.SUITES))}"
         )
-    failures = V.run_suite(args.suite, max_weight)
+    failures = V.SUITES[args.suite](max_weight)
     if not failures and not failures.checked:
         raise UsageError(
             f"nothing to check at this weight: {args.suite} up to weight {max_weight} "

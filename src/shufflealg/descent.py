@@ -13,10 +13,9 @@ a plain list of combinations, entry n holding the weight-n component.
 Each weight-n basis vector is the sum of the biwords with one decorated
 binary search tree (insert the top row from left to right, each node keeping
 its column's degree: the graded sylvester congruence); it equals the tree
-monomial ``x(t_l) > pi_m < x(t_r)``.  Dimensions, membership and the descd
-row basis of the primitive kernel run on these classes without elimination;
-the spanning set and its exact rank (``descd_echelon``) are the independent
-route the tests compare against.  One class is listed from its tree alone
+monomial ``x(t_l) > pi_m < x(t_r)``.  Dimensions and membership run on
+these classes without elimination; the spanning set and its exact rank
+(``descd_echelon``) are the independent route the tests compare against.  One class is listed from its tree alone
 (:func:`tree_class`, the linear extensions of the tree), so membership walks
 only the classes its operand touches; ``descd_classes(n)`` groups every
 biword of weight n, for the ``dims`` class count and as the tests' oracle.
@@ -51,9 +50,6 @@ from .series import (
 )
 from .words import compositions
 
-DEFAULT_RANK_CUTOFF = 6
-DEFAULT_PRIM_CUTOFF = 6
-DEFAULT_SERIES_CUTOFF = 12
 # the last weight at which the dims table fills its biword-count column
 BIWORD_COUNT_CUTOFF = 7
 
@@ -329,15 +325,11 @@ def descd_membership(x: LinComb, n: int) -> bool:
 
 # -- primitive dimensions -------------------------------------------------------
 
-def prim_dend_dimension(n: int, space: str = "full_S") -> int:
-    """dim of Ker(prec coproduct) intersect Ker(succ coproduct) at weight n."""
+def prim_dend_dimension(n: int) -> int:
+    """dim of Ker(prec coproduct) intersect Ker(succ coproduct) on all biwords of weight n."""
     if n < 1:
         raise ValueError(f"primitive dimensions start at weight 1, got {n}")
-    if space == "full_S":
-        return next(islice(_full_S_dimensions(), n - 1, None))
-    if space == "descd":
-        return _kernel_dimension(descd_classes(n).values())
-    raise ValueError(f"unknown space {space!r}")
+    return next(islice(_full_S_dimensions(), n - 1, None))
 
 
 def _full_S_dimensions():
@@ -397,9 +389,9 @@ _CROSS_CHECKS = (
 
 def dimension_report(
     max_n: int,
-    include: Iterable[str] = REPORT_COLUMNS,
-    rank_cutoff: int = DEFAULT_RANK_CUTOFF,
-    prim_cutoff: int = DEFAULT_PRIM_CUTOFF,
+    include: Iterable[str],
+    rank_cutoff: int,
+    prim_cutoff: int,
 ) -> tuple[list[dict], list[str]]:
     """Tabulate the dimension data up to max_n and flag any disagreement.
 
@@ -407,7 +399,8 @@ def dimension_report(
     columns, in the key order of a ``dims --json`` row, and one line per
     failed cross-check.  Series columns are exact coefficients evaluated on
     demand; the descd class-count and kernel columns are computed only up to
-    their cutoffs.
+    ``rank_cutoff`` and ``prim_cutoff``, which the caller always passes (the
+    command line's defaults are ``cli.DEFAULTS``).
     """
     include = set(include)
     unknown = include - set(REPORT_COLUMNS)

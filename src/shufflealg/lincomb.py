@@ -17,7 +17,9 @@ sum goes through one in-place accumulator, :func:`accumulate`: it adds
 (key, coefficient) pairs into a private dict, drops a key the moment its
 coefficient cancels to zero and never copies the dict, so a sum costs time
 linear in the number of terms it adds.  :meth:`LinComb.sum`,
-:func:`linear_extend` and :func:`bilinear_extend` are built on it.
+:func:`linear_extend` and :func:`bilinear_extend` are built on it.  Every
+signed sum is rendered by :func:`signed_sum`, which reads each sign off the
+coefficient, never off the term's text.
 """
 
 from __future__ import annotations
@@ -227,24 +229,23 @@ class LinComb:
         return f"LinComb({dict(self.items())!r})"
 
     def __str__(self):
-        """Signed sum in canonical order, e.g. ``a - b + 3/2*c``; a tensor
-        key, a tuple of two or more keys, renders as ``a (x) b (x) c``."""
-        if not self._terms:
-            return "0"
-        chunks = []
-        for key, coeff in self.items():
-            text = _key_text(key)
-            if coeff == -1:
-                text = "-" + text
-            elif coeff != 1:
-                text = f"{coeff}*{text}"
-            if not chunks:
-                chunks.append(text)
-            elif text.startswith("-"):
-                chunks.append(" - " + text[1:])
-            else:
-                chunks.append(" + " + text)
-        return "".join(chunks)
+        """:func:`signed_sum` in canonical order, e.g. ``a - b + 3/2*c``; a
+        tensor key, a tuple of two or more keys, renders as ``a (x) b (x) c``."""
+        return signed_sum((_key_text(key), coeff) for key, coeff in self.items())
+
+
+def signed_sum(terms: Iterable) -> str:
+    """The signed sum of (text, coefficient) pairs, e.g. ``a - b + 3/2*c``, or
+    ``0`` for none; each sign is the coefficient's, so a text is never rewritten."""
+    out = ""
+    for text, coeff in terms:
+        if abs(coeff) != 1:
+            text = f"{abs(coeff)}*{text}"
+        if out:
+            out += (" - " if coeff < 0 else " + ") + text
+        else:
+            out = "-" + text if coeff < 0 else text
+    return out or "0"
 
 
 def _key_text(key) -> str:

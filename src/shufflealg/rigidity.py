@@ -40,7 +40,7 @@ from math import prod
 
 from .action import act_letters
 from .linalg import RowEchelon
-from .lincomb import LinComb, accumulate, canonical_key, exact_div, linear_extend, parse_coefficient
+from .lincomb import LinComb, accumulate, canonical_key, exact_div, linear_extend, parse_coefficient, signed_sum
 from . import words as W
 from .words import Letter, compositions, enumerate_words, graded_tuples
 
@@ -144,9 +144,6 @@ class Presentation:
     def prec(self, a: str, b: str) -> LinComb:
         """Left half-product on labels, unit included."""
         return LinComb._raw(dict(self._prec_row(a, b)))
-
-    def prec_lc(self, x: LinComb, y: LinComb) -> LinComb:
-        return LinComb._raw(self._prec_terms(x.terms(), y.terms()))
 
     def coproduct(self, label: str) -> LinComb:
         return LinComb._raw(dict(self._coproduct_row(label)))
@@ -434,21 +431,11 @@ class PrimitiveDecomposition:
         return f"P{letter.weight}.{letter.symbol}"
 
     def __str__(self):
-        if self.terms.is_zero():
-            return "0"
-        text = ""
-        for letters, c in self.terms.items():
-            names = [self.primitive_name(p) for p in letters]
-            nested = names[-1]
-            for name in reversed(names[:-1]):
-                nested = f"{name}<({nested})"
-            # the sign comes from the coefficient, so a label's own text is never rewritten
-            term = nested if abs(c) == 1 else f"{abs(c)}*{nested}"
-            if text:
-                text += (" - " if c < 0 else " + ") + term
-            else:
-                text = ("-" if c < 0 else "") + term
-        return text
+        # the primitive word (p1, p2, p3) renders as p1<(p2<(p3))
+        return signed_sum(
+            ("<(".join(map(self.primitive_name, letters)) + ")" * (len(letters) - 1), c)
+            for letters, c in self.terms.items()
+        )
 
 
 def nested_word_count(prim_dims: dict[int, int], weight: int) -> int:

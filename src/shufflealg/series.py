@@ -126,10 +126,8 @@ def _inverse_coeff(f: PowerSeries, g: PowerSeries, n: int) -> int | Fraction:
 
 
 def catalan_series() -> PowerSeries:
-    """(1 - sqrt(1-4x)) / (2x): 1, 1, 2, 5, 14, ..."""
-    root = PowerSeries.from_coeffs([1, -4]).sqrt()
-    numer = PowerSeries.one() - root
-    return PowerSeries(lambda n: exact_div(numer[n + 1], 2))
+    """The Catalan numbers C(2n, n) / (n + 1): 1, 1, 2, 5, 14, ..."""
+    return PowerSeries(lambda n: comb(2 * n, n) // (n + 1))
 
 
 def biword_count_series() -> PowerSeries:

@@ -1,10 +1,11 @@
 """Verification suites for the algebraic identities.
 
-Each suite returns a :class:`~shufflealg.rigidity.Report`: the failures it
-found, with the number of identity instances it checked.  An empty list is
-a pass only when that number is positive.  A failure carries the inputs and
-both sides, so it prints a minimal counterexample.  Enumeration order is
-fixed, so suites are deterministic.
+Each suite, run as ``SUITES[name](max_weight)``, returns a
+:class:`~shufflealg.rigidity.Report`: the failures it found, with the number
+of identity instances it checked.  An empty list is a pass only when that
+number is positive.  A failure carries the inputs and both sides, so it
+prints a minimal counterexample.  Enumeration order is fixed, so suites are
+deterministic.
 
 The suites probe with generic inputs, as the naturality argument allows.
 Both sides of a word identity commute with weight-preserving letter
@@ -401,12 +402,3 @@ SUITES = {
     "tau": check_tau_on_words,
     "rigidity": check_rigidity,
 }
-
-DEFAULT_SUITE_WEIGHT = 5
-
-
-def run_suite(name: str, max_weight: int) -> Report:
-    fn = SUITES.get(name)
-    if fn is None:
-        raise KeyError(name)
-    return fn(max_weight)

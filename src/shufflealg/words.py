@@ -321,7 +321,3 @@ def parse_word(text: str) -> Word:
 def word_to_json(w: Word) -> list:
     return [{"weight": let.weight, "symbol": let.symbol} for let in w.letters]
 
-
-def word_from_json(items: list) -> Word:
-    return Word(tuple(Letter(it["weight"], it["symbol"]) for it in items))
-

@@ -87,7 +87,7 @@ def test_criterion_2_series_extension(n, expected):
 
 def test_criterion_3_primitive_dimensions():
     start = time.perf_counter()
-    dims = [D.prim_dend_dimension(n, "full_S") for n in range(1, 6)]
+    dims = [D.prim_dend_dimension(n) for n in range(1, 6)]
     elapsed = time.perf_counter() - start
     ok = dims == EXPECTED_PRIM_DIMS and elapsed < 60.0
     check(3, f"primitive dimensions 1..5 = {dims} in {elapsed:.2f}s", ok)

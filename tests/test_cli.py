@@ -21,7 +21,7 @@ from shufflealg import words as W
 from shufflealg import cli
 from shufflealg.cli import COMMANDS, DEFAULTS, build_parser, main, parse_biword_combination
 from shufflealg.lincomb import LinComb, accumulate
-from shufflealg.biwords import biword, biword_from_json
+from shufflealg.biwords import Biword, biword
 from oracles import perturbed_presentation
 from shufflealg.rigidity import (
     RigidityError,
@@ -153,7 +153,7 @@ def test_pi_alternating_route_at_weight_10_in_a_fresh_process():
     assert done.returncode == 0, done.stderr
     (term,) = json.loads(done.stdout)
     assert (term["coeff_num"], term["coeff_den"]) == (1, 1)
-    assert str(biword_from_json(term["key"])) == "1|10"
+    assert str(Biword(tuple(term["key"]["perm"]), tuple(term["key"]["deg"]))) == "1|10"
 
 
 def test_dims_command(capsys):
@@ -397,13 +397,12 @@ def test_tau_flags_an_antipode_that_drops_its_last_proper_cut(capsys, monkeypatc
     assert flagged == [[label] for label in labels if "." in label]
 
 
-def test_cutoff_defaults_come_from_descent():
-    assert DEFAULTS["rank_cutoff"] == D.DEFAULT_RANK_CUTOFF
-    assert DEFAULTS["prim_cutoff"] == D.DEFAULT_PRIM_CUTOFF == 6
-    assert DEFAULTS["series_cutoff"] == D.DEFAULT_SERIES_CUTOFF
-    defaults = inspect.signature(D.dimension_report).parameters
-    assert defaults["rank_cutoff"].default == D.DEFAULT_RANK_CUTOFF
-    assert defaults["prim_cutoff"].default == D.DEFAULT_PRIM_CUTOFF
+def test_cutoff_defaults_live_in_the_cli():
+    assert DEFAULTS == {"verify_weight": 5, "rank_cutoff": 6, "prim_cutoff": 6, "series_cutoff": 12}
+    # the library takes every bound from its caller
+    params = inspect.signature(D.dimension_report).parameters
+    for name in ("include", "rank_cutoff", "prim_cutoff"):
+        assert params[name].default is inspect.Parameter.empty
     assert D.prim_dend_dimension(6) == 550
 
 
@@ -432,9 +431,11 @@ def test_membership_command(capsys):
     assert code == 2
     code, _, err = run(capsys, "membership", "213|111", "--weight", "4")
     assert code == 2
-    # a leading sign belongs to the first term
-    for combination in ("-12|11 - 21|11", "+ 2*12|11"):
+    # a leading sign belongs to the first term; a sign after a coefficient's exponent mark to its exponent
+    for combination in ("-12|11 - 21|11", "+ 2*12|11", "12|11 + 1e-3*21|11"):
         assert run(capsys, "membership", combination, "--json") == (0, '{"member": true, "weight": 2}', "")
+    # a degree letter e follows '|', so its sign starts a new term
+    assert run(capsys, "membership", "12|ee - 21|ee", "--json") == (0, '{"member": true, "weight": 10}', "")
     # the unit has weight 0, below the graded components: a usage error, not "non-member"
     for combination in ("1", "2*1"):
         code, out, err = run(capsys, "membership", combination)
@@ -454,6 +455,7 @@ def test_parse_biword_combination():
     ("x*12|11", 0),  # a bad coefficient at its start
     ("1/0*12|11", 0),
     ("12|11 + 1e100000000*21|11", 8),  # an exponent past the integer-text digit limit
+    ("2e-*12|11", 0),  # a signed exponent with no digits
     ("12|11 + 21|1", 11),  # the degree row of the second term
     ("12|11 +", 7),  # an empty term at its start, here the end of the operand
     ("  12|1z", 6),  # leading spaces count

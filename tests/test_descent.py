@@ -335,10 +335,10 @@ def test_class_route_builds_no_echelon(monkeypatch):
 
     monkeypatch.setattr(D, "descd_echelon", refuse)
     monkeypatch.setattr(D, "descd_spanning_set", refuse)
-    rows, _ = dimension_report(6, include=("descd",))
+    rows, _ = dimension_report(6, include=("descd",), rank_cutoff=6, prim_cutoff=6)
     assert [row["descd_rank"] for row in rows] == [1, 3, 10, 36, 137, 543]
     assert descd_membership(p_n(5), 5)
-    assert prim_dend_dimension(5, "descd") == 1
+    assert D._kernel_dimension(descd_classes(5).values()) == 1
 
 
 def test_monomial_rendering():
@@ -428,7 +428,7 @@ def test_internal_products_leave_descd():
 
 
 def test_prim_dimensions_full_space():
-    assert [prim_dend_dimension(n, "full_S") for n in range(1, 5)] == [1, 1, 2, 10]
+    assert [prim_dend_dimension(n) for n in range(1, 5)] == [1, 1, 2, 10]
 
 
 def _kernel_by_elimination(biwords) -> int:
@@ -441,7 +441,7 @@ def test_prim_dimensions_by_blocks_match_full_enumeration():
     # the block of the size-k permutations with degrees 1^k
     assert [_kernel_by_elimination(enumerate_biwords(k, (1,))) for k in range(1, 7)] == [1, 0, 1, 6, 39, 284]
     for n in range(1, 7):
-        assert prim_dend_dimension(n, "full_S") == _kernel_by_elimination(enumerate_biwords(n))
+        assert prim_dend_dimension(n) == _kernel_by_elimination(enumerate_biwords(n))
 
 
 def _rekeyed(image: LinComb) -> dict:
@@ -465,19 +465,17 @@ def test_cut_rows_match_the_lincomb_coproduct_images():
 
 def test_prim_dimensions_descd():
     # the idempotents span the primitives: one dimension per weight
-    assert [prim_dend_dimension(n, "descd") for n in range(1, 7)] == [1] * 6
+    assert [D._kernel_dimension(descd_classes(n).values()) for n in range(1, 7)] == [1] * 6
 
 
 def test_prim_dimension_has_no_library_cap():
-    # DEFAULT_PRIM_CUTOFF (6) bounds the CLI and dimension_report defaults only
+    # the CLI's default prim cutoff (6) bounds the command line only
     assert prim_dend_dimension(7) == 4730 == int(primitive_dim_series()[7])
 
 
 def test_prim_dimension_cutoff():
     with pytest.raises(ValueError):
-        prim_dend_dimension(0, "full_S")
-    with pytest.raises(ValueError):
-        prim_dend_dimension(2, "everything")
+        prim_dend_dimension(0)
 
 
 def test_pn_coproduct_and_pi_primitive_suites():
@@ -501,7 +499,7 @@ def test_biword_count_formula():
 
 
 def test_dimension_report_values_and_flags():
-    rows, flags = dimension_report(6, rank_cutoff=4, prim_cutoff=3)
+    rows, flags = dimension_report(6, include=D.REPORT_COLUMNS, rank_cutoff=4, prim_cutoff=3)
     assert flags == []
     by_n = {row["n"]: row for row in rows}
     assert [by_n[n]["descd_closed"] for n in range(1, 7)] == [1, 3, 10, 36, 137, 543]
@@ -524,13 +522,13 @@ def test_dimension_report_eliminates_each_block_once(monkeypatch):
         return rank_of(rows)
 
     monkeypatch.setattr(D, "rank_of", counting_rank_of)
-    rows, _ = dimension_report(40, rank_cutoff=6, prim_cutoff=6)
+    rows, _ = dimension_report(40, include=D.REPORT_COLUMNS, rank_cutoff=6, prim_cutoff=6)
     assert sizes == [1, 2, 6, 24, 120, 720]
     assert [row.get("prim_kernel") for row in rows[:7]] == [1, 1, 2, 10, 70, 550, None]
 
 
 def test_dimension_report_series_extension():
-    rows, flags = dimension_report(9, include=("descd", "series"), rank_cutoff=3)
+    rows, flags = dimension_report(9, include=("descd", "series"), rank_cutoff=3, prim_cutoff=6)
     by_n = {row["n"]: row for row in rows}
     assert flags == []
     for n in range(1, 10):
@@ -544,4 +542,4 @@ def test_dimension_report_series_extension():
 
 def test_dimension_report_rejects_unknown_column():
     with pytest.raises(ValueError):
-        dimension_report(3, include=("rainbows",))
+        dimension_report(3, include=("rainbows",), rank_cutoff=6, prim_cutoff=6)

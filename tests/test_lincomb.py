@@ -35,6 +35,9 @@ def test_iteration_is_sorted():
 def test_str_rendering():
     assert str(LinComb.zero()) == "0"
     assert str(LinComb({"a": 1, "b": -1, "c": Fraction(3, 2)})) == "a - b + 3/2*c"
+    # each sign comes from the coefficient, never from the key's own text
+    assert str(LinComb({"+p": 1, "-q": 1})) == "+p + -q"
+    assert str(LinComb({"+p": 1, "-q": -1})) == "+p - -q"
 
 
 coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=20)

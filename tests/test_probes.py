@@ -161,11 +161,11 @@ def _verdict(report) -> str:
 
 def _verdicts(max_weight: int) -> dict:
     """Each suite's verdict on the generic and on the exhaustive probe route."""
-    out = {"generic": {s: _verdict(V.run_suite(s, max_weight)) for s in CHANGED_SUITES}}
+    out = {"generic": {s: _verdict(V.SUITES[s](max_weight)) for s in CHANGED_SUITES}}
     with pytest.MonkeyPatch.context() as m:
         m.setattr(V, "_word_probes", _exhaustive_word_probes)
         m.setattr(V, "_biword_probes", _exhaustive_biword_probes)
-        out["exhaustive"] = {s: _verdict(V.run_suite(s, max_weight)) for s in CHANGED_SUITES}
+        out["exhaustive"] = {s: _verdict(V.SUITES[s](max_weight)) for s in CHANGED_SUITES}
     return out
 
 
@@ -219,7 +219,7 @@ def test_a_dropped_term_at_the_biword_level_still_fails_dendriform(monkeypatch):
         return out - LinComb.single(out.keys()[-1]) if len(out) > 1 else out
 
     monkeypatch.setattr(B, "biword_prec", prec_missing_a_term)
-    assert _verdict(V.run_suite("dendriform", 5)) == "fail"
+    assert _verdict(V.SUITES["dendriform"](5)) == "fail"
 
 
 def test_only_generic_probes_catch_a_degree_swap(monkeypatch):
@@ -240,15 +240,15 @@ def test_hopf_suite_failure_text_under_planted_faults(monkeypatch, fault, plante
     golden = load_golden("planted_fault_reports.json")
     monkeypatch.setattr(B, "riffle_rows", planted(B.riffle_rows))
     for suite in ("bidendriform", "bialgebra"):
-        text = "\n".join(map(str, V.run_suite(suite, 4)))
+        text = "\n".join(map(str, V.SUITES[suite](4)))
         assert text == golden["weight_4"][fault][suite], suite
-        digest = hashlib.sha256("\n".join(map(str, V.run_suite(suite, 5))).encode()).hexdigest()
+        digest = hashlib.sha256("\n".join(map(str, V.SUITES[suite](5))).encode()).hexdigest()
         assert digest == golden["weight_5_sha256"][fault][suite], suite
 
 
 def test_verify_text_reports_a_planted_fault_with_five_records(monkeypatch, capsys):
     monkeypatch.setattr(B, "riffle_rows", _dropping_the_last_prec_row(B.riffle_rows))
-    failures = V.run_suite("bidendriform", 4)
+    failures = V.SUITES["bidendriform"](4)
     assert len(failures) > 5
     assert main(["verify", "bidendriform", "4"]) == 1
     out = capsys.readouterr().out
@@ -275,7 +275,7 @@ def test_hopf_suite_failure_text_under_a_dropped_last_cut(monkeypatch):
     monkeypatch.setattr(B, "cut_rows", _dropping_the_last_cut(B.cut_rows))
     reached_now = ("hopf-coassociativity", "prec-coproduct of p_n")
     for weight in (4, 5):
-        reports = {suite: V.run_suite(suite, weight) for suite in ("bialgebra", "bidendriform", "pn-coproduct")}
+        reports = {suite: V.SUITES[suite](weight) for suite in ("bialgebra", "bidendriform", "pn-coproduct")}
         # without the cut (x, 1), the left side loses every triple (a, 1, c) with a, c nonempty
         assert [f.inputs for f in reports["bialgebra"] if f.identity == reached_now[0]] == [
             probe for probe in V._biword_probes(1, weight) if probe[0].size >= 2
@@ -295,7 +295,7 @@ def test_coassociativity_failures_render_triples_as_tensors(monkeypatch):
     # the test above leaves these records out of its goldens; a triple key
     # joins its legs with (x), as a pair does
     monkeypatch.setattr(B, "cut_rows", _dropping_the_last_cut(B.cut_rows))
-    report = [f for f in V.run_suite("bialgebra", 4) if f.identity == "hopf-coassociativity"]
+    report = [f for f in V.SUITES["bialgebra"](4) if f.identity == "hopf-coassociativity"]
     assert str(report[0]) == (
         "hopf-coassociativity fails at (12|12):\n"
         "  lhs = 1 (x) 1 (x) 12|12 + 1 (x) 1|1 (x) 1|2\n"

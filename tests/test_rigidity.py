@@ -8,7 +8,7 @@ import pytest
 from shufflealg import rigidity as R
 from shufflealg import verify as V
 from shufflealg import words as W
-from shufflealg.lincomb import LinComb
+from shufflealg.lincomb import LinComb, bilinear_extend
 from shufflealg.biwords import Biword
 from oracles import antipode_by_recursion, perturbed_presentation, tables, validate_by_lincomb
 from shufflealg.descent import p_n
@@ -371,7 +371,7 @@ def test_all_nested_words_independent(shx4):
             for choice in itertools.product(*pools):
                 value = prim[comp[-1]][choice[-1]]
                 for part, idx in zip(reversed(comp[:-1]), reversed(choice[:-1])):
-                    value = shx4.prec_lc(prim[part][idx], value)
+                    value = bilinear_extend(shx4.prec, prim[part][idx], value)
                 values.append(value)
         assert rank_of(values) == len(shx4.basis[weight]) == len(values)
 
