@@ -9,23 +9,20 @@ claim that the biword half-products realize the convolution half-products
 
 Endomorphisms are handled extensionally as linear combinations of biwords,
 which keeps them comparable and serializable.  :func:`act_letters` is the
-one definition of the action, on a biword's two rows and a tuple of letters;
-every route below goes through it.  A combination acts through its
-source-profile index: a biword (sigma, d) does not kill a word exactly when
-the word's letter-weight profile is its source profile src, with
-src[sigma(i) - 1] = d(i), so one dict lookup on a word's profile gives every
-term that acts on it.  :func:`endo_apply_batch` prepares a combination once
-for a whole list of words and returns plain zero-free
-``{word: coefficient}`` maps.  :func:`compose_rows_via_action` reads the
-internal product off the action on rows: it builds b's image of one generic
-probe word and applies each left factor to it, with no ``Word`` or
-``LinComb`` per pair.
+one definition of the action, on a biword's two rows and a tuple of letters,
+and :func:`source_profile` states the rule it implies: a biword kills every
+word outside its source profile, so a combination kills every word whose
+profile is not among its :func:`sources`.  :func:`endo_image` acts with a
+combination on one word and returns a zero-free ``{word: coefficient}`` map.
+:func:`compose_rows_via_action` reads the internal product off the action on
+rows: it builds b's image of the generic word of b's source profile and
+applies each left factor to it, with no ``Word`` or ``LinComb`` per pair.
 """
 
 from __future__ import annotations
 
 from .lincomb import LinComb, accumulate
-from .words import Letter, Word
+from .words import Word, generic_word
 
 
 def act_letters(perm: tuple, deg: tuple, letters: tuple) -> tuple | None:
@@ -40,34 +37,25 @@ def act_letters(perm: tuple, deg: tuple, letters: tuple) -> tuple | None:
     return tuple([letters[v - 1] for v in perm])
 
 
-def _by_source(f: LinComb) -> dict:
-    """The terms of f by source profile: ``{src: (weight, [(perm, deg, coefficient), ...])}``."""
-    index = {}
-    for b, c in f.terms().items():
-        src = [0] * len(b.perm)
-        for v, d in zip(b.perm, b.deg):
-            src[v - 1] = d
-        index.setdefault(tuple(src), (b.weight, []))[1].append((b.perm, b.deg, c))
-    return index
+def source_profile(perm: tuple, deg: tuple) -> tuple:
+    """The letter-weight profile src of the words the biword (perm, deg) does
+    not kill: src[perm(i) - 1] = deg(i).  This is the one statement of the
+    rule; the source of a riffle of a and b is src(a) followed by src(b)."""
+    src = [0] * len(perm)
+    for v, d in zip(perm, deg):
+        src[v - 1] = d
+    return tuple(src)
 
 
-def _images(entry: tuple, letters: tuple) -> list:
-    """The (word, coefficient) images of the word of ``letters`` under the
-    terms of one index ``entry`` (its source profile's); equal images are not
-    merged yet."""
-    weight, terms = entry
-    return [(Word.trusted(act_letters(perm, deg, letters), weight), c) for perm, deg, c in terms]
+def sources(f: LinComb) -> set:
+    """The source profiles of f's terms: f kills every word of another profile."""
+    return {source_profile(b.perm, b.deg) for b in f.terms()}
 
 
-def endo_apply_batch(f: LinComb, words, profiles) -> list[dict]:
-    """The action of f on each of the words, as zero-free coefficient maps;
-    ``profiles[i]`` is ``words[i].profile()``, computed once by the caller
-    for every batch over the same words."""
-    get = _by_source(f).get
-    return [
-        accumulate({}, _images(entry, w.letters)) if (entry := get(p)) else {}
-        for w, p in zip(words, profiles)
-    ]
+def endo_image(f: LinComb, w: Word) -> dict:
+    """The action of f on the word w, as a zero-free ``{word: coefficient}`` map."""
+    images = ((act_letters(b.perm, b.deg, w.letters), c) for b, c in f.terms().items())
+    return accumulate({}, [(Word.trusted(u, w.weight), c) for u, c in images if u is not None])
 
 
 def compose_rows_via_action(lefts, b: tuple) -> list:
@@ -80,10 +68,7 @@ def compose_rows_via_action(lefts, b: tuple) -> list:
     its symbols are the top row and its weights the degrees.
     """
     perm_b, deg_b = b
-    probe = [None] * len(perm_b)
-    for v, d in zip(perm_b, deg_b):
-        probe[v - 1] = Letter(d, v)
-    mid = act_letters(perm_b, deg_b, tuple(probe))
+    mid = act_letters(perm_b, deg_b, generic_word(source_profile(perm_b, deg_b)).letters)
     out = []
     for perm, deg in lefts:
         image = act_letters(perm, deg, mid)

@@ -30,8 +30,9 @@ and biword keys are built only for a failure record.
 The action suites (``idempotents``, ``action-compat``) probe with one
 generic word per composition.  Unlike words over two symbols per weight, on
 which the antisymmetrizer of three weight-1 letters acts as zero, these tell
-every two biword combinations apart.  Each biword combination acts on all
-the probe words of one weight in one batch call of :mod:`shufflealg.action`.
+every two biword combinations apart.  Both sides of an action identity are
+zero on a probe whose profile is no source of either side (see
+:func:`~shufflealg.action.source_profile`), so a suite checks only the others.
 ``action-compat`` compares each half-product of a pair (a, b) acting on a
 probe w with the convolution side, built apart from it: a acts on the cut
 w[:k], k its size, and b on w[k:], each by
@@ -291,26 +292,27 @@ def _check_idempotents(max_weight: int, probes) -> Report:
                 out.expect("pi-orthogonality", (c, c2), prod, expected)
         total = LinComb.sum((values[c], 1) for c in comps)
         out.expect("pi-completeness", (n,), total, D.p_n(n))
-    words = [w for n in range(1, max_weight + 1) for w in probes(n)]
-    profiles = [w.profile() for w in words]
+    words = [(w, w.profile()) for n in range(1, max_weight + 1) for w in probes(n)]
     for c, value in values.items():
-        for w, profile, got in zip(words, profiles, act.endo_apply_batch(value, words, profiles)):
-            out.expect("pi-projection-action", (c, w), got, {w: 1} if profile == c else {})
+        seen = act.sources(value) | {c}  # both sides are zero on the other profiles
+        for w, profile in words:
+            if profile in seen:
+                expected = {w: 1} if profile == c else {}
+                out.expect("pi-projection-action", (c, w), act.endo_image(value, w), expected)
     return out
 
 
-def check_action_compatibility(max_weight: int, max_size: int = 3) -> Report:
+def check_action_compatibility(max_weight: int) -> Report:
     """Biword half-products realize the convolution half-products, and the
     internal product matches composition of actions."""
-    return _check_action_compatibility(max_weight, max_size, _generic_probes)
+    return _check_action_compatibility(max_weight, 3, _generic_probes)
 
 
 def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Report:
     """The action suite, probing pairs of total weight n with the words ``probes(n)``."""
     out = Report()
     biwords = {m: B.enumerate_biwords(m) for m in range(max_weight)}
-    probes_of = {n: probes(n) for n in range(1, max_weight + 1)}
-    profiles_of = {n: [w.profile() for w in words] for n, words in probes_of.items()}
+    probes_of = {n: [(w, w.profile()) for w in probes(n)] for n in range(1, max_weight + 1)}
     for a, b in W.graded_tuples(2, max_weight, lambda m: biwords.get(m, ()), unit=True):
         total = a.weight + b.weight
         if total == 0:
@@ -320,17 +322,20 @@ def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Repor
             "succ": B.biword_succ(a, b),
             "star": B.biword_star(a, b),
         }
-        words, profiles = probes_of[total], profiles_of[total]
-        images = {op: act.endo_apply_batch(prod, words, profiles) for op, prod in products.items()}
+        # both sides are zero on a probe of any other profile
+        seen = {act.source_profile(a.perm, a.deg) + act.source_profile(b.perm, b.deg)}
+        seen.update(*map(act.sources, products.values()))
         k = len(a.perm)
-        for i, probe in enumerate(words):
+        for probe, profile in probes_of[total]:
+            if profile not in seen:
+                continue
             # op . (a (x) b) . Delta on the probe: only the cut at a's size survives
             u = act.act_letters(a.perm, a.deg, probe.letters[:k])
             v = act.act_letters(b.perm, b.deg, probe.letters[k:])
             pair = None if u is None or v is None else (W.Word(u), W.Word(v))
-            for op, image in images.items():
+            for op, prod in products.items():
                 convolution = _WORD_OPS[op](*pair).terms() if pair else {}
-                out.expect(f"action-{op}", (a, b, probe), image[i], convolution)
+                out.expect(f"action-{op}", (a, b, probe), act.endo_image(prod, probe), convolution)
     sized = [b for k in range(max_size + 1) for b in B.enumerate_biwords_by_size(k, TEST_DEGREES)]
     rows = [(b.perm, b.deg) for b in sized]
     # column j holds the action's row of "apply sized[j], then a" for every a in sized

@@ -133,7 +133,7 @@ def test_criterion_8_orthogonal_idempotent_family():
 
 
 def test_criterion_9_action_compatibility():
-    failures = V.check_action_compatibility(4, max_size=3)
+    failures = V.check_action_compatibility(4)
     check(9, f"action compatibility (weight 4 probes, size 3 composes): {len(failures)} violations", not failures)
 
 

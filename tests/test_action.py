@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from shufflealg.lincomb import LinComb, bilinear_extend
 from shufflealg import biwords as B
 from shufflealg import verify as V
-from shufflealg.action import act_letters, compose_rows_via_action, endo_apply_batch
+from shufflealg.action import act_letters, compose_rows_via_action, endo_image
 from shufflealg.biwords import (
     UNIT_BIWORD,
     Biword,
@@ -41,7 +41,7 @@ def _act(b: Biword, w: Word):
 
 
 def _apply(f: LinComb, *words: Word) -> list[dict]:
-    return endo_apply_batch(f, words, [w.profile() for w in words])
+    return [endo_image(f, w) for w in words]
 
 
 def _compose(a: Biword, b: Biword):
@@ -159,7 +159,7 @@ def test_identity_convolved_with_antipode_vanishes():
 
 
 def test_action_compatibility_weight_3():
-    assert check_action_compatibility(3, max_size=2) == []
+    assert V._check_action_compatibility(3, 2, V._generic_probes) == []
 
 
 def test_internal_compose_matches_action_size_3():
@@ -204,12 +204,12 @@ def _reading_a_in_reverse(a, b):
 def test_a_planted_compose_row_fault_fails_both_action_suites(monkeypatch):
     monkeypatch.setattr(B, "compose_row", _reading_a_in_reverse)
     action = check_action_compatibility(4)
-    assert (action.checked, len(action)) == (4609, 304)
+    assert (action.checked, len(action)) == (3685, 304)
     assert {f.identity for f in action} == {"internal-compose-vs-action"}
     first = action[0]
     assert str(first) == "internal-compose-vs-action fails at (12|11, 12|11):\n  lhs = 21|11\n  rhs = 12|11"
     idempotents = check_idempotents(4)
-    assert (idempotents.checked, len(idempotents)) == (314, 11)
+    assert (idempotents.checked, len(idempotents)) == (104, 11)
     assert {f.identity for f in idempotents} == {"pi-orthogonality"}
     # the Biword-level product goes through the same kernel
     identity = biword((1, 2), (1, 1))
@@ -248,7 +248,7 @@ def _matching_degrees_by_position(a, b):
 def test_action_compat_catches_each_planted_compose_row_fault(monkeypatch, fault, failures, first):
     monkeypatch.setattr(B, "compose_row", fault)
     action = check_action_compatibility(4)
-    assert (action.checked, len(action)) == (4609, failures)
+    assert (action.checked, len(action)) == (3685, failures)
     assert {f.identity for f in action} == {"internal-compose-vs-action"}
     assert str(action[0]).startswith(f"internal-compose-vs-action fails at {first}:")
 
@@ -258,7 +258,7 @@ def test_action_compat_catches_swapped_convolution_halves(monkeypatch):
     monkeypatch.setitem(V._WORD_OPS, "prec", word_succ)
     monkeypatch.setitem(V._WORD_OPS, "succ", word_prec)
     action = check_action_compatibility(4)
-    assert (action.checked, len(action)) == (4609, 136)
+    assert (action.checked, len(action)) == (3685, 136)
     assert Counter(f.identity for f in action) == {"action-prec": 68, "action-succ": 68}
     assert str(action[0]).startswith("action-prec fails at (1, 1|1, b1):")
 
@@ -304,14 +304,14 @@ def _flagged(report) -> set:
 
 
 def test_probe_routes_pass_on_the_real_products():
-    assert check_idempotents(5).checked == 1307
+    assert check_idempotents(5).checked == 377
     checked = {}
     for probes in (V._generic_probes, _exhaustive_probes):
         action = V._check_action_compatibility(4, 3, probes)
         idempotents = V._check_idempotents(4, probes)
         assert action == [] and idempotents == []
         checked[probes] = action.checked
-    assert checked == {V._generic_probes: 4609, _exhaustive_probes: 10153}
+    assert checked == {V._generic_probes: 3685, _exhaustive_probes: 5173}
 
 
 def test_probe_routes_flag_the_same_dropped_term(monkeypatch):
@@ -330,6 +330,42 @@ def test_probe_routes_flag_the_same_dropped_term(monkeypatch):
     assert generic == exhaustive
     assert len(generic) == 11
     assert {identity for identity, _, _ in generic} == {"action-star"}
+
+
+def _riffles_with_degrees_reversed(a, b, first_from_left):
+    """riffle_rows giving every row of size 3 or more its degrees backwards."""
+    rows = _real_riffle_rows(a, b, first_from_left)
+    return [(perm, deg[::-1]) if len(perm) >= 3 else (perm, deg) for perm, deg in rows]
+
+
+def _star_plus_a_foreign_term(a, b):
+    """biword_star with the identity biword of a and b's reversed degrees
+    added, a term of another source profile than every riffle of a and b."""
+    out = _real_biword_star(a, b)
+    n = len(a.perm) + len(b.perm)
+    extra = Biword(tuple(range(1, n + 1)), (a.deg + b.deg)[::-1])
+    if a.perm and b.perm and extra not in out.terms():
+        out = out + LinComb.single(extra)
+    return out
+
+
+_real_riffle_rows, _real_biword_star = B.riffle_rows, B.biword_star
+
+
+@pytest.mark.parametrize("probes, riffle_failures, star_failures", [
+    (V._generic_probes, (80, 4), 29),
+    (_exhaustive_probes, (640, 32), 320),
+], ids=["generic", "exhaustive"])
+def test_the_source_filter_keeps_every_failure(monkeypatch, probes, riffle_failures, star_failures):
+    # the suites skip a probe whose profile is no source of either side; these
+    # faults put terms on other profiles, and every failure is still found
+    with monkeypatch.context() as m:
+        m.setattr(B, "riffle_rows", _riffles_with_degrees_reversed)
+        action = V._check_action_compatibility(4, 3, probes)
+        idempotents = V._check_idempotents(4, probes)
+    assert (len(action), len(idempotents)) == riffle_failures
+    monkeypatch.setattr(B, "biword_star", _star_plus_a_foreign_term)
+    assert len(V._check_action_compatibility(4, 3, probes)) == star_failures
 
 
 def _sign(perm) -> int:
@@ -410,7 +446,7 @@ words_repeating_letters = st.lists(
 
 @settings(max_examples=80, deadline=None)
 @given(biword_combinations, st.lists(words_repeating_letters, min_size=1, max_size=4))
-def test_batch_forms_match_the_one_biword_action(f, words):
+def test_endo_image_matches_the_one_biword_action(f, words):
     # f mixes sizes 0-3, the unit included
     for w, image in zip(words, _apply(f, *words)):
         expected = LinComb((Word(u), c) for b, c in f.terms().items() if (u := _act(b, w)) is not None)

@@ -340,7 +340,7 @@ def test_verify_action_compat_at_default_weight(capsys):
     payload = json.loads(out)
     assert payload["max_weight"] == 5
     assert payload["failures"] == []
-    assert payload["checked"] == 14833
+    assert payload["checked"] == 4471
 
 
 @pytest.mark.parametrize("suite, weight", [("dendriform", "1"), ("bidendriform", "0"), ("pn-coproduct", "0")])
