@@ -332,6 +332,9 @@ def test_probe_routes_flag_the_same_dropped_term(monkeypatch):
     assert {identity for identity, _, _ in generic} == {"action-star"}
 
 
+_real_riffle_rows, _real_biword_star = B.riffle_rows, B.biword_star
+
+
 def _riffles_with_degrees_reversed(a, b, first_from_left):
     """riffle_rows giving every row of size 3 or more its degrees backwards."""
     rows = _real_riffle_rows(a, b, first_from_left)
@@ -339,17 +342,14 @@ def _riffles_with_degrees_reversed(a, b, first_from_left):
 
 
 def _star_plus_a_foreign_term(a, b):
-    """biword_star with the identity biword of a and b's reversed degrees
-    added, a term of another source profile than every riffle of a and b."""
+    """biword_star plus the identity biword with a's and b's degrees reversed,
+    whose source profile is in general not src(a).src(b), the riffles' one."""
     out = _real_biword_star(a, b)
     n = len(a.perm) + len(b.perm)
     extra = Biword(tuple(range(1, n + 1)), (a.deg + b.deg)[::-1])
     if a.perm and b.perm and extra not in out.terms():
         out = out + LinComb.single(extra)
     return out
-
-
-_real_riffle_rows, _real_biword_star = B.riffle_rows, B.biword_star
 
 
 @pytest.mark.parametrize("probes, riffle_failures, star_failures", [
