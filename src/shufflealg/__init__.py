@@ -14,8 +14,8 @@ No module keeps a memo cache; each memo belongs to one object or one call.
 
 from .lincomb import LinComb
 from .series import PowerSeries
-from .words import Letter, Word, word
-from .biwords import Biword, biword, parse_biword
+from .words import Letter, Word
+from .biwords import Biword, parse_biword
 from .descent import p_n, pi_composite, pi_n
 from .rigidity import Presentation, RigidityError
 
@@ -29,11 +29,9 @@ __all__ = [
     "Presentation",
     "RigidityError",
     "Word",
-    "biword",
     "p_n",
     "parse_biword",
     "pi_composite",
     "pi_n",
-    "word",
     "__version__",
 ]

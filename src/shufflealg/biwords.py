@@ -100,10 +100,6 @@ _set_perm, _set_deg, _set_weight = Biword.perm.__set__, Biword.deg.__set__, Biwo
 UNIT_BIWORD = Biword()
 
 
-def biword(perm, deg) -> Biword:
-    return Biword(tuple(perm), tuple(deg))
-
-
 def generic_biword(perm, first_degree: int = 1) -> Biword:
     """The biword of a top row whose degrees are pairwise distinct
     (first_degree, first_degree + 1, ... by column); every biword with that

@@ -7,27 +7,29 @@ over compositions of n.  The idempotent pi_n is the single one-column
 biword of degree n; it comes out of three routes, which must agree: the
 closed form, the half-shuffle logarithm of the identity series (its weight-n
 component), and the inverse of the half-shuffle exponential (the series mu
-with exp_prec(mu) = identity, solved degree by degree).  A graded series is
-a plain list of combinations, entry n holding the weight-n component.
+with exp_prec(mu) = identity, solved degree by degree; ``exp_prec`` is a
+test oracle).  A graded series is a plain list of combinations, entry n
+holding the weight-n component.
 
 Each weight-n basis vector is the sum of the biwords with one decorated
 binary search tree (insert the top row from left to right, each node keeping
 its column's degree: the graded sylvester congruence); it equals the tree
 monomial ``x(t_l) > pi_m < x(t_r)``.  Dimensions and membership run on
 these classes without elimination; the spanning set and its exact rank
-(``descd_echelon``) are the independent route the tests compare against.  One class is listed from its tree alone
-(:func:`tree_class`, the linear extensions of the tree), so membership walks
-only the classes its operand touches; ``descd_classes(n)`` groups every
-biword of weight n, for the ``dims`` class count and as the tests' oracle.
-Primitive dimensions (the joint kernel of the two half-coproducts) eliminate
-exactly, one block per permutation size.  :func:`dimension_report` tabulates
+(``descd_echelon``) are the independent route the tests compare against.
+One class is listed from its tree alone (:func:`tree_class`, the linear
+extensions of the tree), so membership walks only the classes its operand
+touches; ``descd_classes(n)`` groups every biword of weight n, for the
+``dims`` class count and as the tests' oracle.  Primitive dimensions (the
+joint kernel of the two half-coproducts) eliminate exactly, one block per
+permutation size.  :func:`dimension_report` tabulates
 these counts beside the series coefficients as plain dict rows, holding only
 the computed columns, and cross-checks each pair of columns that must agree.
 """
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import count
 from math import comb, factorial
 from typing import Iterable, NamedTuple
 
@@ -142,16 +144,6 @@ def prec_logarithm(q: list[LinComb]) -> list[LinComb]:
     _check_series(q, _UNIT, "the half-shuffle logarithm")
     z = convolution_inverse(q)
     return [LinComb.zero()] + [_positive_op(biword_prec_lc, q, z, n) for n in range(1, len(q))]
-
-
-def exp_prec(mu: list[LinComb]) -> list[LinComb]:
-    """Right-nested half-shuffle exponential e = 1 + mu < e, degree by degree:
-    e[n] = sum over i >= 1 of mu[i] < e[n - i]."""
-    _check_series(mu, LinComb.zero(), "exp_prec")
-    e = [_UNIT] * len(mu)
-    for n in range(1, len(mu)):
-        e[n] = _positive_op(biword_prec_lc, mu, e, n)
-    return e
 
 
 # -- spanning monomials and ranks ---------------------------------------------
@@ -324,13 +316,6 @@ def descd_membership(x: LinComb, n: int) -> bool:
 
 
 # -- primitive dimensions -------------------------------------------------------
-
-def prim_dend_dimension(n: int) -> int:
-    """dim of Ker(prec coproduct) intersect Ker(succ coproduct) on all biwords of weight n."""
-    if n < 1:
-        raise ValueError(f"primitive dimensions start at weight 1, got {n}")
-    return next(islice(_full_S_dimensions(), n - 1, None))
-
 
 def _full_S_dimensions():
     """The full_S kernel dimensions at n = 1, 2, ..., one block elimination per n.

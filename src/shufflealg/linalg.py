@@ -1,4 +1,4 @@
-"""Exact rank, span membership, and kernel dimensions over the rationals.
+"""Exact rank and pivot rows over the rationals.
 
 Rows are sparse linear combinations; internally each row is cleared of
 denominators and kept as a primitive integer vector, and elimination uses
@@ -90,13 +90,6 @@ class RowEchelon:
                 row[k] = -row[k]
         self._pivots[lead] = row
         return True
-
-    def contains(self, lc: LinComb) -> bool:
-        """Span membership by exact reduction."""
-        if lc.is_zero():
-            return True
-        row = _to_int_row(lc, {})
-        return not self._reduce(row)
 
     def pivot_rows(self) -> list[LinComb]:
         """Primitive integer pivot rows, ordered by leading key."""

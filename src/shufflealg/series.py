@@ -16,6 +16,8 @@ failure happens at construction, not at some later coefficient query.
 
 Values are immutable and safe to share; the memo fill is idempotent, so
 concurrent readers can at worst recompute a coefficient to the same value.
+The series x is ``from_coeffs([0, 1])``, and x/(1-x) is
+``PowerSeries(lambda n: 1 if n else 0)``.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ class PowerSeries:
             memo[i] = exact(self._fn(i))
         return memo[n]
 
-    def coefficients(self, count: int) -> list[int | Fraction]:
-        """The first ``count`` coefficients, indices ``0 .. count-1``."""
-        return [self[n] for n in range(count)]
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -62,15 +60,6 @@ class PowerSeries:
     @classmethod
     def one(cls) -> "PowerSeries":
         return cls.from_coeffs([1])
-
-    @classmethod
-    def x(cls) -> "PowerSeries":
-        return cls.from_coeffs([0, 1])
-
-    @classmethod
-    def geometric(cls) -> "PowerSeries":
-        """x/(1-x) = x + x^2 + x^3 + ..."""
-        return cls(lambda n: 1 if n >= 1 else 0)
 
     @classmethod
     def factorials(cls) -> "PowerSeries":

@@ -311,7 +311,7 @@ def check_action_compatibility(max_weight: int) -> Report:
 def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Report:
     """The action suite, probing pairs of total weight n with the words ``probes(n)``."""
     out = Report()
-    biwords = {m: B.enumerate_biwords(m) for m in range(max_weight)}
+    biwords = {m: B.enumerate_biwords(m) for m in range(max_weight + 1)}
     probes_of = {n: [(w, w.profile()) for w in probes(n)] for n in range(1, max_weight + 1)}
     for a, b in W.graded_tuples(2, max_weight, lambda m: biwords.get(m, ()), unit=True):
         total = a.weight + b.weight

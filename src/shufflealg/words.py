@@ -15,7 +15,8 @@ S(w) = (-1)^len(w) reverse(w) (Reutenauer, *Free Lie Algebras*, 1993).
 The shuffle fills this recursion's table bottom-up within one call, with no
 cache.  The independent oracles, in ``tests/oracles.py``, are the
 descent-class enumeration (permutations with at most one descent, at a
-pinned position) and the graded-connected antipode recursion.
+pinned position), the graded-connected antipode recursion and the
+right-nested half-shuffle form of a word.
 """
 
 from __future__ import annotations
@@ -115,11 +116,6 @@ _set_letters, _set_weight = Word.letters.__set__, Word.weight.__set__
 EMPTY_WORD = Word()
 
 
-def word(*letters: tuple[int, int]) -> Word:
-    """Convenience builder from (weight, symbol) pairs."""
-    return Word(tuple(Letter(w, s) for w, s in letters))
-
-
 def _prepend(letter: Letter, combo: LinComb) -> LinComb:
     # distinct words stay distinct, so the map is rebuilt without merging
     head, weight = (letter,), letter.weight
@@ -186,34 +182,6 @@ def deconcat(w: Word) -> LinComb:
 def word_antipode(w: Word) -> LinComb:
     """Antipode in closed form: (-1)^len(w) times the reversed word."""
     return LinComb.single(w.reversed(), (-1) ** len(w))
-
-
-class NestedPrec(NamedTuple):
-    """Right-nested half-shuffle expression y1 < (y2 < (... < yn))."""
-
-    head: Letter
-    tail: "NestedPrec | None" = None
-
-    def evaluate(self) -> LinComb:
-        if self.tail is None:
-            return LinComb.single(Word((self.head,)))
-        head_word = LinComb.single(Word((self.head,)))
-        return word_prec_lc(head_word, self.tail.evaluate())
-
-    def __str__(self):
-        if self.tail is None:
-            return str(self.head)
-        return f"{self.head}<({self.tail})"
-
-
-def nested_prec_form(w: Word) -> NestedPrec:
-    """Rewrite a word as the right-nested tree of its letters."""
-    if w.is_empty():
-        raise ValueError("the empty word has no nested half-shuffle form")
-    node = NestedPrec(w.letters[-1])
-    for let in reversed(w.letters[:-1]):
-        node = NestedPrec(let, node)
-    return node
 
 
 def generic_word(profile: Iterable[int]) -> Word:

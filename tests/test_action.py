@@ -12,7 +12,6 @@ from shufflealg.action import act_letters, compose_rows_via_action, endo_image
 from shufflealg.biwords import (
     UNIT_BIWORD,
     Biword,
-    biword,
     enumerate_biwords,
     enumerate_biwords_by_size,
 )
@@ -51,21 +50,21 @@ def _compose(a: Biword, b: Biword):
 
 def test_phi_permutes_when_weights_match():
     w = Word((a1, b2))
-    assert _act(biword((2, 1), (2, 1)), w) == (b2, a1)
+    assert _act(Biword((2, 1), (2, 1)), w) == (b2, a1)
 
 
 def test_phi_kills_weight_mismatch():
     w = Word((a1, b2))
-    assert _act(biword((2, 1), (1, 1)), w) is None
+    assert _act(Biword((2, 1), (1, 1)), w) is None
 
 
 def test_phi_identity_biword():
     w = Word((a1, b2))
-    assert _act(biword((1, 2), (1, 2)), w) == w.letters
+    assert _act(Biword((1, 2), (1, 2)), w) == w.letters
 
 
 def test_phi_length_mismatch():
-    assert _act(biword((1,), (1,)), Word((a1, b2))) is None
+    assert _act(Biword((1,), (1,)), Word((a1, b2))) is None
 
 
 def test_unit_biword_projects_to_scalars():
@@ -76,7 +75,7 @@ def test_unit_biword_projects_to_scalars():
 def test_endo_apply_zero_and_linearity():
     w = Word((a1, b2))
     assert _apply(LinComb.zero(), w) == [{}]
-    f = LinComb.single(biword((1, 2), (1, 2))) + LinComb.single(biword((2, 1), (2, 1)))
+    f = LinComb.single(Biword((1, 2), (1, 2))) + LinComb.single(Biword((2, 1), (2, 1)))
     assert _apply(f, w) == [{Word((a1, b2)): 1, Word((b2, a1)): 1}]
 
 
@@ -89,20 +88,20 @@ def test_p2_fixes_weight_two_words():
 
 
 def test_compose_via_action_worked_example():
-    out = _compose(biword((3, 1, 2), (1, 1, 1)), biword((1, 3, 2), (1, 1, 1)))
+    out = _compose(Biword((3, 1, 2), (1, 1, 1)), Biword((1, 3, 2), (1, 1, 1)))
     assert out == ((2, 1, 3), (1, 1, 1))
 
 
 def test_compose_via_action_identity():
-    x = biword((2, 3, 1), (1, 2, 1))
-    ident = biword((1, 2, 3), x.deg)
+    x = Biword((2, 3, 1), (1, 2, 1))
+    ident = Biword((1, 2, 3), x.deg)
     assert _compose(ident, x) == (x.perm, x.deg)
     assert _compose(UNIT_BIWORD, UNIT_BIWORD) == ((), ())
 
 
 def test_compose_via_action_annihilates():
-    assert _compose(biword((2, 1), (1, 2)), biword((1, 2), (1, 1))) is None
-    assert _compose(biword((1,), (1,)), biword((1, 2), (1, 1))) is None
+    assert _compose(Biword((2, 1), (1, 2)), Biword((1, 2), (1, 1))) is None
+    assert _compose(Biword((1,), (1,)), Biword((1, 2), (1, 1))) is None
 
 
 def _convolution_fold(f, g, w, combine):
@@ -204,7 +203,7 @@ def _reading_a_in_reverse(a, b):
 def test_a_planted_compose_row_fault_fails_both_action_suites(monkeypatch):
     monkeypatch.setattr(B, "compose_row", _reading_a_in_reverse)
     action = check_action_compatibility(4)
-    assert (action.checked, len(action)) == (3685, 304)
+    assert (action.checked, len(action)) == (3979, 304)
     assert {f.identity for f in action} == {"internal-compose-vs-action"}
     first = action[0]
     assert str(first) == "internal-compose-vs-action fails at (12|11, 12|11):\n  lhs = 21|11\n  rhs = 12|11"
@@ -212,8 +211,8 @@ def test_a_planted_compose_row_fault_fails_both_action_suites(monkeypatch):
     assert (idempotents.checked, len(idempotents)) == (104, 11)
     assert {f.identity for f in idempotents} == {"pi-orthogonality"}
     # the Biword-level product goes through the same kernel
-    identity = biword((1, 2), (1, 1))
-    assert B.internal_compose(identity, identity) == LinComb.single(biword((2, 1), (1, 1)))
+    identity = Biword((1, 2), (1, 1))
+    assert B.internal_compose(identity, identity) == LinComb.single(Biword((2, 1), (1, 1)))
 
 
 def _composing_through_b(a, b):
@@ -248,7 +247,7 @@ def _matching_degrees_by_position(a, b):
 def test_action_compat_catches_each_planted_compose_row_fault(monkeypatch, fault, failures, first):
     monkeypatch.setattr(B, "compose_row", fault)
     action = check_action_compatibility(4)
-    assert (action.checked, len(action)) == (3685, failures)
+    assert (action.checked, len(action)) == (3979, failures)
     assert {f.identity for f in action} == {"internal-compose-vs-action"}
     assert str(action[0]).startswith(f"internal-compose-vs-action fails at {first}:")
 
@@ -258,9 +257,24 @@ def test_action_compat_catches_swapped_convolution_halves(monkeypatch):
     monkeypatch.setitem(V._WORD_OPS, "prec", word_succ)
     monkeypatch.setitem(V._WORD_OPS, "succ", word_prec)
     action = check_action_compatibility(4)
-    assert (action.checked, len(action)) == (3685, 136)
-    assert Counter(f.identity for f in action) == {"action-prec": 68, "action-succ": 68}
+    assert (action.checked, len(action)) == (3979, 332)
+    assert Counter(f.identity for f in action) == {"action-prec": 166, "action-succ": 166}
     assert str(action[0]).startswith("action-prec fails at (1, 1|1, b1):")
+
+
+def _losing_the_right_unit(a, b, first_from_left):
+    """riffle_rows with x < 1 = 0 in place of x."""
+    if first_from_left and a[0] and not b[0]:
+        return []
+    return _real_riffle_rows(a, b, first_from_left)
+
+
+def test_action_compat_pairs_the_top_weight_with_the_unit(monkeypatch):
+    # at weight 1 only the pair (1|1, 1) reaches x < 1 = x
+    monkeypatch.setattr(B, "riffle_rows", _losing_the_right_unit)
+    action = check_action_compatibility(1)
+    assert (action.checked, len(action)) == (3487, 2)
+    assert Counter(f.identity for f in action) == {"action-prec": 1, "action-star": 1}
 
 
 def test_composite_acts_as_composition_on_words():
@@ -311,7 +325,7 @@ def test_probe_routes_pass_on_the_real_products():
         idempotents = V._check_idempotents(4, probes)
         assert action == [] and idempotents == []
         checked[probes] = action.checked
-    assert checked == {V._generic_probes: 3685, _exhaustive_probes: 5173}
+    assert checked == {V._generic_probes: 3979, _exhaustive_probes: 8497}
 
 
 def test_probe_routes_flag_the_same_dropped_term(monkeypatch):
@@ -328,7 +342,7 @@ def test_probe_routes_flag_the_same_dropped_term(monkeypatch):
     generic = _flagged(V._check_action_compatibility(3, 1, V._generic_probes))
     exhaustive = _flagged(V._check_action_compatibility(3, 1, _exhaustive_probes))
     assert generic == exhaustive
-    assert len(generic) == 11
+    assert len(generic) == 22
     assert {identity for identity, _, _ in generic} == {"action-star"}
 
 
@@ -353,8 +367,8 @@ def _star_plus_a_foreign_term(a, b):
 
 
 @pytest.mark.parametrize("probes, riffle_failures, star_failures", [
-    (V._generic_probes, (80, 4), 29),
-    (_exhaustive_probes, (640, 32), 320),
+    (V._generic_probes, (176, 4), 29),
+    (_exhaustive_probes, (1408, 32), 320),
 ], ids=["generic", "exhaustive"])
 def test_the_source_filter_keeps_every_failure(monkeypatch, probes, riffle_failures, star_failures):
     # the suites skip a probe whose profile is no source of either side; these
@@ -377,7 +391,7 @@ def test_only_generic_probes_catch_the_antisymmetrizer(monkeypatch):
     # sum sign(s) s|111 kills every 3-letter weight-1 word that repeats a
     # symbol, so over two symbols per weight it acts as zero
     real_star = B.biword_star
-    target = (biword((1,), (1,)), biword((1, 2), (1, 1)))
+    target = (Biword((1,), (1,)), Biword((1, 2), (1, 1)))
     antisymmetrizer = LinComb((Biword(p, (1, 1, 1)), _sign(p)) for p in permutations((1, 2, 3)))
 
     def star_plus_antisymmetrizer(a, b):
@@ -455,5 +469,5 @@ def test_endo_image_matches_the_one_biword_action(f, words):
 
 def test_endo_apply_drops_a_cancelled_word():
     # both biwords send a1.a1 to a1.a1, so their difference acts as zero
-    f = LinComb({biword((1, 2), (1, 1)): 1, biword((2, 1), (1, 1)): -1})
+    f = LinComb({Biword((1, 2), (1, 1)): 1, Biword((2, 1), (1, 1)): -1})
     assert _apply(f, Word((a1, a1))) == [{}]

@@ -10,7 +10,6 @@ from shufflealg.biwords import (
     UNIT_BIWORD,
     Biword,
     BiwordParseError,
-    biword,
     biword_prec,
     biword_star,
     biword_succ,
@@ -94,14 +93,14 @@ def test_star_is_union_of_halves():
 
 
 def test_prec_simple_cases():
-    x = biword((1,), (1,))
-    y = biword((1,), (2,))
-    assert biword_prec(x, y) == LinComb.single(biword((1, 2), (1, 2)))
-    assert biword_succ(x, y) == LinComb.single(biword((2, 1), (2, 1)))
+    x = Biword((1,), (1,))
+    y = Biword((1,), (2,))
+    assert biword_prec(x, y) == LinComb.single(Biword((1, 2), (1, 2)))
+    assert biword_succ(x, y) == LinComb.single(Biword((2, 1), (2, 1)))
 
 
 def test_product_unit_conventions():
-    x = biword((2, 1), (1, 1))
+    x = Biword((2, 1), (1, 1))
     assert biword_prec(x, UNIT_BIWORD) == LinComb.single(x)
     assert biword_prec(UNIT_BIWORD, x).is_zero()
     assert biword_prec(UNIT_BIWORD, UNIT_BIWORD).is_zero()
@@ -113,8 +112,8 @@ def test_product_unit_conventions():
 
 
 def test_prec_term_count():
-    a = biword((1, 2), (1, 1))
-    b = biword((2, 1, 3), (1, 1, 1))
+    a = Biword((1, 2), (1, 1))
+    b = Biword((2, 1, 3), (1, 1, 1))
     assert len(biword_prec(a, b)) == comb(4, 3)
     assert len(biword_star(a, b)) == comb(5, 2)
 
@@ -144,13 +143,13 @@ def test_worked_coproducts_match_golden():
 
 
 def test_coproduct_small_cases():
-    assert coproduct_prec(biword((1,), (1,))).is_zero()
-    assert coproduct_prec(biword((1, 2), (1, 2))) == LinComb.single(
-        (biword((1,), (1,)), biword((1,), (2,)))
+    assert coproduct_prec(Biword((1,), (1,))).is_zero()
+    assert coproduct_prec(Biword((1, 2), (1, 2))) == LinComb.single(
+        (Biword((1,), (1,)), Biword((1,), (2,)))
     )
-    assert coproduct_succ(biword((1, 2), (1, 1))).is_zero()
-    assert coproduct_succ(biword((2, 1), (1, 2))) == LinComb.single(
-        (biword((1,), (1,)), biword((1,), (2,)))
+    assert coproduct_succ(Biword((1, 2), (1, 1))).is_zero()
+    assert coproduct_succ(Biword((2, 1), (1, 2))) == LinComb.single(
+        (Biword((1,), (1,)), Biword((1,), (2,)))
     )
 
 
@@ -164,35 +163,35 @@ def test_coproduct_rejects_unit():
 def test_hopf_coproduct():
     unit = LinComb.single(UNIT_BIWORD)
     assert hopf_coproduct(unit) == LinComb.single((UNIT_BIWORD, UNIT_BIWORD))
-    single = biword((1,), (1,))
+    single = Biword((1,), (1,))
     assert hopf_coproduct(LinComb.single(single)) == LinComb(
         {(single, UNIT_BIWORD): 1, (UNIT_BIWORD, single): 1}
     )
-    x = biword((1, 2), (1, 2))
+    x = Biword((1, 2), (1, 2))
     assert hopf_coproduct(LinComb.single(x)) == LinComb(
         {
             (x, UNIT_BIWORD): 1,
             (UNIT_BIWORD, x): 1,
-            (biword((1,), (1,)), biword((1,), (2,))): 1,
+            (Biword((1,), (1,)), Biword((1,), (2,))): 1,
         }
     )
 
 
 def test_internal_compose_worked_example():
-    result = internal_compose(biword((3, 1, 2), (1, 1, 1)), biword((1, 3, 2), (1, 1, 1)))
-    assert result == LinComb.single(biword((2, 1, 3), (1, 1, 1)))
+    result = internal_compose(Biword((3, 1, 2), (1, 1, 1)), Biword((1, 3, 2), (1, 1, 1)))
+    assert result == LinComb.single(Biword((2, 1, 3), (1, 1, 1)))
 
 
 def test_internal_compose_identity():
-    x = biword((3, 1, 2), (2, 1, 1))
-    ident = biword((1, 2, 3), x.deg)
+    x = Biword((3, 1, 2), (2, 1, 1))
+    ident = Biword((1, 2, 3), x.deg)
     assert internal_compose(ident, x) == LinComb.single(x)
 
 
 def test_internal_compose_annihilation():
-    assert internal_compose(biword((1, 2), (1, 1)), biword((1, 2, 3), (1, 1, 1))).is_zero()
+    assert internal_compose(Biword((1, 2), (1, 1)), Biword((1, 2, 3), (1, 1, 1))).is_zero()
     # same size, incompatible degrees
-    assert internal_compose(biword((2, 1), (1, 2)), biword((1, 2), (1, 1))).is_zero()
+    assert internal_compose(Biword((2, 1), (1, 2)), Biword((1, 2), (1, 1))).is_zero()
 
 
 def test_internal_compose_associative():
@@ -251,11 +250,11 @@ def test_counted_coassociativity_matches_the_lincomb_route():
 
 
 def test_render_and_parse():
-    x = biword((3, 1, 4, 2), (1, 2, 3, 4))
+    x = Biword((3, 1, 4, 2), (1, 2, 3, 4))
     assert render_biword(x) == "3142|1234"
     assert parse_biword("3142|1234") == x
     assert parse_biword("3,1,4,2|1,2,3,4") == x
-    assert parse_biword("12|ab") == biword((1, 2), (1, 2))
+    assert parse_biword("12|ab") == Biword((1, 2), (1, 2))
     assert parse_biword("") == UNIT_BIWORD
     assert parse_biword("1") == UNIT_BIWORD
     assert render_biword(UNIT_BIWORD) == "1"
@@ -274,7 +273,7 @@ def test_parse_errors():
 
 
 def test_json_roundtrip():
-    x = biword((2, 1), (5, 1))
+    x = Biword((2, 1), (5, 1))
     obj = biword_to_json(x)
     assert Biword(tuple(obj["perm"]), tuple(obj["deg"])) == x
 

@@ -21,8 +21,8 @@ from shufflealg import words as W
 from shufflealg import cli
 from shufflealg.cli import COMMANDS, DEFAULTS, build_parser, main, parse_biword_combination
 from shufflealg.lincomb import LinComb, accumulate
-from shufflealg.biwords import Biword, biword
-from oracles import perturbed_presentation
+from shufflealg.biwords import Biword
+from oracles import perturbed_presentation, prim_dend_dimension
 from shufflealg.rigidity import (
     RigidityError,
     presentation_from_json,
@@ -340,7 +340,7 @@ def test_verify_action_compat_at_default_weight(capsys):
     payload = json.loads(out)
     assert payload["max_weight"] == 5
     assert payload["failures"] == []
-    assert payload["checked"] == 4471
+    assert payload["checked"] == 6037
 
 
 @pytest.mark.parametrize("suite, weight", [("dendriform", "1"), ("bidendriform", "0"), ("pn-coproduct", "0")])
@@ -403,7 +403,7 @@ def test_cutoff_defaults_live_in_the_cli():
     params = inspect.signature(D.dimension_report).parameters
     for name in ("include", "rank_cutoff", "prim_cutoff"):
         assert params[name].default is inspect.Parameter.empty
-    assert D.prim_dend_dimension(6) == 550
+    assert prim_dend_dimension(6) == 550
 
 
 def test_dims_explicit_zero_cutoff_is_kept(capsys):
@@ -446,7 +446,7 @@ def test_membership_command(capsys):
 def test_parse_biword_combination():
     combo = parse_biword_combination("2*12|11 - 1/2*21|11 + 1|2")
     assert combo == LinComb(
-        {biword((1, 2), (1, 1)): 2, biword((2, 1), (1, 1)): Fraction(-1, 2), biword((1,), (2,)): 1}
+        {Biword((1, 2), (1, 1)): 2, Biword((2, 1), (1, 1)): Fraction(-1, 2), Biword((1,), (2,)): 1}
     )
 
 

@@ -9,11 +9,11 @@ import pytest
 
 import shufflealg
 from conftest import biword_combination, load_golden
-from oracles import coproduct_image
+from oracles import contains, coproduct_image, exp_prec, prim_dend_dimension
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import (
     UNIT_BIWORD,
-    biword,
+    Biword,
     biword_prec_lc,
     biword_star_lc,
     biword_succ_lc,
@@ -35,13 +35,11 @@ from shufflealg.descent import (
     descd_membership,
     descd_spanning_set,
     dimension_report,
-    exp_prec,
     identity_series,
     p_n,
     pi_composite,
     pi_n,
     prec_logarithm,
-    prim_dend_dimension,
     tree_class,
 )
 from shufflealg.linalg import rank_of
@@ -52,7 +50,7 @@ from shufflealg.words import compositions
 
 def test_p_small():
     assert p_n(0) == LinComb.single(UNIT_BIWORD)
-    assert p_n(1) == LinComb.single(biword((1,), (1,)))
+    assert p_n(1) == LinComb.single(Biword((1,), (1,)))
     assert p_n(2) == biword_combination([["1|2", 1], ["12|11", 1]])
     assert p_n(3) == biword_combination(
         [["1|3", 1], ["12|12", 1], ["12|21", 1], ["123|111", 1]]
@@ -67,7 +65,7 @@ def test_p_n_term_count():
 def test_pi_routes_agree():
     for n in range(1, 11):
         closed = pi_n(n, "closed")
-        assert closed == LinComb.single(biword((1,), (n,)))
+        assert closed == LinComb.single(Biword((1,), (n,)))
         assert pi_n(n, "alternating") == closed
         assert pi_n(n, "recursive") == closed
 
@@ -86,10 +84,10 @@ def test_pi_rejects_bad_input():
 
 
 def test_pi_composite():
-    assert pi_composite((3,)) == LinComb.single(biword((1,), (3,)))
-    assert pi_composite((1, 1)) == LinComb.single(biword((1, 2), (1, 1)))
+    assert pi_composite((3,)) == LinComb.single(Biword((1,), (3,)))
+    assert pi_composite((1, 1)) == LinComb.single(Biword((1, 2), (1, 1)))
     # the nested idempotent is the identity biword with those degrees
-    assert pi_composite((2, 1, 3)) == LinComb.single(biword((1, 2, 3), (2, 1, 3)))
+    assert pi_composite((2, 1, 3)) == LinComb.single(Biword((1, 2, 3), (2, 1, 3)))
 
 
 def test_pi_composite_completeness():
@@ -321,7 +319,7 @@ def test_class_membership_matches_elimination(n):
         partial = {b: c for b, c in terms.items() if b != big[0]}
         for x in (member, LinComb(moved), LinComb(partial)):
             verdict = descd_membership(x, n)
-            assert verdict == echelon.contains(x)
+            assert verdict == contains(echelon, x)
             verdicts.append(verdict)
         if len(big) > 1:
             assert not descd_membership(LinComb(moved), n)
@@ -360,7 +358,7 @@ def test_rank_weight_4_spanning_values():
 def test_membership():
     for n in range(1, 6):
         assert descd_membership(p_n(n), n)
-    assert not descd_membership(LinComb.single(biword((2, 1, 3), (1, 1, 1))), 3)
+    assert not descd_membership(LinComb.single(Biword((2, 1, 3), (1, 1, 1))), 3)
     pair = biword_combination([["213|111", 1], ["231|111", 1]])
     assert descd_membership(pair, 3)
 
@@ -385,7 +383,7 @@ def test_membership_at_weight_10_builds_no_weight_wide_structure(monkeypatch, ca
     # 213|433 and 231|433 make up the class of their decorated tree
     member = biword_combination([["213|433", 1], ["231|433", 1]])
     assert descd_membership(member, 10)
-    assert not descd_membership(LinComb.single(biword((2, 1, 3), (4, 3, 3))), 10)
+    assert not descd_membership(LinComb.single(Biword((2, 1, 3), (4, 3, 3))), 10)
     assert main(["membership", "213|433 + 231|433", "--json"]) == 0
     assert main(["membership", "213|433", "--json"]) == 1
     assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == [
@@ -423,7 +421,7 @@ def test_internal_products_leave_descd():
             if not descd_membership(prod, 3):
                 escaped.append((x, y, prod))
     assert escaped
-    culprit = LinComb.single(biword((2, 1, 3), (1, 1, 1)))
+    culprit = LinComb.single(Biword((2, 1, 3), (1, 1, 1)))
     assert any(prod == culprit for _, _, prod in escaped)
 
 

@@ -10,7 +10,7 @@ from shufflealg import verify as V
 from shufflealg import words as W
 from shufflealg.lincomb import LinComb, bilinear_extend
 from shufflealg.biwords import Biword
-from oracles import antipode_by_recursion, perturbed_presentation, tables, validate_by_lincomb
+from oracles import antipode_by_recursion, nested_prec_form, perturbed_presentation, tables, validate_by_lincomb
 from shufflealg.descent import p_n
 from shufflealg.rigidity import (
     Presentation,
@@ -33,7 +33,6 @@ from shufflealg.rigidity import (
 from shufflealg.words import (
     Letter,
     enumerate_words,
-    nested_prec_form,
     standard_alphabet,
     word_antipode,
 )

@@ -20,18 +20,23 @@ def ints(series, lo, hi):
     return [series[n] for n in range(lo, hi + 1)]
 
 
+def geometric():
+    """x/(1-x) = x + x^2 + x^3 + ..."""
+    return PowerSeries(lambda n: 1 if n else 0)
+
+
 def test_compose_factorials_with_geometric():
-    r = compose(PowerSeries.factorials(), PowerSeries.geometric())
+    r = compose(PowerSeries.factorials(), geometric())
     assert ints(r, 1, 6) == [1, 3, 11, 49, 261, 1631]
 
 
 def test_compose_identity_left_slot():
     g = PowerSeries.from_coeffs([0, 2, -1, Fraction(1, 3)])
-    assert compose(PowerSeries.x(), g).coefficients(8) == g.coefficients(8)
+    assert ints(compose(PowerSeries.from_coeffs([0, 1]), g), 0, 7) == ints(g, 0, 7)
 
 
 def test_compose_catalan_with_geometric():
-    s = compose(catalan_series(), PowerSeries.geometric())
+    s = compose(catalan_series(), geometric())
     assert ints(s, 1, 6) == [1, 3, 10, 36, 137, 543]
 
 
@@ -41,7 +46,7 @@ def test_compose_rejects_nonzero_constant_term():
 
 
 def test_sqrt_of_one():
-    assert PowerSeries.one().sqrt().coefficients(6) == [1, 0, 0, 0, 0, 0]
+    assert ints(PowerSeries.one().sqrt(), 0, 5) == [1, 0, 0, 0, 0, 0]
 
 
 def test_sqrt_closed_form_descent_series():
@@ -71,18 +76,18 @@ def test_sqrt_rejects_bad_constant_term():
 
 def test_inverse_geometric():
     inv = PowerSeries.from_coeffs([1, -1]).inverse()
-    assert inv.coefficients(6) == [1] * 6
+    assert ints(inv, 0, 5) == [1] * 6
 
 
 def test_inverse_one_plus_x():
     inv = PowerSeries.from_coeffs([1, 1]).inverse()
-    assert inv.coefficients(6) == [1, -1, 1, -1, 1, -1]
+    assert ints(inv, 0, 5) == [1, -1, 1, -1, 1, -1]
 
 
 def test_inverse_factorial_series():
     # triangular solve by hand: g0=1, g_n = -sum f_i g_{n-i}
     inv = PowerSeries.factorials().inverse()
-    assert inv.coefficients(5) == [1, -1, -1, -3, -13]
+    assert ints(inv, 0, 4) == [1, -1, -1, -3, -13]
 
 
 def test_inverse_rejects_bad_constant_term():
@@ -129,7 +134,7 @@ def test_sqrt_squares_back(coeffs):
 def test_inverse_multiplies_to_one(coeffs):
     f = PowerSeries.from_coeffs([1] + coeffs)
     product = f * f.inverse()
-    assert product.coefficients(10) == [1] + [0] * 9
+    assert ints(product, 0, 9) == [1] + [0] * 9
 
 
 @settings(max_examples=25, deadline=None)
@@ -154,8 +159,8 @@ coefficient_lists = st.one_of(
 @given(coefficient_lists)
 def test_geometric_substitution_is_composition_with_geometric(coeffs):
     f = PowerSeries.from_coeffs(coeffs)
-    expected = compose(f, PowerSeries.geometric()).coefficients(15)
-    got = f.geometric_substitution().coefficients(15)
+    expected = ints(compose(f, geometric()), 0, 14)
+    got = ints(f.geometric_substitution(), 0, 14)
     assert got == expected
     assert [type(c) for c in got] == [type(c) for c in expected]
 
@@ -249,10 +254,10 @@ def _fraction_fold(n_max: int) -> dict:
 
 def test_coefficients_stay_int_while_integral():
     for make, expected in _fraction_fold(60).items():
-        got = make().coefficients(61)
+        got = ints(make(), 0, 60)
         assert got == expected, make.__name__
         assert {type(c) for c in got} == {int}, make.__name__
     # a division with a remainder still gives an exact Fraction
-    half = PowerSeries.from_coeffs([1, 1]).sqrt().coefficients(4)
+    half = ints(PowerSeries.from_coeffs([1, 1]).sqrt(), 0, 3)
     assert half == [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
     assert [type(c) for c in half] == [int, Fraction, Fraction, Fraction]

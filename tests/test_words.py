@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from oracles import antipode_by_recursion, word_prec_by_descents, word_succ_by_descents
+from oracles import antipode_by_recursion, nested_prec_form, word_prec_by_descents, word_succ_by_descents
 from shufflealg.lincomb import LinComb
 from shufflealg.words import (
     EMPTY_WORD,
@@ -13,10 +13,8 @@ from shufflealg.words import (
     deconcat,
     enumerate_words,
     graded_tuples,
-    nested_prec_form,
     parse_word,
     standard_alphabet,
-    word,
     word_antipode,
     word_prec,
     word_shuffle,
@@ -173,7 +171,7 @@ def test_enumerate_words_weight_2():
 
 
 def test_enumerate_words_weight_1():
-    assert enumerate_words(1, {1: 3}) == [word((1, 0)), word((1, 1)), word((1, 2))]
+    assert enumerate_words(1, {1: 3}) == [Word((Letter(1, 0),)), Word((Letter(1, 1),)), Word((Letter(1, 2),))]
 
 
 def test_enumerate_words_counts_compositions():
