@@ -9,10 +9,11 @@ claim that the biword half-products realize the convolution half-products
 
 Endomorphisms are handled extensionally as linear combinations of biwords,
 which keeps them comparable and serializable.  :func:`act_letters` is the
-one definition of the action, on a biword's two rows and a tuple of letters,
-and :func:`source_profile` states the rule it implies: a biword kills every
-word outside its source profile, so a combination kills every word whose
-profile is not among its :func:`sources`.  :func:`endo_image` acts with a
+one definition of the action, on a biword's two rows and a tuple of letters;
+a biword unpacks to its rows and a word is its letter tuple, so a call reads
+``act_letters(*b, w)``.  :func:`source_profile` states the rule it implies:
+a biword kills every word outside its source profile, so a combination
+kills every word whose profile is not among its :func:`sources`.  :func:`endo_image` acts with a
 combination on one word and returns a zero-free ``{word: coefficient}`` map.
 :func:`compose_rows_via_action` reads the internal product off the action on
 rows: it builds b's image of the generic word of b's source profile and
@@ -22,7 +23,7 @@ applies each left factor to it, with no ``Word`` or ``LinComb`` per pair.
 from __future__ import annotations
 
 from .lincomb import LinComb, accumulate
-from .words import Word, generic_word
+from .words import Word, _word, generic_word
 
 
 def act_letters(perm: tuple, deg: tuple, letters: tuple) -> tuple | None:
@@ -49,13 +50,13 @@ def source_profile(perm: tuple, deg: tuple) -> tuple:
 
 def sources(f: LinComb) -> set:
     """The source profiles of f's terms: f kills every word of another profile."""
-    return {source_profile(b.perm, b.deg) for b in f.terms()}
+    return {source_profile(*b) for b in f.terms()}
 
 
 def endo_image(f: LinComb, w: Word) -> dict:
     """The action of f on the word w, as a zero-free ``{word: coefficient}`` map."""
-    images = ((act_letters(b.perm, b.deg, w.letters), c) for b, c in f.terms().items())
-    return accumulate({}, [(Word.trusted(u, w.weight), c) for u, c in images if u is not None])
+    images = ((act_letters(*b, w), c) for b, c in f.terms().items())
+    return accumulate({}, [(_word(u), c) for u, c in images if u is not None])
 
 
 def compose_rows_via_action(lefts, b: tuple) -> list:
@@ -67,8 +68,7 @@ def compose_rows_via_action(lefts, b: tuple) -> list:
     every letter, and a's image of that identifies the composite uniquely:
     its symbols are the top row and its weights the degrees.
     """
-    perm_b, deg_b = b
-    mid = act_letters(perm_b, deg_b, generic_word(source_profile(perm_b, deg_b)).letters)
+    mid = act_letters(*b, generic_word(source_profile(*b)))
     out = []
     for perm, deg in lefts:
         image = act_letters(perm, deg, mid)

@@ -14,13 +14,15 @@ coproduct cuts the biword in two in every way and standardizes the top rows
 nontrivial cuts, split by where the column carrying top entry 1 lands: left
 for the prec coproduct, right for the succ coproduct.
 
-Every riffle and every cut is computed by two kernels on plain ``(perm,
-deg)`` rows, :func:`riffle_rows` and :func:`cut_rows`; ``cut_rows(row,
-side)`` is the one place that knows which cuts each coproduct takes.  The
-products and coproducts on :class:`Biword` keys wrap the kernels
-(:func:`biword_tuple` turns rows into keys); the Hopf suites of
+A :class:`Biword` is its row, the tuple ``(perm, deg)``: it equals, hashes
+and pickles as that pair.  Every riffle and every cut is computed by two
+kernels on rows, :func:`riffle_rows` and :func:`cut_rows`, which take a
+biword as it is; ``cut_rows(row, side)`` is the one place that knows which
+cuts each coproduct takes.  The products and coproducts wrap each row the
+kernels return as a key without a check (``_biword``, and
+:func:`biword_tuple` for a tuple of rows); the Hopf suites of
 :mod:`shufflealg.verify` and the descd primitive kernel of
-:mod:`shufflealg.descent` use the rows directly.
+:mod:`shufflealg.descent` count the rows directly.
 
 The internal product is pinned to endomorphism composition (see
 :mod:`shufflealg.action`): ``internal_compose(a, b)`` is the biword whose
@@ -32,21 +34,25 @@ the ``action-compat`` suite call.
 from __future__ import annotations
 
 import itertools
+from functools import partial
+from operator import itemgetter
 
 from .lincomb import LinComb, accumulate, bilinear_extend, linear_extend
-from .words import Word, compositions
+from .words import compositions
 
 
-class Biword:
-    """A permutation of [k] with a positive degree attached to each column.
+class Biword(tuple):
+    """A permutation of [k] with a positive degree attached to each column,
+    as the pair ``(perm, deg)`` of its rows.
 
-    ``weight`` (the sum of the degrees) is computed once, at construction;
-    it takes no part in equality, hashing or ``repr``.
+    A biword equals and hashes as its row.  ``weight`` (the sum of the
+    degrees) is computed on access; it takes no part in equality, hashing or
+    ``repr``.
     """
 
-    __slots__ = ("perm", "deg", "weight")
+    __slots__ = ()
 
-    def __init__(self, perm: tuple[int, ...] = (), deg: tuple[int, ...] = ()):
+    def __new__(cls, perm: tuple[int, ...] = (), deg: tuple[int, ...] = ()):
         if len(perm) != len(deg):
             raise ValueError("permutation and degree rows differ in length")
         k = len(perm)
@@ -54,48 +60,38 @@ class Biword:
             raise ValueError(f"top row is not a permutation of [{k}]: {perm}")
         if any(d < 1 for d in deg):
             raise ValueError(f"degrees must be positive: {deg}")
-        _set_perm(self, perm)
-        _set_deg(self, deg)
-        _set_weight(self, sum(deg))
+        return tuple.__new__(cls, (perm, deg))
 
-    @classmethod
-    def trusted(cls, perm: tuple[int, ...], deg: tuple[int, ...], weight: int) -> "Biword":
-        """Construction without validation, for rows that are valid by
-        construction; ``weight`` must be ``sum(deg)``."""
-        b = object.__new__(cls)
-        _set_perm(b, perm)
-        _set_deg(b, deg)
-        _set_weight(b, weight)
-        return b
+    perm = property(itemgetter(0), doc="The top row, a permutation of [k].")
+    deg = property(itemgetter(1), doc="The degree of each column.")
 
-    def __eq__(self, other):
-        same_class = other.__class__ is self.__class__
-        return (self.perm == other.perm and self.deg == other.deg) if same_class else NotImplemented
+    def __getnewargs__(self):
+        """The constructor's arguments ``(perm, deg)``, for pickle and copy."""
+        return tuple(self)
 
-    def __hash__(self):
-        return hash((self.perm, self.deg))
+    @property
+    def weight(self) -> int:
+        return sum(self[1])
 
     def __repr__(self):
-        return f"Biword(perm={self.perm!r}, deg={self.deg!r})"
-
-    __setattr__ = __delattr__ = Word.__setattr__  # immutable, as Word is
+        return f"Biword(perm={self[0]!r}, deg={self[1]!r})"
 
     @property
     def size(self) -> int:
-        return len(self.perm)
+        return len(self[0])
 
     def is_unit(self) -> bool:
-        return not self.perm
+        return not self[0]
 
     def sort_key(self):
-        return (self.weight, self.size, self.perm, self.deg)
+        return (self.weight, self.size, *self)
 
     def __str__(self):
         return render_biword(self)
 
 
-# the slot setters, bound once: about twice as fast as object.__setattr__ by name
-_set_perm, _set_deg, _set_weight = Biword.perm.__set__, Biword.deg.__set__, Biword.weight.__set__
+# construction without validation, for rows that are valid by construction
+_biword = partial(tuple.__new__, Biword)
 
 UNIT_BIWORD = Biword()
 
@@ -189,31 +185,29 @@ def cut_rows(row: tuple, side: str) -> list:
 
 def biword_tuple(rows: tuple) -> tuple:
     """A tuple of rows as the tuple of their biwords."""
-    trusted = Biword.trusted
-    return tuple([trusted(perm, deg, sum(deg)) for perm, deg in rows])
+    return tuple(map(_biword, rows))
 
 
 # -- half-products -------------------------------------------------------------
 
-def _riffle_sum(rows: list, weight: int) -> LinComb:
-    """The combination of riffle rows of the given weight, each once."""
-    trusted = Biword.trusted
-    return LinComb._raw(dict.fromkeys([trusted(perm, deg, weight) for perm, deg in rows], 1))
+def _riffle_sum(rows: list) -> LinComb:
+    """The combination of riffle rows, each once."""
+    return LinComb._raw(dict.fromkeys(map(_biword, rows), 1))
 
 
 def biword_prec(a: Biword, b: Biword) -> LinComb:
     """Half-product keeping a's first column in front; 1 < x = 0."""
-    return _riffle_sum(riffle_rows((a.perm, a.deg), (b.perm, b.deg), True), a.weight + b.weight)
+    return _riffle_sum(riffle_rows(a, b, True))
 
 
 def biword_succ(a: Biword, b: Biword) -> LinComb:
     """Half-product keeping b's first (shifted) column in front; x > 1 = 0."""
-    return _riffle_sum(riffle_rows((a.perm, a.deg), (b.perm, b.deg), False), a.weight + b.weight)
+    return _riffle_sum(riffle_rows(a, b, False))
 
 
 def biword_star(a: Biword, b: Biword) -> LinComb:
     """Convolution product: all riffle interleavings; the unit is two-sided."""
-    return _riffle_sum(star_rows((a.perm, a.deg), (b.perm, b.deg)), a.weight + b.weight)
+    return _riffle_sum(star_rows(a, b))
 
 
 def biword_prec_lc(x: LinComb, y: LinComb) -> LinComb:
@@ -242,7 +236,7 @@ def coproduct_succ(a: Biword) -> LinComb:
 
 def _cut_sum(a: Biword, side: str) -> LinComb:
     """The sum of the cuts of ``a`` that the coproduct ``side`` takes."""
-    return LinComb._raw(dict.fromkeys(map(biword_tuple, cut_rows((a.perm, a.deg), side)), 1))
+    return LinComb._raw(dict.fromkeys(map(biword_tuple, cut_rows(a, side)), 1))
 
 
 def coproduct_prec_lc(x: LinComb) -> LinComb:
@@ -284,16 +278,15 @@ def compose_row(a: tuple, b: tuple) -> tuple | None:
 def internal_compose(a: Biword, b: Biword) -> LinComb:
     """The biword acting as "apply b, then a", or 0 when the actions annihilate
     (see :func:`compose_row`)."""
-    row = compose_row((a.perm, a.deg), (b.perm, b.deg))
-    return LinComb.zero() if row is None else LinComb._raw({Biword.trusted(*row, a.weight): 1})
+    row = compose_row(a, b)
+    return LinComb.zero() if row is None else LinComb._raw({_biword(row): 1})
 
 
 def internal_compose_lc(x: LinComb, y: LinComb) -> LinComb:
-    xs = [((ka.perm, ka.deg), ka.weight, ca) for ka, ca in x.terms().items()]
-    ys = [((kb.perm, kb.deg), cb) for kb, cb in y.terms().items()]
+    ys = y.terms().items()
     return LinComb._raw(accumulate({}, (
-        (Biword.trusted(*row, weight), ca * cb)
-        for a, weight, ca in xs for b, cb in ys if (row := compose_row(a, b)) is not None
+        (_biword(row), ca * cb)
+        for a, ca in x.terms().items() for b, cb in ys if (row := compose_row(a, b)) is not None
     )))
 
 
@@ -311,7 +304,7 @@ def enumerate_biwords(weight: int, degrees: tuple[int, ...] | None = None) -> tu
     for comp in compositions(weight, degrees):
         k = len(comp)
         for perm in itertools.permutations(range(1, k + 1)):
-            out.append(Biword.trusted(perm, comp, weight))
+            out.append(_biword((perm, comp)))
     out.sort(key=Biword.sort_key)
     return tuple(out)
 

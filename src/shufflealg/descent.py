@@ -37,6 +37,7 @@ from .lincomb import LinComb
 from .biwords import (
     UNIT_BIWORD,
     Biword,
+    _biword,
     biword_prec_lc,
     biword_star_lc,
     biword_succ_lc,
@@ -110,9 +111,9 @@ def pi_composite(comp_: Iterable[int]) -> LinComb:
 _UNIT = LinComb.single(UNIT_BIWORD)
 
 
-def _check_series(s: list[LinComb], constant: LinComb, what: str) -> None:
-    if not s or s[0] != constant:
-        raise ValueError(f"{what} needs {'unit' if constant else 'zero'} constant term")
+def _check_series(s: list[LinComb], what: str) -> None:
+    if not s or s[0] != _UNIT:
+        raise ValueError(f"{what} needs unit constant term")
     for n, lc in enumerate(s):
         for key in lc.terms():
             if key.weight != n:
@@ -132,7 +133,7 @@ def identity_series(cutoff: int) -> list[LinComb]:
 def convolution_inverse(q: list[LinComb]) -> list[LinComb]:
     """Star-inverse of a series with unit constant term, degree by degree:
     z[0] = 1 and z[n] = -sum over i >= 1 of q[i] * z[n - i]."""
-    _check_series(q, _UNIT, "the convolution inverse")
+    _check_series(q, "the convolution inverse")
     z = [_UNIT] * len(q)
     for n in range(1, len(q)):
         z[n] = -_positive_op(biword_star_lc, q, z, n)
@@ -141,7 +142,7 @@ def convolution_inverse(q: list[LinComb]) -> list[LinComb]:
 
 def prec_logarithm(q: list[LinComb]) -> list[LinComb]:
     """The series mu with q = exp_prec(mu), via mu = q+ < (star-inverse of q)."""
-    _check_series(q, _UNIT, "the half-shuffle logarithm")
+    _check_series(q, "the half-shuffle logarithm")
     z = convolution_inverse(q)
     return [LinComb.zero()] + [_positive_op(biword_prec_lc, q, z, n) for n in range(1, len(q))]
 
@@ -234,7 +235,7 @@ def bst_class(b: Biword) -> tuple:
     """The decorated binary search tree of a biword, as nested ``(left, degree,
     right)`` triples with ``()`` for the empty tree: the top row is inserted
     from left to right and each node keeps its column's degree."""
-    return _bst(tuple(zip(b.perm, b.deg)))
+    return _bst(tuple(zip(*b)))  # the columns (top entry, degree)
 
 
 def _bst(cols: tuple) -> tuple:
@@ -268,12 +269,12 @@ def tree_class(t: tuple) -> tuple[Biword, ...]:
         return v
 
     root = number(t)
-    weight, out, top = sum(degree.values()), [], []
+    out, top = [], []
 
     def extend(ready: list) -> None:
         if not ready:
             perm = tuple(top)
-            out.append(Biword.trusted(perm, tuple([degree[v] for v in perm]), weight))
+            out.append(_biword((perm, tuple([degree[v] for v in perm]))))
             return
         for i, v in enumerate(ready):
             top.append(v)
@@ -344,7 +345,7 @@ def _cut_row(members) -> LinComb:
     for b in members:
         # the succ cuts, then the prec cuts: every cut in column order
         for is_prec, side in ((False, "succ"), (True, "prec")):
-            for (left, _), (right, _) in cut_rows((b.perm, b.deg), side):
+            for (left, _), (right, _) in cut_rows(b, side):
                 key = (is_prec, len(left), *left, *right, *b.deg)
                 row[key] = row.get(key, 0) + 1
     return LinComb._raw(row)

@@ -249,7 +249,7 @@ def signed_sum(terms: Iterable) -> str:
 
 
 def _key_text(key) -> str:
-    if isinstance(key, tuple) and len(key) >= 2:
+    if type(key) is tuple and len(key) >= 2:
         return " (x) ".join(map(_key_text, key))
     return str(key)
 

@@ -457,7 +457,7 @@ def biword_act(A: Presentation, b, label: str) -> LinComb:
     decomp = primitive_decomposition(A, label)
 
     def act(letters) -> LinComb:
-        permuted = act_letters(b.perm, b.deg, letters)
+        permuted = act_letters(*b, letters)
         return LinComb.zero() if permuted is None else decomp.evaluate_word(permuted)
 
     return linear_extend(act, decomp.terms)
@@ -474,7 +474,7 @@ def shuffle_presentation(alphabet: dict[int, int], max_weight: int) -> Presentat
     words_by_weight = {w: enumerate_words(w, alphabet) for w in range(1, max_weight + 1)}
     basis = {w: [str(word_) for word_ in words_] for w, words_ in words_by_weight.items()}
     word_of = {label: word_ for w, words_ in words_by_weight.items() for label, word_ in zip(basis[w], words_)}
-    label_of = {word_.letters: label for label, word_ in word_of.items()}
+    label_of = {word_: label for label, word_ in word_of.items()}
     # relabelling merges no terms: the Presentation rejects a label shared by two words
     shuffles = {}
     prec = {}
@@ -483,7 +483,7 @@ def shuffle_presentation(alphabet: dict[int, int], max_weight: int) -> Presentat
         terms = shuffles.get((rest, v))
         if terms is None:
             shuffled = W.word_shuffle(word_of[rest] if rest else W.EMPTY_WORD, word_of[v]).terms().items()
-            terms = shuffles[(rest, v)] = [(label_of[k.letters], c) for k, c in shuffled]
+            terms = shuffles[(rest, v)] = [(label_of[k], c) for k, c in shuffled]
         head += "."
         prec[(u, v)] = LinComb._raw({head + k: c for k, c in terms})
     coproduct = {}

@@ -2,6 +2,10 @@
 
 A letter carries a positive weight and a symbol index inside its weight
 class; a word is a finite sequence of letters (the empty word is the unit).
+A :class:`Word` is the tuple of its letters: it equals, hashes and pickles
+as that tuple, and the kernels index, slice and concatenate it directly.
+``_word`` wraps letters taken from valid words without a check.
+
 The half-shuffles follow the recursion ``w < z = w1 . (rest(w) sh z)`` with
 ``w > z := z < w`` and the unit conventions
 
@@ -22,6 +26,7 @@ right-nested half-shuffle form of a word.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
 from .lincomb import LinComb, accumulate, bilinear_extend
@@ -41,114 +46,77 @@ def symbol_name(symbol: int) -> str:
     return f"s{symbol}"
 
 
-class Word:
-    """Finite sequence of graded letters; the empty word is the unit.
+class Word(tuple):
+    """Finite sequence of graded letters, as the tuple of its letters; the
+    empty word is the unit.
 
-    ``weight`` (the sum of the letter weights) is computed once, at
-    construction; it takes no part in equality, hashing or ``repr``.
+    A word equals and hashes as its letter tuple.  ``weight`` (the sum of the
+    letter weights) is computed on access; it takes no part in equality,
+    hashing or ``repr``.
     """
 
-    __slots__ = ("letters", "weight")
+    __slots__ = ()
 
-    def __init__(self, letters: tuple[Letter, ...] = ()):
+    def __new__(cls, letters: tuple[Letter, ...] = ()):
         for let in letters:
             if let.weight < 1:
                 raise ValueError(f"letter weight must be positive: {let}")
-        _set_letters(self, letters)
-        _set_weight(self, sum(let.weight for let in letters))
+        return tuple.__new__(cls, letters)
 
-    @classmethod
-    def trusted(cls, letters: tuple[Letter, ...], weight: int) -> "Word":
-        """Construction without validation, for letters taken from valid
-        words; ``weight`` must be their total weight."""
-        w = object.__new__(cls)
-        _set_letters(w, letters)
-        _set_weight(w, weight)
-        return w
+    letters = property(tuple, doc="The letters, as a plain tuple.")
 
-    def __eq__(self, other):
-        return self.letters == other.letters if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.letters,))
+    @property
+    def weight(self) -> int:
+        return sum([let.weight for let in self])
 
     def __repr__(self):
-        return f"Word(letters={self.letters!r})"
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __len__(self):
-        return len(self.letters)
+        return f"Word(letters={tuple(self)!r})"
 
     def profile(self) -> tuple[int, ...]:
         """Letter weights in order."""
-        return tuple(let.weight for let in self.letters)
+        return tuple([let.weight for let in self])
 
     def is_empty(self) -> bool:
-        return not self.letters
-
-    def head(self) -> Letter:
-        return self.letters[0]
-
-    def tail(self) -> "Word":
-        if not self.letters:
-            return self
-        return Word.trusted(self.letters[1:], self.weight - self.letters[0].weight)
-
-    def reversed(self) -> "Word":
-        return Word.trusted(self.letters[::-1], self.weight)
+        return not self
 
     def sort_key(self):
-        return (self.weight, len(self.letters), self.letters)
+        return (self.weight, len(self), self)
 
     def __str__(self):
-        if not self.letters:
-            return "1"
-        return ".".join(str(let) for let in self.letters)
+        return ".".join(map(str, self)) or "1"
 
 
-# the slot setters, bound once: about twice as fast as object.__setattr__ by name
-_set_letters, _set_weight = Word.letters.__set__, Word.weight.__set__
+# construction without validation, for letters taken from valid words
+_word = partial(tuple.__new__, Word)
 
 EMPTY_WORD = Word()
-
-
-def _prepend(letter: Letter, combo: LinComb) -> LinComb:
-    # distinct words stay distinct, so the map is rebuilt without merging
-    head, weight = (letter,), letter.weight
-    return LinComb._raw(
-        {Word.trusted(head + w.letters, weight + w.weight): c for w, c in combo.terms().items()}
-    )
 
 
 def word_shuffle(w: Word, z: Word) -> LinComb:
     """Full shuffle product; 1 is the unit.
 
-    ``row[j]`` holds the shuffles of ``a[i:]`` and ``b[j:]`` (letter tuples
-    to coefficients), ``a[i] . row[j] + b[j] . row[j + 1]``, as i runs down.
+    ``row[j]`` holds the shuffles of ``w[i:]`` and ``z[j:]`` (letter tuples
+    to coefficients), ``w[i] . row[j] + z[j] . row[j + 1]``, as i runs down.
     """
-    a, b = w.letters, z.letters
-    row = [{b[j:]: 1} for j in range(len(b) + 1)]
-    for i in reversed(range(len(a))):
-        head = (a[i],)
-        right = row[-1] = {a[i:]: 1}
-        for j in reversed(range(len(b))):
-            other = (b[j],)
+    row = [{z[j:]: 1} for j in range(len(z) + 1)]
+    for i in reversed(range(len(w))):
+        head = (w[i],)
+        right = row[-1] = {w[i:]: 1}
+        for j in reversed(range(len(z))):
+            other = (z[j],)
             right = row[j] = accumulate(
                 {head + k: c for k, c in row[j].items()}, [(other + k, c) for k, c in right.items()]
             )
-    weight = w.weight + z.weight
-    return LinComb._raw({Word.trusted(k, weight): c for k, c in row[0].items()})
+    return LinComb._raw({_word(k): c for k, c in row[0].items()})
 
 
 def word_prec(w: Word, z: Word) -> LinComb:
     """Left half-shuffle: shuffles of w and z starting with the head of w."""
     if w.is_empty():
         return LinComb.zero()
-    return _prepend(w.head(), word_shuffle(w.tail(), z))
+    # distinct words stay distinct, so the map is rebuilt without merging
+    head = w[:1]
+    return LinComb._raw({_word(head + k): c for k, c in word_shuffle(w[1:], z).terms().items()})
 
 
 def word_succ(w: Word, z: Word) -> LinComb:
@@ -166,12 +134,8 @@ def word_shuffle_lc(x: LinComb, y: LinComb) -> LinComb:
 
 def _cuts(w: Word):
     """The cuts (w[:k], w[k:]) for k = 0 .. len(w)."""
-    letters = w.letters
-    left = 0
-    for k in range(len(letters) + 1):
-        yield Word.trusted(letters[:k], left), Word.trusted(letters[k:], w.weight - left)
-        if k < len(letters):
-            left += letters[k].weight
+    for k in range(len(w) + 1):
+        yield _word(w[:k]), _word(w[k:])
 
 
 def deconcat(w: Word) -> LinComb:
@@ -181,7 +145,7 @@ def deconcat(w: Word) -> LinComb:
 
 def word_antipode(w: Word) -> LinComb:
     """Antipode in closed form: (-1)^len(w) times the reversed word."""
-    return LinComb.single(w.reversed(), (-1) ** len(w))
+    return LinComb.single(_word(w[::-1]), (-1) ** len(w))
 
 
 def generic_word(profile: Iterable[int]) -> Word:
@@ -287,5 +251,5 @@ def parse_word(text: str) -> Word:
 
 
 def word_to_json(w: Word) -> list:
-    return [{"weight": let.weight, "symbol": let.symbol} for let in w.letters]
+    return [{"weight": let.weight, "symbol": let.symbol} for let in w]
 

@@ -185,7 +185,10 @@ def nested_prec_form(w: Word) -> NestedPrec:
 def exp_prec(mu: list[LinComb]) -> list[LinComb]:
     """Right-nested half-shuffle exponential e = 1 + mu < e, degree by degree:
     e[n] = sum over i >= 1 of mu[i] < e[n - i]."""
-    _check_series(mu, LinComb.zero(), "exp_prec")
+    if not mu or mu[0] != LinComb.zero():
+        raise ValueError("exp_prec needs zero constant term")
+    # the grading check of the library's series, which takes a unit constant term
+    _check_series([_UNIT, *mu[1:]], "exp_prec")
     e = [_UNIT] * len(mu)
     for n in range(1, len(mu)):
         e[n] = _positive_op(biword_prec_lc, mu, e, n)

@@ -1,10 +1,14 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shufflealg.biwords import UNIT_BIWORD, Biword
 from shufflealg.lincomb import LinComb, bilinear_extend, exact, exact_div, linear_extend
+from shufflealg.words import EMPTY_WORD, Letter, Word
 
 
 def test_cancellation():
@@ -167,3 +171,22 @@ def test_int_and_fraction_coefficients_compare_and_hash_alike(data):
     assert all(type(c) is int for c in as_fraction.terms().values())
     for c in data.values():
         assert hash(exact(Fraction(c))) == hash(Fraction(c)) == hash(c)
+
+
+_KEYS = (Word((Letter(1, 0), Letter(2, 1))), EMPTY_WORD, Biword((2, 1), (1, 3)), UNIT_BIWORD)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [*_KEYS, *(LinComb({key: Fraction(-3, 2)}) for key in _KEYS), *(LinComb({(key, key): 2}) for key in _KEYS)],
+)
+@pytest.mark.parametrize(
+    "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
+def test_keys_and_combinations_pickle_and_copy(value, clone):
+    twin = clone(value)
+    assert twin == value and type(twin) is type(value)
+    if type(value) is LinComb:
+        # each key, and each leg of a tensor key, keeps its type
+        types = lambda lc: [tuple(map(type, k)) if type(k) is tuple else type(k) for k in lc.keys()]
+        assert types(twin) == types(value)

@@ -78,7 +78,7 @@ small_biwords = st.integers(0, 3).flatmap(
 
 def _on_keys(fn):
     """Apply ``fn`` to each key of a combination, component-wise on tensors."""
-    return lambda lc: lc.map_keys(lambda k: tuple(map(fn, k)) if isinstance(k, tuple) else fn(k))
+    return lambda lc: lc.map_keys(lambda k: tuple(map(fn, k)) if type(k) is tuple else fn(k))
 
 
 def _letter_substitution(generic, actual):

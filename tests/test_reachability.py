@@ -55,12 +55,12 @@ UNREACHED = {
     "lincomb.LinComb.__repr__": _REPR,
     "words.Word.__repr__": _REPR,
     "biwords.Biword.__repr__": _REPR,
+    "biwords.Biword.__getnewargs__": "pickle and copy call it to rebuild a biword; no command pickles one",
     "rigidity.Presentation.prec": _PRESENTATION_API,
     "rigidity.Presentation.coproduct": _PRESENTATION_API,
     "rigidity.presentation_to_json": _PRESENTATION_API,
     "rigidity.save_presentation": _PRESENTATION_API,
     "rigidity.biword_act": "library API: a biword acting on the labels of a presentation",
-    "words.Word.__setattr__": "the immutability guard of Word and Biword: it runs only on an attempted write",
     "verify._row_map": "builds a failure record of internal-compose-vs-action, which a passing run never does",
 }
 
