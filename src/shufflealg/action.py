@@ -10,10 +10,10 @@ claim that the biword half-products realize the convolution half-products
 Endomorphisms are handled extensionally as linear combinations of biwords,
 which keeps them comparable and serializable.  :func:`act_letters` is the
 one definition of the action, on a biword's two rows and a tuple of letters;
-a biword unpacks to its rows and a word is its letter tuple, so a call reads
-``act_letters(*b, w)``.  :func:`source_profile` states the rule it implies:
-a biword kills every word outside its source profile, so a combination
-kills every word whose profile is not among its :func:`sources`.  :func:`endo_image` acts with a
+a word is its letter tuple, so a call reads ``act_letters(*b.row, w)``.
+:func:`source_profile` states the rule it implies: a biword kills every
+word outside its source profile, so a combination kills every word whose
+profile is not among its :func:`sources`.  :func:`endo_image` acts with a
 combination on one word and returns a zero-free ``{word: coefficient}`` map.
 :func:`compose_rows_via_action` reads the internal product off the action on
 rows: it builds b's image of the generic word of b's source profile and
@@ -50,12 +50,12 @@ def source_profile(perm: tuple, deg: tuple) -> tuple:
 
 def sources(f: LinComb) -> set:
     """The source profiles of f's terms: f kills every word of another profile."""
-    return {source_profile(*b) for b in f.terms()}
+    return {source_profile(*b.row) for b in f.terms()}
 
 
 def endo_image(f: LinComb, w: Word) -> dict:
     """The action of f on the word w, as a zero-free ``{word: coefficient}`` map."""
-    images = ((act_letters(*b, w), c) for b, c in f.terms().items())
+    images = ((act_letters(*b.row, w), c) for b, c in f.terms().items())
     return accumulate({}, [(_word(u), c) for u, c in images if u is not None])
 
 

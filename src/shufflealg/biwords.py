@@ -14,15 +14,14 @@ coproduct cuts the biword in two in every way and standardizes the top rows
 nontrivial cuts, split by where the column carrying top entry 1 lands: left
 for the prec coproduct, right for the succ coproduct.
 
-A :class:`Biword` is its row, the tuple ``(perm, deg)``: it equals, hashes
-and pickles as that pair.  Every riffle and every cut is computed by two
-kernels on rows, :func:`riffle_rows` and :func:`cut_rows`, which take a
-biword as it is; ``cut_rows(row, side)`` is the one place that knows which
-cuts each coproduct takes.  The products and coproducts wrap each row the
-kernels return as a key without a check (``_biword``, and
-:func:`biword_tuple` for a tuple of rows); the Hopf suites of
-:mod:`shufflealg.verify` and the descd primitive kernel of
-:mod:`shufflealg.descent` count the rows directly.
+A :class:`Biword` holds its row, the pair ``(perm, deg)``, as ``b.row``,
+and equals, hashes and pickles as that pair.  Every riffle and every cut is
+computed by two kernels on rows, :func:`riffle_rows` and :func:`cut_rows`;
+``cut_rows(row, side)`` is the one place that knows which cuts each
+coproduct takes.  The products and coproducts wrap each row the kernels
+return as a key without a check (``_biword``, and :func:`biword_tuple` for a
+tuple of rows); the Hopf suites of :mod:`shufflealg.verify` and the descd
+primitive kernel of :mod:`shufflealg.descent` count the rows directly.
 
 The internal product is pinned to endomorphism composition (see
 :mod:`shufflealg.action`): ``internal_compose(a, b)`` is the biword whose
@@ -34,25 +33,25 @@ the ``action-compat`` suite call.
 from __future__ import annotations
 
 import itertools
-from functools import partial
-from operator import itemgetter
 
 from .lincomb import LinComb, accumulate, bilinear_extend, linear_extend
 from .words import compositions
 
 
-class Biword(tuple):
-    """A permutation of [k] with a positive degree attached to each column,
-    as the pair ``(perm, deg)`` of its rows.
+class Biword:
+    """A permutation of [k] with a positive degree attached to each column.
 
-    A biword equals and hashes as its row.  ``weight`` (the sum of the
-    degrees) is computed on access; it takes no part in equality, hashing or
-    ``repr``.
+    ``row`` is the pair ``(perm, deg)`` of its rows, which the row kernels
+    take; a biword equals and hashes as its row, and equals no other kind of
+    key.  ``weight`` (the sum of the degrees) is computed on access; it takes
+    no part in equality, hashing or ``repr``.  A biword is a dict key: its row
+    is never reassigned.
     """
 
-    __slots__ = ()
+    __slots__ = ("row",)
 
-    def __new__(cls, perm: tuple[int, ...] = (), deg: tuple[int, ...] = ()):
+    def __init__(self, perm: tuple[int, ...] = (), deg: tuple[int, ...] = ()):
+        perm, deg = tuple(perm), tuple(deg)
         if len(perm) != len(deg):
             raise ValueError("permutation and degree rows differ in length")
         k = len(perm)
@@ -60,38 +59,52 @@ class Biword(tuple):
             raise ValueError(f"top row is not a permutation of [{k}]: {perm}")
         if any(d < 1 for d in deg):
             raise ValueError(f"degrees must be positive: {deg}")
-        return tuple.__new__(cls, (perm, deg))
+        self.row = (perm, deg)
 
-    perm = property(itemgetter(0), doc="The top row, a permutation of [k].")
-    deg = property(itemgetter(1), doc="The degree of each column.")
+    def __eq__(self, other):
+        return self.row == other.row if other.__class__ is Biword else NotImplemented
 
-    def __getnewargs__(self):
-        """The constructor's arguments ``(perm, deg)``, for pickle and copy."""
-        return tuple(self)
+    def __hash__(self):
+        return hash(self.row)
+
+    def __reduce__(self):  # pickle and copy rebuild a biword from its rows
+        return Biword, self.row
+
+    @property
+    def perm(self) -> tuple[int, ...]:
+        return self.row[0]
+
+    @property
+    def deg(self) -> tuple[int, ...]:
+        return self.row[1]
 
     @property
     def weight(self) -> int:
-        return sum(self[1])
+        return sum(self.row[1])
 
     def __repr__(self):
-        return f"Biword(perm={self[0]!r}, deg={self[1]!r})"
+        return f"Biword(perm={self.perm!r}, deg={self.deg!r})"
 
     @property
     def size(self) -> int:
-        return len(self[0])
+        return len(self.row[0])
 
     def is_unit(self) -> bool:
-        return not self[0]
+        return not self.row[0]
 
     def sort_key(self):
-        return (self.weight, self.size, *self)
+        return (self.weight, self.size, *self.row)
 
     def __str__(self):
         return render_biword(self)
 
 
-# construction without validation, for rows that are valid by construction
-_biword = partial(tuple.__new__, Biword)
+def _biword(row: tuple) -> Biword:
+    """The biword of a row that is valid by construction, without the checks."""
+    b = object.__new__(Biword)
+    b.row = row
+    return b
+
 
 UNIT_BIWORD = Biword()
 
@@ -197,17 +210,17 @@ def _riffle_sum(rows: list) -> LinComb:
 
 def biword_prec(a: Biword, b: Biword) -> LinComb:
     """Half-product keeping a's first column in front; 1 < x = 0."""
-    return _riffle_sum(riffle_rows(a, b, True))
+    return _riffle_sum(riffle_rows(a.row, b.row, True))
 
 
 def biword_succ(a: Biword, b: Biword) -> LinComb:
     """Half-product keeping b's first (shifted) column in front; x > 1 = 0."""
-    return _riffle_sum(riffle_rows(a, b, False))
+    return _riffle_sum(riffle_rows(a.row, b.row, False))
 
 
 def biword_star(a: Biword, b: Biword) -> LinComb:
     """Convolution product: all riffle interleavings; the unit is two-sided."""
-    return _riffle_sum(star_rows(a, b))
+    return _riffle_sum(star_rows(a.row, b.row))
 
 
 def biword_prec_lc(x: LinComb, y: LinComb) -> LinComb:
@@ -236,7 +249,7 @@ def coproduct_succ(a: Biword) -> LinComb:
 
 def _cut_sum(a: Biword, side: str) -> LinComb:
     """The sum of the cuts of ``a`` that the coproduct ``side`` takes."""
-    return LinComb._raw(dict.fromkeys(map(biword_tuple, cut_rows(a, side)), 1))
+    return LinComb._raw(dict.fromkeys(map(biword_tuple, cut_rows(a.row, side)), 1))
 
 
 def coproduct_prec_lc(x: LinComb) -> LinComb:
@@ -278,15 +291,15 @@ def compose_row(a: tuple, b: tuple) -> tuple | None:
 def internal_compose(a: Biword, b: Biword) -> LinComb:
     """The biword acting as "apply b, then a", or 0 when the actions annihilate
     (see :func:`compose_row`)."""
-    row = compose_row(a, b)
+    row = compose_row(a.row, b.row)
     return LinComb.zero() if row is None else LinComb._raw({_biword(row): 1})
 
 
 def internal_compose_lc(x: LinComb, y: LinComb) -> LinComb:
-    ys = y.terms().items()
+    ys = [(b.row, cb) for b, cb in y.terms().items()]
     return LinComb._raw(accumulate({}, (
         (_biword(row), ca * cb)
-        for a, ca in x.terms().items() for b, cb in ys if (row := compose_row(a, b)) is not None
+        for a, ca in x.terms().items() for b, cb in ys if (row := compose_row(a.row, b)) is not None
     )))
 
 

@@ -235,7 +235,7 @@ def bst_class(b: Biword) -> tuple:
     """The decorated binary search tree of a biword, as nested ``(left, degree,
     right)`` triples with ``()`` for the empty tree: the top row is inserted
     from left to right and each node keeps its column's degree."""
-    return _bst(tuple(zip(*b)))  # the columns (top entry, degree)
+    return _bst(tuple(zip(*b.row)))  # the columns (top entry, degree)
 
 
 def _bst(cols: tuple) -> tuple:
@@ -345,7 +345,7 @@ def _cut_row(members) -> LinComb:
     for b in members:
         # the succ cuts, then the prec cuts: every cut in column order
         for is_prec, side in ((False, "succ"), (True, "prec")):
-            for (left, _), (right, _) in cut_rows(b, side):
+            for (left, _), (right, _) in cut_rows(b.row, side):
                 key = (is_prec, len(left), *left, *right, *b.deg)
                 row[key] = row.get(key, 0) + 1
     return LinComb._raw(row)

@@ -457,7 +457,7 @@ def biword_act(A: Presentation, b, label: str) -> LinComb:
     decomp = primitive_decomposition(A, label)
 
     def act(letters) -> LinComb:
-        permuted = act_letters(*b, letters)
+        permuted = act_letters(*b.row, letters)
         return LinComb.zero() if permuted is None else decomp.evaluate_word(permuted)
 
     return linear_extend(act, decomp.terms)

@@ -21,8 +21,8 @@ most weight.  :func:`~shufflealg.words.graded_tuples` enumerates both kinds.
 
 ``dendriform`` compares combinations of
 :class:`~shufflealg.biwords.Biword` keys.  ``bidendriform`` and
-``bialgebra`` pass the probes, which are their rows, to the riffle and cut
-row kernels of :mod:`shufflealg.biwords` directly, every cut through
+``bialgebra`` pass the rows of the probes to the riffle and cut row
+kernels of :mod:`shufflealg.biwords` directly, every cut through
 ``cut_rows(row, side)``: every coefficient there is a count, so each side is
 counted once over tuples of rows (pairs, and triples for coassociativity),
 and biword keys are built only for a failure record.
@@ -39,7 +39,7 @@ w[:k], k its size, and b on w[k:], each by
 :func:`~shufflealg.action.act_letters`, and the word product of the two
 images is taken directly.  The internal product reads degrees, so
 ``internal-compose-vs-action`` probes with the biwords of degrees in {1, 2}
-instead, passed to the row kernels as they are: it compares
+instead, on their rows: it compares
 :func:`~shufflealg.biwords.compose_row` with the action's row form pair by
 pair and builds biword combinations only for a failure record.
 
@@ -181,7 +181,7 @@ def check_biword_bidendriform(max_weight: int) -> Report:
     out = Report()
     riffles, star, cuts = B.riffle_rows, B.star_rows, B.cut_rows
     for xy in _biword_probes(2, max_weight):
-        x, y = xy
+        x, y = (b.row for b in xy)
         dp_x, ds_x = cuts(x, "prec"), cuts(x, "succ")
         dt_y = cuts(y, "prec") + cuts(y, "succ")
         x_prec_y, x_succ_y = riffles(x, y, True), riffles(x, y, False)
@@ -234,10 +234,10 @@ def check_biword_bialgebra(max_weight: int) -> Report:
     """Coassociativity of the full coproduct and the morphism property for star."""
     out = Report()
     for (x,) in _biword_probes(1, max_weight, unit=True):
-        _expect_pairs(out, "hopf-coassociativity", (x,), *_coassociativity_counts(x))
+        _expect_pairs(out, "hopf-coassociativity", (x,), *_coassociativity_counts(x.row))
     star, cuts = B.star_rows, B.cut_rows
     for xy in _biword_probes(2, max_weight, unit=True):
-        x, y = xy
+        x, y = (b.row for b in xy)
         dt_y = cuts(y, "full")
         rhs = _count_products((star(x1, y1), star(x2, y2)) for x1, x2 in cuts(x, "full") for y1, y2 in dt_y)
         _expect_pairs(out, "coproduct-star-morphism", xy, _count_cuts(star(x, y), "full"), rhs)
@@ -323,27 +323,28 @@ def _check_action_compatibility(max_weight: int, max_size: int, probes) -> Repor
             "star": B.biword_star(a, b),
         }
         # both sides are zero on a probe of any other profile
-        seen = {act.source_profile(*a) + act.source_profile(*b)}
+        seen = {act.source_profile(*a.row) + act.source_profile(*b.row)}
         seen.update(*map(act.sources, products.values()))
         k = a.size
         for probe, profile in probes_of[total]:
             if profile not in seen:
                 continue
             # op . (a (x) b) . Delta on the probe: only the cut at a's size survives
-            u = act.act_letters(*a, probe[:k])
-            v = act.act_letters(*b, probe[k:])
+            u = act.act_letters(*a.row, probe[:k])
+            v = act.act_letters(*b.row, probe[k:])
             pair = None if u is None or v is None else (W.Word(u), W.Word(v))
             for op, prod in products.items():
                 convolution = _WORD_OPS[op](*pair).terms() if pair else {}
                 out.expect(f"action-{op}", (a, b, probe), act.endo_image(prod, probe), convolution)
     sized = [b for k in range(max_size + 1) for b in B.enumerate_biwords_by_size(k, TEST_DEGREES)]
+    rows = [b.row for b in sized]
     # column j holds the action's row of "apply sized[j], then a" for every a in sized
-    columns = [act.compose_rows_via_action(sized, b) for b in sized]
+    columns = [act.compose_rows_via_action(rows, b) for b in rows]
     compose = B.compose_row
     for a, via_action in zip(sized, zip(*columns)):
-        direct = tuple([compose(a, b) for b in sized])
+        direct = tuple([compose(a.row, b) for b in rows])
         if direct == via_action:
-            out.checked += len(sized)
+            out.checked += len(rows)
             continue
         for b, got, want in zip(sized, direct, via_action):
             out.expect("internal-compose-vs-action", (a, b), _row_map(got), _row_map(want))

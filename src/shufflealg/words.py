@@ -3,7 +3,8 @@
 A letter carries a positive weight and a symbol index inside its weight
 class; a word is a finite sequence of letters (the empty word is the unit).
 A :class:`Word` is the tuple of its letters: it equals, hashes and pickles
-as that tuple, and the kernels index, slice and concatenate it directly.
+as that tuple (a plain tuple of the same letters included), and the kernels
+index, slice and concatenate it directly.
 ``_word`` wraps letters taken from valid words without a check.
 
 The half-shuffles follow the recursion ``w < z = w1 . (rest(w) sh z)`` with
@@ -58,12 +59,11 @@ class Word(tuple):
     __slots__ = ()
 
     def __new__(cls, letters: tuple[Letter, ...] = ()):
+        letters = tuple(letters)
         for let in letters:
             if let.weight < 1:
                 raise ValueError(f"letter weight must be positive: {let}")
         return tuple.__new__(cls, letters)
-
-    letters = property(tuple, doc="The letters, as a plain tuple.")
 
     @property
     def weight(self) -> int:
@@ -75,9 +75,6 @@ class Word(tuple):
     def profile(self) -> tuple[int, ...]:
         """Letter weights in order."""
         return tuple([let.weight for let in self])
-
-    def is_empty(self) -> bool:
-        return not self
 
     def sort_key(self):
         return (self.weight, len(self), self)
@@ -112,7 +109,7 @@ def word_shuffle(w: Word, z: Word) -> LinComb:
 
 def word_prec(w: Word, z: Word) -> LinComb:
     """Left half-shuffle: shuffles of w and z starting with the head of w."""
-    if w.is_empty():
+    if not w:
         return LinComb.zero()
     # distinct words stay distinct, so the map is rebuilt without merging
     head = w[:1]

@@ -36,7 +36,7 @@ b2 = Letter(2, 1)
 
 
 def _act(b: Biword, w: Word):
-    return act_letters(b.perm, b.deg, w.letters)
+    return act_letters(*b.row, w)
 
 
 def _apply(f: LinComb, *words: Word) -> list[dict]:
@@ -60,7 +60,7 @@ def test_phi_kills_weight_mismatch():
 
 def test_phi_identity_biword():
     w = Word((a1, b2))
-    assert _act(Biword((1, 2), (1, 2)), w) == w.letters
+    assert _act(Biword((1, 2), (1, 2)), w) == tuple(w)
 
 
 def test_phi_length_mismatch():
@@ -420,8 +420,8 @@ def _combination(draw, weight: int) -> LinComb:
 
 def _substitution(w: Word):
     """The letter substitution sending the generic word of w's profile to w."""
-    sub = dict(zip(generic_word(w.profile()).letters, w.letters))
-    return lambda lc: lc.map_keys(lambda u: Word(tuple(sub[let] for let in u.letters)))
+    sub = dict(zip(generic_word(w.profile()), w))
+    return lambda lc: lc.map_keys(lambda u: Word(tuple(sub[let] for let in u)))
 
 
 @settings(max_examples=60, deadline=None)

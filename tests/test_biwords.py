@@ -52,10 +52,13 @@ def test_biword_validation():
 
 
 def test_biword_value_contract():
-    # a biword is its row (perm, deg): hash and equality are the row's
+    # a biword holds its row (perm, deg): hash and equality are the row's,
+    # against biwords only
     b = Biword(perm=(2, 1), deg=(1, 3))
-    assert hash(b) == hash(((2, 1), (1, 3)))
-    assert b == ((2, 1), (1, 3))  # the row alone: weight takes no part
+    assert b.row == ((2, 1), (1, 3)) and hash(b) == hash(b.row)
+    assert b != b.row and b.__eq__(b.row) is NotImplemented
+    assert Biword([2, 1], [1, 3]) == b and hash(Biword([2, 1], [1, 3])) == hash(b)  # rows become tuples
+    assert Biword([2, 1], [1, 3]).row == b.row
     assert b != Biword((2, 1), (3, 1)) and b != Biword((1, 2), (1, 3))
     assert repr(b) == "Biword(perm=(2, 1), deg=(1, 3))"
     assert repr(UNIT_BIWORD) == "Biword(perm=(), deg=())"

@@ -83,9 +83,9 @@ def _on_keys(fn):
 
 def _letter_substitution(generic, actual):
     """The letter substitution sending the generic tuple to the actual one."""
-    letters = lambda ws: itertools.chain.from_iterable(w.letters for w in ws)
+    letters = lambda ws: itertools.chain.from_iterable(ws)
     sub = dict(zip(letters(generic), letters(actual)))
-    return _on_keys(lambda u: Word(tuple(sub[let] for let in u.letters)))
+    return _on_keys(lambda u: Word(tuple(sub[let] for let in u)))
 
 
 def _degree_substitution(degrees):

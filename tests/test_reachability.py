@@ -55,7 +55,7 @@ UNREACHED = {
     "lincomb.LinComb.__repr__": _REPR,
     "words.Word.__repr__": _REPR,
     "biwords.Biword.__repr__": _REPR,
-    "biwords.Biword.__getnewargs__": "pickle and copy call it to rebuild a biword; no command pickles one",
+    "biwords.Biword.__reduce__": "pickle and copy call it to rebuild a biword; no command pickles one",
     "rigidity.Presentation.prec": _PRESENTATION_API,
     "rigidity.Presentation.coproduct": _PRESENTATION_API,
     "rigidity.presentation_to_json": _PRESENTATION_API,
@@ -125,6 +125,8 @@ def _definitions() -> dict:
                     member = member.__func__
                 elif isinstance(member, property):
                     member = member.fget
+                    # a builtin getter (itemgetter, tuple) has no code to be seen entered
+                    assert hasattr(member, "__code__"), f"{value.__qualname__}: property getter {member!r}"
                 code = getattr(member, "__code__", None)
                 if code is not None and Path(code.co_filename).resolve().parent == PACKAGE_DIR:
                     found.setdefault(code, f"{Path(code.co_filename).stem}.{member.__qualname__}")

@@ -51,7 +51,8 @@ def test_word_value_contract():
     ):
         with pytest.raises(AttributeError):
             change()
-    assert (w.letters, w.weight) == ((a, b), 2)
+    assert (tuple(w), w.weight) == ((a, b), 2)
+    assert Word(iter((a, b))) == w  # an iterable is taken once, as a tuple
     with pytest.raises(ValueError):
         Word((Letter(0, 0),))
 
