@@ -76,6 +76,9 @@ class Word(tuple):
         """Letter weights in order."""
         return tuple([let.weight for let in self])
 
+    def is_empty(self) -> bool:
+        return not self
+
     def sort_key(self):
         return (self.weight, len(self), self)
 
@@ -109,7 +112,7 @@ def word_shuffle(w: Word, z: Word) -> LinComb:
 
 def word_prec(w: Word, z: Word) -> LinComb:
     """Left half-shuffle: shuffles of w and z starting with the head of w."""
-    if not w:
+    if w.is_empty():
         return LinComb.zero()
     # distinct words stay distinct, so the map is rebuilt without merging
     head = w[:1]

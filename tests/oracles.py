@@ -106,17 +106,17 @@ def descent_class_rearrangements(left: tuple, right: tuple, first: int):
 
 
 def word_prec_by_descents(w: Word, z: Word) -> LinComb:
-    if not w:
+    if w.is_empty():
         return LinComb.zero()
-    if not z:
+    if z.is_empty():
         return LinComb.single(w)
     return LinComb((Word(cols), 1) for cols in descent_class_rearrangements(w, z, 1))
 
 
 def word_succ_by_descents(w: Word, z: Word) -> LinComb:
-    if not z:
+    if z.is_empty():
         return LinComb.zero()
-    if not w:
+    if w.is_empty():
         return LinComb.single(z)
     first = len(w) + 1
     return LinComb((Word(cols), 1) for cols in descent_class_rearrangements(w, z, first))
@@ -146,7 +146,7 @@ def biword_succ_by_descents(a: Biword, b: Biword) -> LinComb:
 
 def antipode_by_recursion(w: Word) -> LinComb:
     """Antipode by the graded-connected recursion S(w) = -w - sum S(w') sh w''."""
-    if not w:
+    if w.is_empty():
         return LinComb.single(EMPTY_WORD)
     proper = list(_cuts(w))[1:-1]
     return LinComb.single(w, -1) - LinComb.sum(
@@ -174,7 +174,7 @@ class NestedPrec(NamedTuple):
 
 def nested_prec_form(w: Word) -> NestedPrec:
     """Rewrite a word as the right-nested tree of its letters."""
-    if not w:
+    if w.is_empty():
         raise ValueError("the empty word has no nested half-shuffle form")
     node = NestedPrec(w[-1])
     for let in reversed(w[:-1]):
