@@ -8,16 +8,26 @@ dendriform products, coproducts, and the internal composition
 descent algebra with its idempotents and dimension machinery
 (:mod:`.descent`), exact elimination (:mod:`.linalg`), and abstract shuffle
 bialgebra presentations with the primitive projector and decomposition
-(:mod:`.rigidity`).  The command line lives in :mod:`.cli`.
+(:mod:`.rigidity`).  The command line lives in :mod:`.cli`, and a command
+loads only the modules it runs; each public name resolves on first access.
 No module keeps a memo cache; each memo belongs to one object or one call.
 """
 
-from .lincomb import LinComb
-from .series import PowerSeries
-from .words import Letter, Word
-from .biwords import Biword, parse_biword
-from .descent import p_n, pi_composite, pi_n
-from .rigidity import Presentation, RigidityError
+import importlib
+
+_PUBLIC = {  # the module that defines each public name
+    "LinComb": "lincomb", "PowerSeries": "series", "Letter": "words", "Word": "words",
+    "Biword": "biwords", "parse_biword": "biwords", "p_n": "descent", "pi_composite": "descent",
+    "pi_n": "descent", "Presentation": "rigidity", "RigidityError": "rigidity",
+}
+
+
+def __getattr__(name):
+    if name not in _PUBLIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_PUBLIC[name]}", __name__), name)
+    return value
+
 
 __version__ = "0.1.0"
 

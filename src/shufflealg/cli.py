@@ -28,9 +28,6 @@ import sys
 from .lincomb import LinComb, parse_coefficient
 from . import words as W
 from . import biwords as B
-from . import descent as D
-from . import rigidity as R
-from . import verify as V
 
 DEFAULTS = {
     "verify_weight": 5,
@@ -162,6 +159,7 @@ def cmd_coproduct(args) -> int:
 
 
 def cmd_pi(args) -> int:
+    from . import descent as D
     parts = args.target.split(",") if args.target else []
     try:
         numbers = [int(p) for p in parts]  # an empty part is malformed too
@@ -180,6 +178,7 @@ def cmd_pi(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    from . import descent as D
     include = [c for c in D.REPORT_COLUMNS if getattr(args, c)]
     if include in ([], ["series"]):  # no column group named: all of them
         include = D.REPORT_COLUMNS
@@ -231,6 +230,7 @@ def _print_dims_table(rows: list[dict], flags: list[str]) -> None:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as V
     max_weight = _setting(args, "max_weight", "verify_weight", "max_weight")
     if args.suite not in V.SUITES:
         raise UsageError(
@@ -263,6 +263,7 @@ def _report_json(report) -> dict:
 
 
 def cmd_membership(args) -> int:
+    from . import descent as D
     x = parse_biword_combination(args.combination)
     if x.is_zero():
         raise UsageError("the zero combination has no defined weight")
@@ -280,6 +281,7 @@ def cmd_membership(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import rigidity as R
     try:
         A = R.load_presentation(args.file)
     except (OSError, json.JSONDecodeError, R.PresentationError) as exc:
@@ -372,6 +374,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(fn=cmd_pi)
 
     if wanted("dims"):
+        from . import descent as D
         p = sub.add_parser("dims", parents=[common], help="dimension table with cross-checks")
         p.add_argument("max_n", type=int)
         for flag in D.REPORT_COLUMNS:
@@ -382,6 +385,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(fn=cmd_dims)
 
     if wanted("verify"):
+        from . import verify as V
         p = sub.add_parser("verify", parents=[common], help="run an identity suite")
         p.add_argument("suite", help=", ".join(sorted(V.SUITES)))
         p.add_argument("max_weight", nargs="?", type=int, default=None)

@@ -234,16 +234,25 @@ def descd_dimension(n: int) -> int:
 def bst_class(b: Biword) -> tuple:
     """The decorated binary search tree of a biword, as nested ``(left, degree,
     right)`` triples with ``()`` for the empty tree: the top row is inserted
-    from left to right and each node keeps its column's degree."""
-    return _bst(tuple(zip(*b.row)))  # the columns (top entry, degree)
+    from left to right and each node keeps its column's degree.
 
-
-def _bst(cols: tuple) -> tuple:
-    if not cols:
-        return ()
-    (root, d), rest = cols[0], cols[1:]
-    left = _bst(tuple(c for c in rest if c[0] < root))
-    return (left, d, _bst(tuple(c for c in rest if c[0] > root)))
+    Each column enters the tree once.  Taken in order of top entry, the
+    columns are the tree's in-order walk, and a parent is inserted before its
+    children, so one stack pass builds it: the stack holds the columns whose
+    right subtree is still open, each with its finished left subtree, and a
+    column closes every column above it inserted later, the last one closed
+    becoming its left subtree.
+    """
+    perm, deg = b.row
+    stack = [(-1, ())]  # (column, left subtree); the bottom entry is never closed
+    # a last step at column -1 closes every open column, leaving the whole tree on top
+    for i in [*sorted(range(len(perm)), key=perm.__getitem__), -1]:
+        done = ()
+        while stack[-1][0] > i:
+            j, left = stack.pop()
+            done = (left, deg[j], done)
+        stack.append((i, done))
+    return stack[-1][1]
 
 
 def tree_class(t: tuple) -> tuple[Biword, ...]:

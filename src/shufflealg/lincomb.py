@@ -3,7 +3,8 @@
 A :class:`LinComb` is a finitely supported map from basis keys to exact
 rationals.  A coefficient is a plain ``int`` while it is integral and a
 ``fractions.Fraction`` only once a division made it non-integral (see
-:func:`exact_div`); a ``float`` is never stored: building or scaling a
+:func:`exact_div`); ``fractions`` is first imported by a coefficient that is
+not an ``int``.  A ``float`` is never stored: building or scaling a
 combination with one raises ``TypeError``.  ``int`` and ``Fraction`` compare
 and hash alike, so the representation never shows in equality.  Keys can be
 anything hashable with a total order: words, biwords, tensor pairs (plain
@@ -25,9 +26,9 @@ coefficient, never off the term's text.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
-from numbers import Integral, Rational
 from typing import Callable, Iterable
+
+_Fraction = None  # fractions.Fraction, imported by the first coefficient that is not an int
 
 
 def canonical_key(key):
@@ -45,15 +46,19 @@ def exact(coeff):
 
     Floats and non-rational values raise ``TypeError``.
     """
+    global _Fraction
     kind = type(coeff)
     if kind is int:
         return coeff
-    if kind is not Fraction:
-        if isinstance(coeff, Integral):  # bool, numpy integers
-            return int(coeff)
-        if not isinstance(coeff, Rational):
-            raise TypeError(f"coefficients must be int or Fraction, not {kind.__name__}")
-        coeff = Fraction(coeff)
+    if kind is not _Fraction:
+        from fractions import Fraction as _Fraction
+        if kind is not _Fraction:
+            from numbers import Integral, Rational
+            if isinstance(coeff, Integral):  # bool, numpy integers
+                return int(coeff)
+            if not isinstance(coeff, Rational):
+                raise TypeError(f"coefficients must be int or Fraction, not {kind.__name__}")
+            coeff = _Fraction(coeff)
     return coeff.numerator if coeff.denominator == 1 else coeff
 
 
@@ -73,11 +78,15 @@ def parse_coefficient(text):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
     if e and limit and abs(int(exponent)) > limit:
         raise ValueError(f"the exponent of {text!r} is larger than {limit}")
+    from fractions import Fraction
     return exact(Fraction(text))
 
 
 def exact_div(a, b):
     """The exact quotient a / b of two coefficients, ``int`` when integral."""
+    if type(a) is type(b) is int and b and not a % b:
+        return a // b
+    from fractions import Fraction
     return exact(Fraction(a) / b)
 
 

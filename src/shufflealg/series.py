@@ -22,11 +22,13 @@ The series x is ``from_coeffs([0, 1])``, and x/(1-x) is
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .lincomb import exact, exact_div
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PowerSeries:

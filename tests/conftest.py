@@ -26,8 +26,7 @@ def golden():
     return load_golden
 
 
-@pytest.fixture
-def half_coordinates():
+def half_coordinates_presentation() -> Presentation:
     """A weight-2 presentation whose primitive p has non-integer coordinates:
     u < u = s - 2p - q with the primitive labels p and q, so tau(s) = 2p + q is
     the first echelon row and p = 1/2 (2p + q) - 1/2 q."""
@@ -42,3 +41,8 @@ def half_coordinates():
             "q": LinComb(two_sided("q")),
         },
     )
+
+
+@pytest.fixture
+def half_coordinates():
+    return half_coordinates_presentation()

@@ -36,6 +36,10 @@ One primitive dimension.  ``prim_dend_dimension(n)`` reads the weight-n
 entry of the block eliminations that the ``dims`` kernel column advances
 through; the tests compare it with elimination on every biword of weight n.
 
+Search-tree classes by recursion.  ``bst_class_by_recursion(b)`` splits the
+columns after the first into those below and above its top entry and
+recurses on each; it checks the one-pass :func:`~shufflealg.descent.bst_class`.
+
 Span membership.  ``contains(echelon, x)`` reduces x against the pivots of
 a :class:`~shufflealg.linalg.RowEchelon`; on the spanning-set echelon it
 checks the class test :func:`~shufflealg.descent.descd_membership`.
@@ -200,6 +204,18 @@ def prim_dend_dimension(n: int) -> int:
     if n < 1:
         raise ValueError(f"primitive dimensions start at weight 1, got {n}")
     return next(islice(_full_S_dimensions(), n - 1, None))
+
+
+def bst_class_by_recursion(b: Biword) -> tuple:
+    return _bst(tuple(zip(*b.row)))  # the columns (top entry, degree)
+
+
+def _bst(cols: tuple) -> tuple:
+    if not cols:
+        return ()
+    (root, d), rest = cols[0], cols[1:]
+    left = _bst(tuple(c for c in rest if c[0] < root))
+    return (left, d, _bst(tuple(c for c in rest if c[0] > root)))
 
 
 def contains(echelon: RowEchelon, lc: LinComb) -> bool:

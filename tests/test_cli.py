@@ -654,8 +654,41 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         return set(done.stdout.split())
 
     added = loaded("import shufflealg.cli") - loaded("pass")
-    assert "shufflealg.descent" in added
     assert not {"dataclasses", "inspect"} & added
+    # a command imports the modules it runs, and a coefficient that is not an int imports fractions
+    modules = ("series", "descent", "linalg", "rigidity", "action", "verify")
+    deferred = {"fractions", "decimal", "numbers", *(f"shufflealg.{m}" for m in modules)}
+    assert not deferred & added, deferred & added
+
+
+def test_integral_commands_leave_fractions_unloaded(tmp_path):
+    """Each command in a fresh interpreter: only a non-integral coefficient loads fractions."""
+    A = shuffle_presentation({1: 1, 2: 1, 3: 1}, 3)
+    path = tmp_path / "shx.json"
+    save_presentation(A, path)
+    env = {**os.environ, "PYTHONPATH": str(Path(shufflealg.__file__).parents[1])}
+    code = (
+        "import sys\nfrom shufflealg.cli import main\ncode = main(sys.argv[1:])\n"
+        "print('fractions' in sys.modules, code)"
+    )
+    cases = [
+        (["product", "star", "21|11", "12|12"], False, 0),
+        (["coproduct", "full", "213|121"], False, 0),
+        (["pi", "6", "--route", "recursive"], False, 0),
+        (["dims", "12"], False, 0),
+        (["verify", "tau", "3"], False, 0),
+        (["decompose", str(path), "a1.a1.a1", "--roundtrip"], False, 0),
+        (["membership", "12|11 + 1/2*21|11", "--json"], True, 0),
+    ]
+    bare = subprocess.run([sys.executable, "-c", "import sys; print('fractions' in sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert bare.stdout.split() == ["False"]
+    for argv, loads_fractions, exit_code in cases:
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+        *out, last = done.stdout.splitlines()
+        assert last == f"{loads_fractions} {exit_code}", (argv, done.stderr)
+        if argv[0] == "membership":
+            assert json.loads(out[0]) == {"member": True, "weight": 2}
 
 
 # argument lists per subcommand: a valid one, then usage errors of the

@@ -9,7 +9,7 @@ import pytest
 
 import shufflealg
 from conftest import biword_combination, load_golden
-from oracles import contains, coproduct_image, exp_prec, prim_dend_dimension
+from oracles import bst_class_by_recursion, contains, coproduct_image, exp_prec, prim_dend_dimension
 from shufflealg.lincomb import LinComb
 from shufflealg.biwords import (
     UNIT_BIWORD,
@@ -298,6 +298,12 @@ def test_tree_monomials_are_class_sums():
             covered.extend(x.terms())
         assert len(covered) == len(set(covered)) == len(enumerate_biwords(n))
         assert set(covered) == set(enumerate_biwords(n))
+
+
+def test_bst_class_matches_the_recursive_insertion():
+    biwords = [b for n in range(7) for b in enumerate_biwords(n)]
+    assert len(biwords) == 1957  # the unit and the 1956 biwords of weights 1-6
+    assert all(bst_class(b) == bst_class_by_recursion(b) for b in biwords)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -1,13 +1,18 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import shufflealg
 from shufflealg.biwords import UNIT_BIWORD, Biword
-from shufflealg.lincomb import LinComb, bilinear_extend, exact, exact_div, linear_extend
+from shufflealg.lincomb import LinComb, bilinear_extend, exact, exact_div, linear_extend, parse_coefficient
 from shufflealg.words import EMPTY_WORD, Letter, Word
 
 
@@ -108,6 +113,8 @@ def test_floats_are_rejected():
         0.5 * LinComb({"a": 1})
     with pytest.raises(TypeError):
         LinComb.sum([(LinComb({"a": 1}), 1.0)])
+    with pytest.raises(TypeError, match="must be int or Fraction, not float"):
+        exact(0.5)
 
 
 def test_coefficients_stay_integers_until_a_division():
@@ -116,6 +123,49 @@ def test_coefficients_stay_integers_until_a_division():
     assert all(type(c) is int for c in lc.terms().values())
     assert exact_div(1, 2) == Fraction(1, 2) and type(exact_div(1, 2)) is Fraction
     assert exact_div(6, 3) == 2 and type(exact_div(6, 3)) is int
+    assert exact_div(-6, 3) == -2 and type(exact_div(-6, 3)) is int
+    assert exact_div(-7, 2) == Fraction(-7, 2) and exact_div(Fraction(3, 2), 3) == Fraction(1, 2)
+    assert exact(True) == 1 and type(exact(True)) is int
+    assert exact(Fraction(4, 2)) == 2 and type(exact(Fraction(4, 2))) is int
+    for a in (1, Fraction(1, 2)):
+        with pytest.raises(ZeroDivisionError):
+            exact_div(a, 0)
+
+
+def test_parse_coefficient():
+    assert parse_coefficient("1e-3") == Fraction(1, 1000)
+    assert parse_coefficient("3/4") == Fraction(3, 4) and type(parse_coefficient("4/2")) is int
+    with pytest.raises(ValueError, match="exponent"):
+        parse_coefficient("1e100000000")
+
+
+def test_numpy_integer_coefficient_becomes_int():
+    np = pytest.importorskip("numpy")
+    assert exact(np.int64(7)) == 7 and type(exact(np.int64(7))) is int
+
+
+def test_coefficient_rules_before_fractions_is_loaded():
+    # in a fresh interpreter an int quotient stays clear of fractions, and the
+    # first non-integral value imports it and gets the same rules as above
+    code = """
+import sys
+from shufflealg.lincomb import exact, exact_div, parse_coefficient
+assert "fractions" not in sys.modules
+assert type(exact_div(6, 3)) is int and parse_coefficient("-12") == -12
+assert "fractions" not in sys.modules
+try:
+    exact(0.5)
+except TypeError:
+    pass
+else:
+    raise AssertionError("a float coefficient was accepted")
+half = exact_div(-7, 2)
+assert type(half).__name__ == "Fraction" and (half.numerator, half.denominator) == (-7, 2)
+assert exact(half * 2) == -7 and type(exact(half * 2)) is int
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(shufflealg.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _stored_coefficients_ok(lc):
