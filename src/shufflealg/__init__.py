@@ -13,8 +13,6 @@ loads only the modules it runs; each public name resolves on first access.
 No module keeps a memo cache; each memo belongs to one object or one call.
 """
 
-import importlib
-
 _PUBLIC = {  # the module that defines each public name
     "LinComb": "lincomb", "PowerSeries": "series", "Letter": "words", "Word": "words",
     "Biword": "biwords", "parse_biword": "biwords", "p_n": "descent", "pi_composite": "descent",
@@ -25,6 +23,7 @@ _PUBLIC = {  # the module that defines each public name
 def __getattr__(name):
     if name not in _PUBLIC:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
     value = globals()[name] = getattr(importlib.import_module(f".{_PUBLIC[name]}", __name__), name)
     return value
 
