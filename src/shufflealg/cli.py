@@ -14,16 +14,18 @@ A JSON config file (``--config``) can pin default cutoffs: keys
 ``verify_weight``, ``rank_cutoff``, ``prim_cutoff``, ``series_cutoff``, whose
 defaults are :data:`DEFAULTS`, the one table of them.
 
-:func:`main` builds the parser of the subcommand its first argument names,
-and no other; ``--help``, no arguments or an unknown command get the parser
-of all seven.  Both print the same help, usage and error texts.
+:func:`main` reads a plain command line from :data:`ARGUMENTS`, the one
+table of every subcommand's arguments, without argparse.  Help, no
+arguments, usage errors and any line the table parser does not fully
+understand go to :func:`build_parser`, whose argparse parser, built from the
+same table, prints the help, usage and error texts.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .lincomb import LinComb, parse_coefficient
 from . import words as W
@@ -324,88 +326,115 @@ def _decompose_failed(args, report, text: str) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-COMMANDS = ("product", "coproduct", "pi", "dims", "verify", "membership", "decompose")
+def _suite_names() -> str:
+    from . import verify as V
+    return ", ".join(sorted(V.SUITES))
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser with every subcommand, or with ``command``'s alone.
+# Every subcommand's (help, function, rows), each row a name (a leading "--"
+# makes an option) and its add_argument settings: the table parser reads
+# plain command lines from these rows, and build_parser gives them to argparse.
+_COMMON = (
+    ("--json", {"action": "store_true", "help": "emit JSON instead of text"}),
+    ("--config", {"metavar": "FILE", "help": "JSON file with default cutoffs"}),
+)
+ARGUMENTS = {
+    "product": ("expand a product of two operands", cmd_product, (
+        ("kind", {"choices": list(_products())}), ("lhs", {}), ("rhs", {}))),
+    "coproduct": ("expand a coproduct", cmd_coproduct, (
+        ("kind", {"choices": ["prec", "succ", "full", "deconcat"]}), ("arg", {}))),
+    "pi": ("idempotent of a weight or composition", cmd_pi, (
+        ("target", {"help": "a weight like 3 or a composition like 1,2"}),
+        ("--route", {"choices": ["closed", "alternating", "recursive"], "default": "closed",
+                     "help": "computation route for a single weight"}))),
+    "dims": ("dimension table with cross-checks", cmd_dims, (
+        ("max_n", {"type": int}),
+        # descent.REPORT_COLUMNS, named here so that parsing leaves descent unloaded
+        *((f"--{c}", {"action": "store_true", "help": f"include the {c} columns"})
+          for c in ("biwords", "descd", "prim", "series")),
+        *((f"--{c}-cutoff", {"type": int, "default": None}) for c in ("rank", "prim", "series")))),
+    "verify": ("run an identity suite", cmd_verify, (
+        ("suite", {"help": _suite_names}),  # called for argparse's help text alone
+        ("max_weight", {"nargs": "?", "type": int, "default": None}))),
+    "membership": ("test membership in the descent algebra", cmd_membership, (
+        ("combination", {"help": "e.g. '213|111 + 231|111'"}), ("--weight", {"type": int, "default": None}))),
+    "decompose": ("primitive decomposition in a presentation file", cmd_decompose, (
+        ("file", {}), ("label", {}),
+        ("--roundtrip", {"action": "store_true", "help": "report the round trip that every decomposition passes"}))),
+}
+COMMANDS = tuple(ARGUMENTS)
 
-    The one-subcommand parser parses that command's argument lists as the
-    full one does, with the same help, usage and error texts.
-    """
+
+def _plain_value(token: str, spec: dict):
+    """What argparse makes of ``token`` in a row, or None where argparse must judge."""
+    if "action" in spec:  # a flag takes no token
+        return True
+    if token[:1] == "-" and token[1:2] != " ":  # an option, "--", "-1" or a missing value
+        return None
+    if spec.get("type") is int:
+        # plain ASCII digits only; int() reads 640 of them under any digit limit
+        if not (token.isascii() and token.isdigit() and len(token) < 640):
+            return None
+        token = int(token)
+    return None if "choices" in spec and token not in spec["choices"] else token
+
+
+def _plain_args(argv: list):
+    """The namespace argparse gives a plain command line, read from the table,
+    or None for anything else: no command first, help, ``--``, ``--opt=value``,
+    an abbreviated or unknown option, a token or value that starts with "-"
+    (a space after it makes a positional, as in ``- 2*12|11``), an int that is
+    not plain ASCII digits, a value outside its choices or a wrong number of
+    positionals."""
+    if not argv or argv[0] not in ARGUMENTS:
+        return None
+    _, fn, rows = ARGUMENTS[argv[0]]
+    options = {name: spec for name, spec in _COMMON + rows if name[:2] == "--"}
+    positionals = [row for row in rows if row[0][:2] != "--"]
+    values = {name[2:].replace("-", "_"): False if "action" in spec else spec.get("default")
+              for name, spec in options.items()}
+    values.update(command=argv[0], fn=fn)
+    required = sum("nargs" not in spec for _, spec in positionals)
+    count, ended, tokens = 0, False, iter(argv[1:])
+    for token in tokens:
+        spec = options.get(token)
+        if spec is None:
+            if ended or count == len(positionals):
+                return None
+            name, spec = positionals[count]
+            count += 1
+        else:
+            # an option after the required positionals ends them, the optional one too, as in argparse
+            ended = count >= required
+            name = token[2:].replace("-", "_")
+            if "action" not in spec:
+                token = next(tokens, "-")
+        values[name] = _plain_value(token, spec)
+        if values[name] is None:
+            return None
+    if count < required:
+        return None
+    values.update((name, spec["default"]) for name, spec in positionals[count:])
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The argparse parser of every subcommand, built from :data:`ARGUMENTS`;
+    :func:`main` builds it only for a line the table parser leaves to it."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="shufflealg",
         description="Exact computations in shuffle algebras, graded permutations, "
         "and the dendriform descent algebra.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--config", metavar="FILE", help="JSON file with default cutoffs")
-
-    # the full parser's usage lists its choices; the one-subcommand parser names them all in the metavar
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def wanted(name: str) -> bool:
-        return command is None or command == name
-
-    if wanted("product"):
-        p = sub.add_parser("product", parents=[common], help="expand a product of two operands")
-        p.add_argument("kind", choices=list(_products()))
-        p.add_argument("lhs")
-        p.add_argument("rhs")
-        p.set_defaults(fn=cmd_product)
-
-    if wanted("coproduct"):
-        p = sub.add_parser("coproduct", parents=[common], help="expand a coproduct")
-        p.add_argument("kind", choices=["prec", "succ", "full", "deconcat"])
-        p.add_argument("arg")
-        p.set_defaults(fn=cmd_coproduct)
-
-    if wanted("pi"):
-        p = sub.add_parser("pi", parents=[common], help="idempotent of a weight or composition")
-        p.add_argument("target", help="a weight like 3 or a composition like 1,2")
-        p.add_argument(
-            "--route",
-            choices=["closed", "alternating", "recursive"],
-            default="closed",
-            help="computation route for a single weight",
-        )
-        p.set_defaults(fn=cmd_pi)
-
-    if wanted("dims"):
-        from . import descent as D
-        p = sub.add_parser("dims", parents=[common], help="dimension table with cross-checks")
-        p.add_argument("max_n", type=int)
-        for flag in D.REPORT_COLUMNS:
-            p.add_argument(f"--{flag}", action="store_true", help=f"include the {flag} columns")
-        p.add_argument("--rank-cutoff", type=int, default=None)
-        p.add_argument("--prim-cutoff", type=int, default=None)
-        p.add_argument("--series-cutoff", type=int, default=None)
-        p.set_defaults(fn=cmd_dims)
-
-    if wanted("verify"):
-        from . import verify as V
-        p = sub.add_parser("verify", parents=[common], help="run an identity suite")
-        p.add_argument("suite", help=", ".join(sorted(V.SUITES)))
-        p.add_argument("max_weight", nargs="?", type=int, default=None)
-        p.set_defaults(fn=cmd_verify)
-
-    if wanted("membership"):
-        p = sub.add_parser("membership", parents=[common], help="test membership in the descent algebra")
-        p.add_argument("combination", help="e.g. '213|111 + 231|111'")
-        p.add_argument("--weight", type=int, default=None)
-        p.set_defaults(fn=cmd_membership)
-
-    if wanted("decompose"):
-        p = sub.add_parser("decompose", parents=[common], help="primitive decomposition in a presentation file")
-        p.add_argument("file")
-        p.add_argument("label")
-        p.add_argument(
-            "--roundtrip", action="store_true", help="report the round trip that every decomposition passes"
-        )
-        p.set_defaults(fn=cmd_decompose)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, fn, rows) in ARGUMENTS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, spec in _COMMON + rows:
+            if callable(spec.get("help")):
+                spec = {**spec, "help": spec["help"]()}
+            p.add_argument(name, **spec)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -428,20 +457,15 @@ def _load_config(path: str | None) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a run names its subcommand first; --help, no arguments or an unknown
-    # command get the full parser, whose texts list every subcommand
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # argparse reads only what the table parser leaves: help, usage errors, odd lines
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         args.config_values = _load_config(getattr(args, "config", None))
         return args.fn(args)
     except (B.BiwordParseError, W.WordParseError) as exc:
         print(f"parse error at position {exc.position}: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

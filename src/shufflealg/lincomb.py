@@ -26,7 +26,7 @@ coefficient, never off the term's text.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 _Fraction = None  # fractions.Fraction, imported by the first coefficient that is not an int
 

@@ -242,8 +242,13 @@ def _validate_shuffle_axiom(A: Presentation, out: Report) -> None:
     # (a < b) < c = a < (b sh c) on basis triples within the weight bound
     prec, shuffle = A._prec_rows, A._shuffle_row
     for a, b, c in _label_tuples(A, 3):
-        lhs = accumulate({}, ((k, c1 * c2) for ab, c1 in prec[a, b] for k, c2 in prec[ab, c]))
-        rhs = accumulate({}, ((k, c1 * c2) for bc, c1 in shuffle(b, c) for k, c2 in prec[a, bc]))
+        lhs, rhs = {}, {}
+        for ab, c1 in prec[a, b]:
+            row = prec[ab, c]
+            accumulate(lhs, row if c1 == 1 else [(k, c1 * c2) for k, c2 in row])
+        for bc, c1 in shuffle(b, c):
+            row = prec[a, bc]
+            accumulate(rhs, row if c1 == 1 else [(k, c1 * c2) for k, c2 in row])
         out.expect("shuffle-axiom", (a, b, c), lhs, rhs)
 
 
@@ -251,15 +256,23 @@ def _validate_left_compatibility(A: Presentation, out: Report) -> None:
     # Delta(x < y) = x' < y' (x) x'' sh y'' + 1 (x) (x < y), full Sweedler sums
     prec, cop, shuffle = A._prec_rows, A._coproduct_rows, A._shuffle_row
     for x, y in _label_tuples(A, 2):
-        xy = prec[x, y]
-        lhs = accumulate({}, ((pair, c * c2) for key, c in xy for pair, c2 in cop[key]))
-        rhs = accumulate({(UNIT_LABEL, key): c for key, c in xy}, (
-            ((l, r), cx * cy * cl * cr)
-            for (x1, x2), cx in cop[x]
-            for (y1, y2), cy in cop[y]
-            for l, cl in prec[x1, y1]
-            for r, cr in shuffle(x2, y2)
-        ))
+        xy, lhs = prec[x, y], {}
+        for key, c in xy:
+            row = cop[key]
+            accumulate(lhs, row if c == 1 else [(pair, c * c2) for pair, c2 in row])
+        rhs = {(UNIT_LABEL, key): c for key, c in xy}
+        for (x1, x2), cx in cop[x]:
+            for (y1, y2), cy in cop[y]:
+                row = prec[x1, y1]
+                shuffled = shuffle(x2, y2) if row else ()
+                for l, cl in row:
+                    factor = cx * cy * cl
+                    for r, cr in shuffled:  # accumulate's loop, inlined
+                        c = rhs.get((l, r), 0) + (cr if factor == 1 else factor * cr)
+                        if c:
+                            rhs[l, r] = c
+                        else:
+                            del rhs[l, r]
         out.expect("left-compatibility", (x, y), lhs, rhs)
 
 

@@ -27,15 +27,15 @@ right-nested half-shuffle form of a word.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from functools import partial
-from typing import Iterable, Mapping, NamedTuple
 
 from .lincomb import LinComb, accumulate, bilinear_extend
 
 
-class Letter(NamedTuple):
-    weight: int
-    symbol: int
+class Letter(namedtuple("Letter", "weight symbol")):
+    __slots__ = ()
 
     def __str__(self):
         return symbol_name(self.symbol) + str(self.weight)

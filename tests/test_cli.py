@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -644,21 +645,28 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def _loaded(statement, *flags) -> set:
+    """The modules a fresh interpreter has loaded after ``statement``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(shufflealg.__file__).parents[1])}
+    code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # against a bare interpreter, so modules that a site hook loads do not count
-    env = {**os.environ, "PYTHONPATH": str(Path(shufflealg.__file__).parents[1])}
-
-    def loaded(statement):
-        code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        return set(done.stdout.split())
-
-    added = loaded("import shufflealg.cli") - loaded("pass")
+    added = _loaded("import shufflealg.cli") - _loaded("pass")
     assert not {"dataclasses", "inspect"} & added
     # a command imports the modules it runs, and a coefficient that is not an int imports fractions
     modules = ("series", "descent", "linalg", "rigidity", "action", "verify")
     deferred = {"fractions", "decimal", "numbers", *(f"shufflealg.{m}" for m in modules)}
     assert not deferred & added, deferred & added
+
+
+def test_cli_import_under_no_site_loads_neither_typing_nor_argparse():
+    # -S: no site hook loads typing before the package does
+    added = _loaded("import shufflealg.cli", "-S") - _loaded("pass", "-S")
+    assert not {"typing", "argparse", "gettext", "locale"} & added, added
 
 
 def test_integral_commands_leave_fractions_unloaded(tmp_path):
@@ -719,33 +727,108 @@ def test_full_parser_has_every_command():
     assert tuple(sub.choices) == COMMANDS == tuple(_PARSER_CASES)
 
 
+# argument lists that argparse reads by a rule of its own, each either taken
+# by the table parser with argparse's namespace or left to argparse:
+# abbreviations, --opt=value, "--", tokens and option values that start with
+# "-" (a space after the dash makes an operand), ints that are not plain ASCII
+# digits, repeated options and options placed before the positionals
+_ODD_CASES = {
+    "product": [["--json", "star", "1", "1"], ["star", "--json", "21|1", "1|3"], ["star", "-2*12|11", "1"],
+                ["--", "star", "1", "1"], ["star", "1", "1", "--js"]],
+    "coproduct": [["--config", "c.json", "--config", "d.json", "full", "1"], ["full", "--", "1"],
+                  ["full", "- 2"], ["full", "1", "--config"], ["full", "1", "--config=c.json"]],
+    "pi": [["-1"], ["3", "--route=recursive"], ["3", "--rou", "closed"], ["+3"], ["3", "--route"],
+           ["3", "--route", "alternating", "--route", "closed"], ["--route", "recursive", "3"]],
+    "dims": [["5", "--rank", "2"], ["+3"], ["3_0"], ["٣"], ["5", "--rank-cutoff", "-1"], ["5", "--rank-cutoff", "٣"],
+             ["--descd", "--descd", "5", "--json"], ["5", "--series-cutoff", "12", "--series-cutoff", "7"]],
+    "verify": [["tau", "--json", "3"], ["--json", "tau", "3"], ["tau", "-1"], ["tau", "--json"], ["tau", "+3"],
+               ["tau", "3", "--config", "- x"], ["tau", "--", "3"]],
+    "membership": [["-2*12|11 + 21|11"], ["- 2*12|11"], ["- 2*12|11 + 21|11", "--weight", "2"], ["12|11", "-"],
+                   ["1", "--weight", "-1"], ["1", "--weight", "+3"], ["1", "--weight", "2", "--weight", "3"],
+                   ["--weight", "3", "213|111"], ["12|11", "--"], ["12|11", "--weight=2"]],
+    "decompose": [["--roundtrip", "f.json", "a1"], ["f.json", "--roundtrip", "a1", "--json"], ["f.json", "-a1"],
+                  ["f.json", "a1", "--round"], ["f.json", "a1", "--roundtrip", "--roundtrip"]],
+}
+
+
+def _bench_argvs() -> list:
+    """The command lines of every perfbench workload, for two seeds."""
+    jobs = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"))
+    return [job.argv for w in jobs["WORKLOADS"] for seed in (1, 2) for job in jobs["build_jobs"](w, seed, "work")]
+
+
+def _table(argv):
+    """The table parser's namespace as a dict, or None where it leaves the line to argparse."""
+    args = cli._plain_args(argv)
+    return None if args is None else vars(args)
+
+
 @pytest.mark.parametrize("command", COMMANDS)
-def test_one_subcommand_parser_matches_the_full_parser(command):
-    full, alone = build_parser(), build_parser(command)
-    for rest in [*_PARSER_CASES[command], ["--help"], ["-h", "x"]]:
+def test_table_parser_matches_argparse(command):
+    full = build_parser()
+    for rest in [*_PARSER_CASES[command], *_ODD_CASES[command], ["--help"], ["-h", "x"]]:
         argv = [command, *rest]
-        got, want = _parse(alone, argv), _parse(full, argv)
-        assert got == want, argv
-    namespace, code, _, _ = _parse(alone, [command, *_PARSER_CASES[command][0]])
-    assert code is None and namespace["command"] == command
-    _, code, help_text, _ = _parse(alone, [command, "--help"])
+        # argparse's namespace or None, and None wherever argparse prints help or an error
+        assert _table(argv) in (None, _parse(full, argv)[0]), argv
+    plain = [_PARSER_CASES[command][0], *(argv[1:] for argv in _bench_argvs() if argv[0] == command)]
+    for rest in plain:
+        namespace, code, _, _ = _parse(full, [command, *rest])
+        assert code is None and namespace["command"] == command
+        assert _table([command, *rest]) == namespace, rest
+    _, code, help_text, _ = _parse(full, [command, "--help"])
     assert code == 0 and help_text.startswith(f"usage: shufflealg {command} [-h] [--json] [--config FILE]")
-    _, code, _, error = _parse(alone, [command, *_PARSER_CASES[command][-1]])
+    _, code, _, error = _parse(full, [command, *_PARSER_CASES[command][-1]])
     assert code == 2 and error.startswith("usage: shufflealg [-h]\n") and "unrecognized arguments" in error
 
 
-def test_main_builds_the_named_subcommand_alone(monkeypatch, capsys):
+def test_dims_flags_are_the_report_columns():
+    flags = [name[2:] for name, spec in cli.ARGUMENTS["dims"][2] if spec.get("action")]
+    assert tuple(flags) == D.REPORT_COLUMNS
+
+
+def test_only_help_and_usage_errors_build_the_argparse_parser(monkeypatch, capsys):
     built = []
     real = cli.build_parser
 
-    def recording(command=None):
-        built.append(command)
-        return real(command)
+    def recording():
+        built.append(True)
+        return real()
 
     monkeypatch.setattr(cli, "build_parser", recording)
-    assert main(["pi", "3"]) == 0
+    assert main(["pi", "3"]) == 0 and main(["pi", "3", "--route", "recursive", "--json"]) == 0
+    assert built == []
     for argv in ([], ["--help"], ["-h", "pi"], ["warble"], ["--json", "pi", "3"]):
         with pytest.raises(SystemExit):
             main(argv)
+    assert main(["pi", "3", "--rou", "closed"]) == 0  # an abbreviation, which argparse reads
     capsys.readouterr()
-    assert built == ["pi", None, None, None, None, None]
+    assert len(built) == 6
+
+
+def test_plain_commands_leave_argparse_unloaded(tmp_path):
+    """Fresh interpreters: no plain command loads argparse; --help and a usage error do."""
+    A = shuffle_presentation({1: 1, 2: 1}, 2)
+    path = tmp_path / "sh2.json"
+    save_presentation(A, path)
+    plain = [
+        ["product", "star", "21|11", "12|12", "--json"],
+        ["coproduct", "deconcat", "a1.b2"],
+        ["pi", "1,2", "--route", "closed"],
+        ["dims", "3", "--descd", "--rank-cutoff", "3"],
+        ["verify", "tau", "2", "--json"],
+        ["membership", "- 2*12|11 + 2*21|11", "--weight", "2"],
+        ["decompose", str(path), "a1.a1", "--roundtrip"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(shufflealg.__file__).parents[1])}
+    code = (
+        "import json, sys\nfrom shufflealg.cli import main\ncodes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    try:\n        codes.append(main(argv))\n"
+        "    except SystemExit as exc:\n        codes.append(exc.code)\n"
+        "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    runs = [(plain, "[0, 0, 0, 0, 0, 0, 0] []"), ([["--help"]], "[0] ['argparse', 'gettext', 'locale']"),
+            ([["product", "warble", "a", "b"]], "[2] ['argparse', 'gettext', 'locale']")]
+    for argvs, last in runs:
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env, capture_output=True, text=True)
+        assert done.stdout.splitlines()[-1] == last, (argvs, done.stderr)

@@ -6,8 +6,8 @@ The command lines of ``_command_lines`` run in-process under
 Between them they run every ``product`` and ``coproduct`` kind, every ``pi``
 route and a composition, ``dims`` as text and as JSON, every ``verify``
 suite at weight 3, a member and a non-member, ``decompose`` on a saved
-weight-3 word model and on a corrupted copy, and a bad word and a bad biword
-operand.  A definition that none of them enters and that the allow-list does
+weight-3 word model and on a corrupted copy, a bad word and a bad biword
+operand, ``--help`` and a usage error (argparse's exits 0 and 2).  A definition that none of them enters and that the allow-list does
 not name is code only the tests call: move it to ``tests/oracles.py`` or
 delete it.
 """
@@ -88,6 +88,7 @@ def _command_lines(tmp_path: Path) -> list:
     runs += [(["decompose", str(model), "b1.a2", "--json"], 0)]
     runs += [(["decompose", str(broken), "a1.b2", "--json"], 1)]
     runs += [(["product", "shuffle", "a1.B2", "b1"], 2), (["coproduct", "full", "21|1x"], 2)]
+    runs += [(["--help"], 0), (["product", "warble", "a1", "b1"], 2)]
     return runs
 
 
@@ -106,7 +107,10 @@ def _entered_code(runs) -> set:
         sys.setprofile(profile)
         try:
             for argv, _ in runs:
-                codes.append(cli.main(argv))
+                try:
+                    codes.append(cli.main(argv))
+                except SystemExit as exc:  # argparse's help and usage errors
+                    codes.append(exc.code)
         finally:
             sys.setprofile(previous)
     assert codes == [code for _, code in runs], sink.getvalue()
