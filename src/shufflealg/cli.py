@@ -338,11 +338,13 @@ _COMMON = (
     ("--json", {"action": "store_true", "help": "emit JSON instead of text"}),
     ("--config", {"metavar": "FILE", "help": "JSON file with default cutoffs"}),
 )
+# argparse reads a token that starts with "-" as an option, so such an operand follows "--"
+_DASHED = "an operand that starts with '-' goes after '--', which follows every option"
 ARGUMENTS = {
     "product": ("expand a product of two operands", cmd_product, (
-        ("kind", {"choices": list(_products())}), ("lhs", {}), ("rhs", {}))),
+        ("kind", {"choices": list(_products())}), ("lhs", {"help": _DASHED}), ("rhs", {"help": _DASHED}))),
     "coproduct": ("expand a coproduct", cmd_coproduct, (
-        ("kind", {"choices": ["prec", "succ", "full", "deconcat"]}), ("arg", {}))),
+        ("kind", {"choices": ["prec", "succ", "full", "deconcat"]}), ("arg", {"help": _DASHED}))),
     "pi": ("idempotent of a weight or composition", cmd_pi, (
         ("target", {"help": "a weight like 3 or a composition like 1,2"}),
         ("--route", {"choices": ["closed", "alternating", "recursive"], "default": "closed",
@@ -357,7 +359,7 @@ ARGUMENTS = {
         ("suite", {"help": _suite_names}),  # called for argparse's help text alone
         ("max_weight", {"nargs": "?", "type": int, "default": None}))),
     "membership": ("test membership in the descent algebra", cmd_membership, (
-        ("combination", {"help": "e.g. '213|111 + 231|111'"}), ("--weight", {"type": int, "default": None}))),
+        ("combination", {"help": f"e.g. '213|111 + 231|111'; {_DASHED}"}), ("--weight", {"type": int, "default": None}))),
     "decompose": ("primitive decomposition in a presentation file", cmd_decompose, (
         ("file", {}), ("label", {}),
         ("--roundtrip", {"action": "store_true", "help": "report the round trip that every decomposition passes"}))),
@@ -456,7 +458,48 @@ def _load_config(path: str | None) -> dict:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run one command line and return its exit code.
+
+    ``main(argv)`` with a list runs that list and returns the code.  With no
+    argument list, ``main`` runs the process's own command line and then ends
+    the process as the interpreter's exit does, minus its teardown: it runs
+    the atexit handlers, flushes stdout and stderr, and exits with the code,
+    or with 120 after reporting a failed flush.  Under a profiler or a trace
+    function it returns the code instead, so that they can report.
+    """
+    if argv is not None:
+        return _run(list(argv))
+    code = _run(sys.argv[1:])
+    monitoring = getattr(sys, "monitoring", None)  # where cProfile registers from 3.12 on
+    if sys.getprofile() or sys.gettrace() or (monitoring and monitoring.get_tool(monitoring.PROFILER_ID)):
+        return code
+    _end_process(code)
+
+
+def _end_process(code: int):
+    """End the process as ``Py_Finalize`` would up to its flush of stdio."""
+    import atexit
+    import os
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None or getattr(stream, "closed", False):  # e.g. fd 1 closed at launch
+            continue
+        try:
+            stream.flush()
+        except Exception as exc:  # any error here, as the interpreter ignores it at exit
+            code = 120
+            if stream is sys.stdout and sys.stderr is not None:
+                # the interpreter's report of a failed stdout flush; nothing of stderr's
+                import traceback
+                try:
+                    sys.stderr.write(f"Exception ignored in: {stream!r}\n"
+                                     + "".join(traceback.format_exception_only(type(exc), exc)))
+                except Exception:
+                    pass
+    os._exit(code)
+
+
+def _run(argv: list) -> int:
     # argparse reads only what the table parser leaves: help, usage errors, odd lines
     args = _plain_args(argv) or build_parser().parse_args(argv)
     try:

@@ -29,9 +29,10 @@ the computed columns, and cross-checks each pair of columns that must agree.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import count
 from math import comb, factorial
-from typing import Iterable, NamedTuple
 
 from .lincomb import LinComb
 from .biwords import (
@@ -149,14 +150,14 @@ def prec_logarithm(q: list[LinComb]) -> list[LinComb]:
 
 # -- spanning monomials and ranks ---------------------------------------------
 
-class DendMonomial(NamedTuple):
+class DendMonomial(namedtuple("DendMonomial", "tree")):
     """Op-labeled binary tree over generator weights.
 
     The tree is either an int (a generator leaf pi_w) or a triple
     ``(op, left, right)`` with op ``"<"`` or ``">"``.
     """
 
-    tree: tuple | int
+    __slots__ = ()
 
     @property
     def weight(self) -> int:

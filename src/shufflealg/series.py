@@ -22,13 +22,12 @@ The series x is ``from_coeffs([0, 1])``, and x/(1-x) is
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from math import comb, factorial
-from typing import TYPE_CHECKING, Callable, Sequence
 
+# ``Fraction`` in the annotations is fractions.Fraction, which lincomb loads
+# only at the first non-integral coefficient
 from .lincomb import exact, exact_div
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class PowerSeries:

@@ -444,6 +444,14 @@ def test_membership_command(capsys):
         assert "weight 0" in err and "Traceback" not in err
 
 
+def test_an_operand_with_a_leading_minus_follows_a_double_dash(capsys):
+    assert run(capsys, "membership", "--json", "--", "-2*12|11") == (0, '{"member": true, "weight": 2}', "")
+    for argv in (["membership", "-h"], ["product", "-h"], ["coproduct", "-h"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "an operand that starts with '-' goes after '--'" in " ".join(capsys.readouterr().out.split())
+
+
 def test_parse_biword_combination():
     combo = parse_biword_combination("2*12|11 - 1/2*21|11 + 1|2")
     assert combo == LinComb(
@@ -650,7 +658,7 @@ def _loaded(statement, *flags) -> set:
     env = {**os.environ, "PYTHONPATH": str(Path(shufflealg.__file__).parents[1])}
     code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
     done = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return set(done.stdout.split())
+    return set(done.stdout.splitlines()[-1].split())
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -665,8 +673,15 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 def test_cli_import_under_no_site_loads_neither_typing_nor_argparse():
     # -S: no site hook loads typing before the package does
-    added = _loaded("import shufflealg.cli", "-S") - _loaded("pass", "-S")
+    bare = _loaded("pass", "-S")
+    added = _loaded("import shufflealg.cli", "-S") - bare
     assert not {"typing", "argparse", "gettext", "locale"} & added, added
+    # nor do the commands that load series, descent, linalg and verify
+    argvs = [["dims", "3", "--json"], ["pi", "6", "--json"], ["membership", "213|111 + 231|111"], ["verify", "tau", "3"]]
+    run = f"from shufflealg.cli import main\nfor argv in {argvs!r}:\n    assert main(argv) == 0, argv"
+    added = _loaded(run, "-S") - bare
+    assert {"shufflealg.series", "shufflealg.descent", "shufflealg.linalg", "shufflealg.verify"} <= added
+    assert "typing" not in added, added
 
 
 def test_integral_commands_leave_fractions_unloaded(tmp_path):
@@ -745,7 +760,8 @@ _ODD_CASES = {
                ["tau", "3", "--config", "- x"], ["tau", "--", "3"]],
     "membership": [["-2*12|11 + 21|11"], ["- 2*12|11"], ["- 2*12|11 + 21|11", "--weight", "2"], ["12|11", "-"],
                    ["1", "--weight", "-1"], ["1", "--weight", "+3"], ["1", "--weight", "2", "--weight", "3"],
-                   ["--weight", "3", "213|111"], ["12|11", "--"], ["12|11", "--weight=2"]],
+                   ["--weight", "3", "213|111"], ["12|11", "--"], ["12|11", "--weight=2"],
+                   ["--json", "--", "-2*12|11"]],
     "decompose": [["--roundtrip", "f.json", "a1"], ["f.json", "--roundtrip", "a1", "--json"], ["f.json", "-a1"],
                   ["f.json", "a1", "--round"], ["f.json", "a1", "--roundtrip", "--roundtrip"]],
 }

@@ -61,6 +61,7 @@ UNREACHED = {
     "rigidity.presentation_to_json": _PRESENTATION_API,
     "rigidity.save_presentation": _PRESENTATION_API,
     "rigidity.biword_act": "library API: a biword acting on the labels of a presentation",
+    "cli._end_process": "ends the process, so only a fresh interpreter enters it (tests/test_cli_exit.py)",
     "verify._row_map": "builds a failure record of internal-compose-vs-action, which a passing run never does",
 }
 
