@@ -464,8 +464,9 @@ def main(argv=None) -> int:
     argument list, ``main`` runs the process's own command line and then ends
     the process as the interpreter's exit does, minus its teardown: it runs
     the atexit handlers, flushes stdout and stderr, and exits with the code,
-    or with 120 after reporting a failed flush.  Under a profiler or a trace
-    function it returns the code instead, so that they can report.
+    or with 120 after a failed flush, which it reports as the interpreter
+    does.  Under a profiler or a trace function it returns the code instead,
+    so that they can report.
     """
     if argv is not None:
         return _run(list(argv))
@@ -486,16 +487,14 @@ def _end_process(code: int):
             continue
         try:
             stream.flush()
-        except Exception as exc:  # any error here, as the interpreter ignores it at exit
+        except Exception as exc:  # the interpreter catches any error of this flush
             code = 120
             if stream is sys.stdout and sys.stderr is not None:
-                # the interpreter's report of a failed stdout flush; nothing of stderr's
+                # its report of a failed stdout flush (of stderr's it reports none); should
+                # this write fail too, the error leaves main and that exit gives 120 as well
                 import traceback
-                try:
-                    sys.stderr.write(f"Exception ignored in: {stream!r}\n"
-                                     + "".join(traceback.format_exception_only(type(exc), exc)))
-                except Exception:
-                    pass
+                sys.stderr.write(f"Exception ignored in: {stream!r}\n"
+                                 + "".join(traceback.format_exception_only(type(exc), exc)))
     os._exit(code)
 
 

@@ -678,8 +678,8 @@ def test_cli_import_under_no_site_loads_neither_typing_nor_argparse():
     assert not {"typing", "argparse", "gettext", "locale"} & added, added
     # nor do the commands that load series, descent, linalg and verify
     argvs = [["dims", "3", "--json"], ["pi", "6", "--json"], ["membership", "213|111 + 231|111"], ["verify", "tau", "3"]]
-    run = f"from shufflealg.cli import main\nfor argv in {argvs!r}:\n    assert main(argv) == 0, argv"
-    added = _loaded(run, "-S") - bare
+    statement = f"from shufflealg.cli import main\nfor argv in {argvs!r}:\n    assert main(argv) == 0, argv"
+    added = _loaded(statement, "-S") - bare
     assert {"shufflealg.series", "shufflealg.descent", "shufflealg.linalg", "shufflealg.verify"} <= added
     assert "typing" not in added, added
 

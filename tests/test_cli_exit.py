@@ -89,6 +89,11 @@ def _full(cmd):
         return _launch(cmd, stdout=full)
 
 
+def _all_full(cmd):
+    with open("/dev/full", "wb") as full:
+        return subprocess.run(cmd, stdout=full, stderr=full, env=ENV, timeout=60).returncode
+
+
 def _broken_pipe(cmd):
     read, write = os.pipe()
     os.close(read)  # before the child writes
@@ -118,9 +123,12 @@ def test_a_failed_stdout_ends_alike_with_and_without_teardown(argv, code):
         assert own == teardown, (argv, stream)
         _, err, got = own
         assert got == expected, (argv, stream, err)
-        # the interpreter's one report of the failed flush, whatever the command returned
-        assert err.endswith(last_line) and (err.startswith(_STDOUT_REPORT) or not last_line), (argv, stream, err)
-        assert err.count(b"\n") == (2 if last_line else 0), (argv, stream, err)
+        if last_line:  # the interpreter's one report of the failed flush, whatever the command returned
+            assert err.startswith(_STDOUT_REPORT) and err.endswith(last_line) and err.count(b"\n") == 2, err
+        else:
+            assert err == b"", (argv, stream)
+    # with stderr full too, the report is lost and the code is still 120
+    assert _both(argv, _all_full) == (120, 120), argv
 
 
 def test_main_runs_the_atexit_handlers_and_skips_the_teardown():
